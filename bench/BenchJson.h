@@ -89,7 +89,6 @@ inline void jsonEngineStats(JsonWriter &J, const char *Key,
   J.kv("threads_registered", S.ThreadsRegistered);
   J.kv("threads_deregistered", S.ThreadsDeregistered);
   J.kv("slot_fallbacks", S.SlotFallbacks);
-  J.kv("batch_publishes", S.BatchPublishes);
   J.kv("tier_filtered", S.TierFiltered);
   J.kv("escalations", S.Escalations);
   J.kv("sampled_skips", S.SampledSkips);
@@ -106,9 +105,7 @@ inline void jsonEngineConfig(JsonWriter &J, const char *Key,
   J.beginObject();
   J.kv("gc_threshold", C.GcThreshold);
   J.kv("trim_fraction", C.TrimFraction);
-  J.kv("legacy_global_locks", C.LegacyGlobalLocks);
   J.kv("enable_slab_pooling", C.EnableSlabPooling);
-  J.kv("append_batch_size", static_cast<uint64_t>(C.AppendBatchSize));
   J.kv("max_cells", C.MaxCells);
   J.kv("max_info_records", C.MaxInfoRecords);
   J.kv("max_bytes", C.MaxBytes);

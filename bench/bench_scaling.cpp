@@ -1,27 +1,21 @@
 //===- bench/bench_scaling.cpp - Multi-core engine scaling ----------------===//
 ///
 /// Throughput of the detection engine under 1..16 real threads, across the
-/// engine's locking/allocation configurations. Each thread works on its own
+/// engine's allocation configurations. Each thread works on its own
 /// variables and its own lock — the workload itself is perfectly parallel,
-/// so any plateau is the engine's serialization: the global event-list mutex
-/// and global check lock in legacy mode, tail-CAS contention plus striped-
-/// lock traffic in the lock-free modes.
+/// so any plateau is the engine's serialization: tail-CAS contention on the
+/// event list plus striped-lock traffic.
 ///
 /// Per iteration a thread runs: two volatile reads of shared (read-only,
 /// race-free) flags, then one *nested* monitor block — four lock acquires,
 /// four write/read pairs on private fields, four releases. That is 8
 /// data-access checks and 10 event-list appends, roughly the sync-to-data
-/// ratio of the paper's lock-heavy benchmarks; the acquire burst is what
-/// append batching coalesces (acquires buffer until the first data access
-/// publishes the whole pre-linked chain with one CAS — releases and
-/// volatile events always publish immediately). GC stays in play via a
-/// small threshold.
+/// ratio of the paper's lock-heavy benchmarks. GC stays in play via a small
+/// threshold.
 ///
-/// Modes (--modes csv, default "lockfree,legacy"):
-///   lockfree  optimized configuration (slab pooling on, append batching 8)
-///   legacy    PR-1 global-lock discipline (ablation baseline)
-///   nobatch   lock-free, slab pooling on, batching off (batching ablation)
-///   nopool    lock-free, batching 8, slab pooling off (pooling ablation)
+/// Modes (--modes csv, default "lockfree,nopool"):
+///   lockfree  the production-default configuration (slab pooling on)
+///   nopool    slab pooling off (pooling ablation)
 ///
 /// Methodology: min-of-k wall-clock (steady clock) around the fork/join
 /// region (engine construction/teardown excluded); engine stats are taken
@@ -60,14 +54,8 @@ struct Mode {
 };
 
 const Mode Modes[] = {
-    {"lockfree", [](EngineConfig &C) { C.AppendBatchSize = 8; }},
-    {"legacy", [](EngineConfig &C) { C.LegacyGlobalLocks = true; }},
-    {"nobatch", [](EngineConfig &C) { C.AppendBatchSize = 1; }},
-    {"nopool",
-     [](EngineConfig &C) {
-       C.AppendBatchSize = 8;
-       C.EnableSlabPooling = false;
-     }},
+    {"lockfree", [](EngineConfig &) {}},
+    {"nopool", [](EngineConfig &C) { C.EnableSlabPooling = false; }},
 };
 
 const Mode *findMode(const std::string &Name) {
@@ -156,7 +144,7 @@ int main(int Argc, char **Argv) {
   std::string JsonPath = parseStrArg(Argc, Argv, "--json", "");
   std::string Label = parseStrArg(Argc, Argv, "--label", "");
   std::string ModesCsv =
-      parseStrArg(Argc, Argv, "--modes", "lockfree,legacy");
+      parseStrArg(Argc, Argv, "--modes", "lockfree,nopool");
 
   std::vector<const Mode *> Selected;
   for (size_t Pos = 0; Pos < ModesCsv.size();) {
@@ -242,8 +230,7 @@ int main(int Argc, char **Argv) {
               "event-list appends:\n2 volatile reads of shared flags, 4 "
               "nested acquires, 4 releases). Lock-free\nappends + striped "
               "variable locks should scale until appends saturate the "
-              "tail;\nthe legacy build serializes every append behind one "
-              "mutex and plateaus early.\n");
+              "tail.\n");
 
   if (!JsonPath.empty()) {
     if (!J.writeFile(JsonPath)) {

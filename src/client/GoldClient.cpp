@@ -505,6 +505,10 @@ bool GoldClient::shmReclaim(std::string &Err) {
     Shm->Ring = uint32_t(Claimed);
     Shm->Pos = 0;
     shm::ShmRingHdr *R = Shm->hdr();
+    // The server bumps Gen at every recycle (before publishing Free, which
+    // our claim CAS acquired), so a changed Gen below means this claim was
+    // recycled under us and the ring may belong to someone else now.
+    const uint32_t ClaimGen = R->Gen.load(std::memory_order_relaxed);
     R->ClientId.store(Cfg.ClientId, std::memory_order_release);
     R->ClientPid.store(static_cast<uint32_t>(::getpid()),
                        std::memory_order_release);
@@ -520,8 +524,24 @@ bool GoldClient::shmReclaim(std::string &Err) {
     bool Retry = false;
     for (;;) {
       uint32_t State = R->State.load(std::memory_order_acquire);
+      if (R->Gen.load(std::memory_order_relaxed) != ClaimGen) {
+        // Recycled as an abandoned claim (we were descheduled past the
+        // wedge timeout before our identity landed): not ours to touch.
+        Retry = true;
+        break;
+      }
       if (State == static_cast<uint32_t>(shm::RingState::Ready))
         break;
+      if (State == static_cast<uint32_t>(shm::RingState::Reaped)) {
+        // Opened and wedge-reaped before we saw Ready (we were descheduled
+        // past the server's wedge timeout). Hand the ring back and claim a
+        // fresh one; the session survives and the next open resumes it.
+        R->State.store(static_cast<uint32_t>(shm::RingState::Released),
+                       std::memory_order_release);
+        ++St.Reconnects;
+        Retry = true;
+        break;
+      }
       if (State == static_cast<uint32_t>(shm::RingState::Refused)) {
         shm::RingCode Code = static_cast<shm::RingCode>(
             R->OpenCode.load(std::memory_order_relaxed));
@@ -544,6 +564,9 @@ bool GoldClient::shmReclaim(std::string &Err) {
         Err = "gold-client: shm claim timed out";
         return false;
       }
+      // Beat while waiting: once the server has posted Ready, only our
+      // heartbeat keeps the ring from looking wedged.
+      R->Heartbeat.fetch_add(1, std::memory_order_release);
       sleepNanos(PollNanos);
     }
     if (Retry)

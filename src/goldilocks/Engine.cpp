@@ -152,15 +152,6 @@ struct GoldilocksEngine::ThreadState {
   /// Lifecycle registry flags (registerThread / deregisterThread).
   std::atomic<bool> Registered{false};
   std::atomic<bool> Exited{false};
-  /// Pending append batch (AppendBatchSize > 1): a pre-linked chain of
-  /// unpublished cells, touched only by the owning thread. The cells are
-  /// invisible to every reader and to the collector until publishBatch
-  /// links the whole chain with one CAS; the engine destructor frees a
-  /// leftover chain of a thread that never flushed (without counting it —
-  /// CellsAllocated/SyncEvents are publication-time stats).
-  Cell *BatchHead = nullptr;
-  Cell *BatchTail = nullptr;
-  unsigned BatchLen = 0;
   /// FastTrack-style synchronization epoch: bumped by the owning thread on
   /// each of its synchronization operations (Tiered mode only). Read only
   /// by the owner — the tier-0 same-epoch proof always compares a thread's
@@ -218,8 +209,7 @@ struct GoldilocksEngine::AtomicStats {
       Commits{0}, DegradationEvents{0}, DegradedVars{0}, ForcedGcs{0},
       AppendRetries{0}, GraceWaits{0}, GraceTimeouts{0}, CellsQuarantined{0},
       ReclaimedDeadSlots{0}, ThreadsRegistered{0}, ThreadsDeregistered{0},
-      SlotFallbacks{0}, BatchPublishes{0}, TierFiltered{0}, Escalations{0},
-      SampledSkips{0};
+      SlotFallbacks{0}, TierFiltered{0}, Escalations{0}, SampledSkips{0};
 };
 
 //===----------------------------------------------------------------------===//
@@ -423,12 +413,6 @@ size_t GoldilocksEngine::reclaimDeadSlots() {
 class GoldilocksEngine::ReadGuard {
 public:
   explicit ReadGuard(GoldilocksEngine &E) : E(E) {
-    // Legacy discipline: the global reader/writer lock is taken *before*
-    // the epoch slot, matching the collector's order (exclusive lock, then
-    // grace period). A reader blocked here holds no slot, so the collector
-    // never waits on a thread that is waiting on the collector.
-    if (E.Cfg.LegacyGlobalLocks)
-      Legacy = std::shared_lock<std::shared_mutex>(E.LegacyMu);
     // Entry is a CAS from (our generation, quiescent). It fails either
     // because the slot was reclaimed under us (generation moved on — forget
     // the cache entry and claim a fresh slot) or because this is a nested
@@ -470,7 +454,6 @@ private:
   GoldilocksEngine &E;
   int Slot = -1;
   uint64_t SlotGen = 0;
-  std::shared_lock<std::shared_mutex> Legacy;
   std::shared_lock<std::shared_timed_mutex> Fallback;
 };
 
@@ -597,7 +580,6 @@ GoldilocksEngine::GoldilocksEngine(EngineConfig C)
     HWalkLen = &Tel->histogram("walk_cells");
     HLocksetSize = &Tel->histogram("lockset_size_at_check");
     HCheckPath = &Tel->histogram("check_path");
-    HBatchSize = &Tel->histogram("append_batch_cells");
     HAppendRetries = &Tel->histogram("tail_cas_retries");
     HGraceMicros = &Tel->histogram("grace_wait_micros");
     HGcReclaim = &Tel->histogram("gc_reclaimed_cells");
@@ -633,17 +615,6 @@ GoldilocksEngine::~GoldilocksEngine() {
     Cell *Next = C->Next.load(std::memory_order_relaxed);
     destroyCell(C);
     C = Next;
-  }
-  // Never-published batch chains of threads that exited without a flush
-  // (their cells were never counted, so no stats adjustment).
-  for (auto &[Tid, TS] : Threads) {
-    (void)Tid;
-    Cell *B = TS->BatchHead;
-    while (B) {
-      Cell *Next = B->Next.load(std::memory_order_relaxed);
-      destroyCell(B);
-      B = Next;
-    }
   }
   // Variable states and their read lists come from the arenas too; destroy
   // them explicitly before the arenas (members declared after Shards) go.
@@ -791,21 +762,14 @@ void GoldilocksEngine::installInfo(Info &Slot, Info &&NI) {
 // Event list
 //===----------------------------------------------------------------------===//
 
-void GoldilocksEngine::appendChain(Cell *First, Cell *LastC, size_t Count) {
+void GoldilocksEngine::appendCell(Cell *C) {
   // Lock-free tail append (the paper's atomic-exchange design, realized as
   // a Michael-Scott-style CAS on the tail's Next). Sequence numbers are
   // derived from the actual predecessor *before* the linking CAS publishes
-  // the chain, so Seq is strictly monotone along the links — windows
+  // the cell, so Seq is strictly monotone along the links — windows
   // bounded by `Seq <= ToSeq` stay exact under any interleaving. A global
   // counter could not guarantee that: two appenders could link in the
   // opposite order of their tickets.
-  //
-  // For Count > 1 the chain [First .. LastC] is pre-linked with relaxed
-  // Next stores by the owning thread; the single release CAS below is what
-  // publishes every intra-chain Seq/Next/payload store to traversals that
-  // acquire-load their way in. Only LastC->Next is null, so later
-  // appenders CAS onto the chain's end exactly as with a single cell.
-  (void)Count;
   uint64_t Retries = 0;
   Cell *Tail = Last.load(std::memory_order_seq_cst);
   while (true) {
@@ -814,14 +778,9 @@ void GoldilocksEngine::appendChain(Cell *First, Cell *LastC, size_t Count) {
       Tail = Next;
       continue;
     }
-    uint64_t Seq = Tail->Seq;
-    for (Cell *C = First;; C = C->Next.load(std::memory_order_relaxed)) {
-      C->Seq = ++Seq; // unpublished until the CAS; plain stores are fine
-      if (C == LastC)
-        break;
-    }
+    C->Seq = Tail->Seq + 1; // unpublished until the CAS; a plain store is fine
     Cell *Expected = nullptr;
-    if (Tail->Next.compare_exchange_strong(Expected, First,
+    if (Tail->Next.compare_exchange_strong(Expected, C,
                                            std::memory_order_release,
                                            std::memory_order_acquire))
       break;
@@ -835,13 +794,11 @@ void GoldilocksEngine::appendChain(Cell *First, Cell *LastC, size_t Count) {
   // Swing the monotone Last hint; a stale hint only costs the next reader
   // a few Next hops, never correctness. Seq compare keeps it monotone.
   Cell *Hint = Last.load(std::memory_order_seq_cst);
-  while (Hint->Seq < LastC->Seq &&
-         !Last.compare_exchange_weak(Hint, LastC, std::memory_order_seq_cst,
+  while (Hint->Seq < C->Seq &&
+         !Last.compare_exchange_weak(Hint, C, std::memory_order_seq_cst,
                                      std::memory_order_seq_cst)) {
   }
 }
-
-void GoldilocksEngine::appendCell(Cell *C) { appendChain(C, C, 1); }
 
 GoldilocksEngine::Cell *
 GoldilocksEngine::allocCell(const SyncEvent &E,
@@ -869,73 +826,6 @@ void GoldilocksEngine::destroyCell(Cell *C) { slabDelete(*CellArena, C); }
 bool GoldilocksEngine::recordingStopped() const {
   return Stopped.load(std::memory_order_relaxed) ||
          GlobalDegraded.load(std::memory_order_relaxed);
-}
-
-namespace {
-
-/// Events whose Figure-5 rules only ever add the *executing* thread to a
-/// lockset (incoming happens-before edges). Delaying their publication can
-/// never break another thread's ownership chain: any chain that leaves the
-/// delaying thread does so through an outgoing event (release, volatile
-/// write, commit, fork, terminate), which always flushes the pending batch
-/// first (see DESIGN.md §12). Volatile reads are batchable by the same
-/// argument but stay immediate by policy: volatile accesses are the
-/// program's own synchronization reads and keeping them instantly visible
-/// preserves today's exact interleaving semantics.
-bool batchableKind(ActionKind K) {
-  return K == ActionKind::Acquire || K == ActionKind::Join;
-}
-
-} // namespace
-
-void GoldilocksEngine::publishBatch(ThreadState &TS) {
-  Cell *First = TS.BatchHead;
-  Cell *LastC = TS.BatchTail;
-  size_t N = TS.BatchLen;
-  TS.BatchHead = TS.BatchTail = nullptr;
-  TS.BatchLen = 0;
-  if (!First)
-    return;
-  TraceEventSink *Sink = TraceSink.load(std::memory_order_acquire);
-  uint64_t T0 = Sink ? TraceEventSink::nowNanos() : 0;
-  // Once the chain is published and the ReadGuard below closes, a concurrent
-  // collection may reclaim the batch's cells; read everything the
-  // instrumentation needs while First is still thread-local.
-  ThreadId Publisher = First->Event.Thread;
-  size_t Len;
-  {
-    ReadGuard G(*this);
-    appendChain(First, LastC, N);
-    Len = ListLen.fetch_add(N, std::memory_order_relaxed) + N;
-  }
-  // From here on the chain is published and this thread is outside its
-  // epoch section: a concurrent collection may already be reclaiming it.
-  failpointStall(Failpoint::EnginePublishStall);
-  if (Sink)
-    Sink->span("publish", "append", Publisher, T0,
-               TraceEventSink::nowNanos() - T0);
-  if (HBatchSize)
-    HBatchSize->record(N);
-  if (Flight)
-    Flight->record(Publisher, FlightKind::BatchPublish, 0, N, Len);
-  size_t HW = ListHighWater.load(std::memory_order_relaxed);
-  while (Len > HW && !ListHighWater.compare_exchange_weak(
-                         HW, Len, std::memory_order_relaxed)) {
-  }
-  // Cells and events are counted at *publication*, so the quiescent-state
-  // invariant eventListLength() == 1 + CellsAllocated - CellsFreed holds
-  // and never-published buffers (engine teardown) stay invisible.
-  S->SyncEvents.fetch_add(N, std::memory_order_relaxed);
-  S->CellsAllocated.fetch_add(N, std::memory_order_relaxed);
-  S->BatchPublishes.fetch_add(1, std::memory_order_relaxed);
-}
-
-void GoldilocksEngine::flushPending(ThreadId T) {
-  if (Cfg.AppendBatchSize <= 1 || Cfg.LegacyGlobalLocks)
-    return;
-  if (ThreadState *TS = findThreadState(T))
-    if (TS->BatchHead)
-      publishBatch(*TS);
 }
 
 void GoldilocksEngine::enqueue(SyncEvent E, std::unique_ptr<CommitSets> Owned) {
@@ -978,55 +868,21 @@ void GoldilocksEngine::enqueue(SyncEvent E, std::unique_ptr<CommitSets> Owned) {
     Flight->record(E.Thread, FlightKind::SyncEvent, uint8_t(E.Kind),
                    E.Var.key(), E.Target);
 
-  const bool Batching = Cfg.AppendBatchSize > 1 && !Cfg.LegacyGlobalLocks;
-  if (Batching) {
-    if (batchableKind(E.Kind)) {
-      try {
-        // Buffer the cell thread-locally, pre-linking it onto the pending
-        // chain; one CAS will publish the whole chain. Program order along
-        // the thread is preserved by construction, and the flush points
-        // (own access checks, outgoing events, commit anchors,
-        // deregistration) bound the delay.
-        ThreadState &TS = threadState(E.Thread);
-        if (TS.BatchTail)
-          TS.BatchTail->Next.store(C, std::memory_order_relaxed);
-        else
-          TS.BatchHead = C;
-        TS.BatchTail = C;
-        if (++TS.BatchLen >= Cfg.AppendBatchSize)
-          publishBatch(TS);
-        return;
-      } catch (const std::bad_alloc &) {
-        // First-seen thread and no memory for its state: fall through to
-        // the immediate publish below, which needs no ThreadState.
-      }
-    } else {
-      // Outgoing-edge (or volatile) event: everything this thread buffered
-      // must enter the list *before* it, so other threads replaying a
-      // window through this event see the thread's full prefix.
-      flushPending(E.Thread);
-    }
-  }
-
   size_t Len;
   {
     ReadGuard G(*this);
-    if (Cfg.LegacyGlobalLocks) {
-      std::lock_guard<std::mutex> L(LegacyListMu);
-      appendCell(C);
-    } else {
-      appendCell(C);
-    }
+    appendCell(C);
     Len = ListLen.fetch_add(1, std::memory_order_relaxed) + 1;
   }
+  // From here on this thread is outside its epoch section: a concurrent
+  // collection may already be reclaiming C, so nothing below may touch it.
+  failpointStall(Failpoint::EnginePublishStall);
   size_t HW = ListHighWater.load(std::memory_order_relaxed);
   while (Len > HW && !ListHighWater.compare_exchange_weak(
                          HW, Len, std::memory_order_relaxed)) {
   }
   S->SyncEvents.fetch_add(1, std::memory_order_relaxed);
   S->CellsAllocated.fetch_add(1, std::memory_order_relaxed);
-  if (HBatchSize)
-    HBatchSize->record(1);
 }
 
 void GoldilocksEngine::maybeCollect() {
@@ -1134,7 +990,7 @@ void GoldilocksEngine::tierSyncRelease(ThreadId T, uint64_t Key) {
   // The clock must not be visible before the cell: a consumer that merges
   // it may skip a check the precise walk could not yet prove (the cell
   // would be missing from — or ordered after — the consumer's window).
-  flushPending(T);
+  // Callers run this after enqueue, which publishes the cell immediately.
   try {
     ThreadState &TS = threadState(T);
     std::lock_guard<std::mutex> L(TierMu);
@@ -1150,7 +1006,6 @@ void GoldilocksEngine::tierSyncRelease(ThreadId T, uint64_t Key) {
 void GoldilocksEngine::tierFork(ThreadId Parent, ThreadId Child) {
   if (Cfg.Tier != TierMode::Tiered || Parent >= TierVcCap)
     return;
-  flushPending(Parent); // the fork cell precedes the clock, as above
   try {
     ThreadState &PS = threadState(Parent);
     ThreadState &CS = threadState(Child);
@@ -1183,7 +1038,6 @@ void GoldilocksEngine::tierJoin(ThreadId T, ThreadId Child) {
 void GoldilocksEngine::tierTerminate(ThreadId T) {
   if (Cfg.Tier != TierMode::Tiered || T >= TierVcCap)
     return;
-  flushPending(T); // the terminate cell precedes the clock, as above
   try {
     ThreadState &TS = threadState(T);
     std::lock_guard<std::mutex> L(TierMu);
@@ -1304,9 +1158,6 @@ void GoldilocksEngine::registerThread(ThreadId T) {
 void GoldilocksEngine::deregisterThread(ThreadId T) {
   if (failpoint(Failpoint::EngineDeregisterDrop))
     return; // test-only: the thread "exits" without deregistering
-  // A thread must not exit with unpublished sync events: later accesses by
-  // other threads (after e.g. a join edge) may need them in their windows.
-  flushPending(T);
   if (ThreadState *TS = findThreadState(T)) {
     if (!TS->Exited.exchange(true, std::memory_order_relaxed))
       S->ThreadsDeregistered.fetch_add(1, std::memory_order_relaxed);
@@ -1489,17 +1340,11 @@ GoldilocksEngine::accessImpl(ThreadId T, VarId V, bool IsWrite, bool Xact,
     S->SkippedDisabled.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  // Publish this thread's buffered sync events before the check loads its
-  // anchor: a PosC that predates the thread's own (unpublished) acquires
-  // is unsound in both directions — the check window would miss the hb
-  // edges they complete, and the installed Info would claim a position
-  // before events that precede the access in program order. The lookup's
-  // result is threaded through the whole check (short circuit 3, Info
-  // install) so ThreadsMu is taken at most once per access; thread states
-  // are never erased, so the pointer stays valid without the lock.
+  // The thread-state lookup's result is threaded through the whole check
+  // (short circuit 3, Info install) so ThreadsMu is taken at most once per
+  // access; thread states are never erased, so the pointer stays valid
+  // without the lock.
   ThreadState *TS = findThreadState(T);
-  if (TS && TS->BatchHead)
-    publishBatch(*TS);
   // The whole check — position acquisition, window walks, Info install —
   // runs inside one epoch section, so the collector cannot free any cell
   // the check can reach.
@@ -1830,11 +1675,6 @@ void GoldilocksEngine::commitPoint(ThreadId T, const CommitSets &CS) {
   // pass), and (b) future walks starting at the installed Infos do
   // traverse the commit cell, whose clause (c) publishes R∪W into the
   // locksets (the Figure 7 "end_tr" step).
-  // Publish any buffered sync events first: the anchor must be the true
-  // predecessor of the commit cell, or the replayed checks would miss the
-  // thread's own pre-commit acquires (and the advance clamp would protect
-  // the wrong window).
-  flushPending(T);
   Cell *Anchor;
   {
     ReadGuard G(*this);
@@ -2095,11 +1935,7 @@ void GoldilocksEngine::advanceInfosLocked(Cell *Boundary) {
 
 void GoldilocksEngine::runCollectionLocked() {
   // Requires GcRunMu (the only lock under which Head moves and cells are
-  // freed). In the legacy discipline the collector additionally excludes
-  // every reader via the global lock, emulating the PR-1 behaviour.
-  std::unique_lock<std::shared_mutex> Legacy;
-  if (Cfg.LegacyGlobalLocks)
-    Legacy = std::unique_lock<std::shared_mutex>(LegacyMu);
+  // freed).
   S->GcRuns.fetch_add(1, std::memory_order_relaxed);
   failpointStall(Failpoint::EngineGcStall);
   TraceEventSink *Sink = TraceSink.load(std::memory_order_acquire);
@@ -2135,9 +1971,6 @@ void GoldilocksEngine::collectGarbage() {
 
 bool GoldilocksEngine::quiesce() {
   std::lock_guard<std::mutex> L(GcRunMu);
-  std::unique_lock<std::shared_mutex> Legacy;
-  if (Cfg.LegacyGlobalLocks)
-    Legacy = std::unique_lock<std::shared_mutex>(LegacyMu);
   trimUnreferencedPrefix();
   bool Drained = QuarantineCount.load(std::memory_order_relaxed) == 0;
   if (Flight)
@@ -2275,18 +2108,12 @@ void GoldilocksEngine::degradeForCells() {
 
 void GoldilocksEngine::coarsenInfosToTail() {
   std::lock_guard<std::mutex> L(GcRunMu);
-  std::unique_lock<std::shared_mutex> Legacy;
-  if (Cfg.LegacyGlobalLocks)
-    Legacy = std::unique_lock<std::shared_mutex>(LegacyMu);
   advanceInfosLocked(Last.load(std::memory_order_seq_cst));
   trimUnreferencedPrefix();
 }
 
 void GoldilocksEngine::disablePinnedVars() {
   std::lock_guard<std::mutex> L(GcRunMu);
-  std::unique_lock<std::shared_mutex> Legacy;
-  if (Cfg.LegacyGlobalLocks)
-    Legacy = std::unique_lock<std::shared_mutex>(LegacyMu);
   // Records at the clamped boundary cannot be advanced further; anything
   // older still pins prefix cells after a full advance, so give it up.
   Cell *Bound = pendingAnchorBound(Last.load(std::memory_order_seq_cst));
@@ -2388,7 +2215,6 @@ EngineStats GoldilocksEngine::stats() const {
   Out.ThreadsRegistered = L(S->ThreadsRegistered);
   Out.ThreadsDeregistered = L(S->ThreadsDeregistered);
   Out.SlotFallbacks = L(S->SlotFallbacks);
-  Out.BatchPublishes = L(S->BatchPublishes);
   Out.TierFiltered = L(S->TierFiltered);
   Out.Escalations = L(S->Escalations);
   Out.SampledSkips = L(S->SampledSkips);
@@ -2464,7 +2290,6 @@ TelemetrySnapshot GoldilocksEngine::telemetry() const {
   Snap.addCounter("threads_registered", St.ThreadsRegistered);
   Snap.addCounter("threads_deregistered", St.ThreadsDeregistered);
   Snap.addCounter("slot_fallbacks", St.SlotFallbacks);
-  Snap.addCounter("batch_publishes", St.BatchPublishes);
   Snap.addCounter("tier_filtered", St.TierFiltered);
   Snap.addCounter("escalations", St.Escalations);
   Snap.addCounter("sampled_skips", St.SampledSkips);

@@ -117,14 +117,6 @@ struct EngineConfig {
   /// Commit-synchronization interpretation (Section 3 variants).
   TxnSyncSemantics Semantics = TxnSyncSemantics::SharedVariable;
 
-  /// Legacy PR-1 locking discipline: serialize every event-list append
-  /// behind one global mutex and every check behind a global reader/writer
-  /// lock (shared for accesses, exclusive for collection). Kept as the
-  /// baseline for the scaling comparison (bench_scaling) and as a
-  /// conservative fallback; the default is the lock-free append with
-  /// epoch-based reclamation.
-  bool LegacyGlobalLocks = false;
-
   /// Allocate sync-event cells, Info records and variable states from the
   /// cache-line-aligned slab arena (src/support/Slab.h) with per-thread
   /// free caches, recycling retired cells through epoch/quarantine
@@ -132,19 +124,6 @@ struct EngineConfig {
   /// the ablation benches and for allocation-debugging runs (every record
   /// becomes an individual new/delete again, visible to heap tools).
   bool EnableSlabPooling = true;
-
-  /// Maximum number of consecutive synchronization events a thread may
-  /// buffer locally, pre-linked, before publishing the whole chain to the
-  /// event list with a single tail CAS (amortizing append contention).
-  /// 1 (the default) preserves immediate per-event publication. Values > 1
-  /// only ever delay *batchable* events — acquire and join, whose lockset
-  /// rules add only the executing thread (incoming hb edges; see DESIGN.md
-  /// §12 for the soundness argument). Volatile reads/writes, releases,
-  /// commits, forks and terminates always flush the pending batch and
-  /// publish immediately, and a thread's own batch is flushed before any
-  /// of its data-access checks and commit anchors, so verdicts are
-  /// unchanged. Ignored under LegacyGlobalLocks.
-  unsigned AppendBatchSize = 1;
 
   /// Resource governor hard caps (0 = unlimited). When a cap is hit the
   /// engine climbs the degradation ladder instead of growing: (1) forced
@@ -245,7 +224,6 @@ struct EngineStats {
   uint64_t ThreadsRegistered = 0; ///< registerThread() on new threads
   uint64_t ThreadsDeregistered = 0;///< deregisterThread() on live threads
   uint64_t SlotFallbacks = 0;     ///< read sections on the fallback mutex
-  uint64_t BatchPublishes = 0;    ///< batched tail appends (>= 1 cell each)
   uint64_t TierFiltered = 0;      ///< pair checks skipped by the tier-0 proof
   uint64_t Escalations = 0;       ///< variables escalated tier 0 -> precise
   uint64_t SampledSkips = 0;      ///< accesses skipped by the sampling tier
@@ -387,7 +365,7 @@ public:
   const FlightRecorder *flightRecorder() const { return Flight.get(); }
 
   /// Attaches a Chrome trace-event sink recording engine phase spans
-  /// (publish, lazy walk, GC, grace wait); nullptr detaches. The sink must
+  /// (lazy walk, GC, grace wait); nullptr detaches. The sink must
   /// outlive the engine or be detached first. Works at any telemetry level.
   /// Release store paired with acquire loads at the recording sites, so a
   /// sink attached mid-run is fully constructed before another thread
@@ -471,9 +449,9 @@ private:
   // precise verdict, and a missing commit edge only costs an escalation.
   // All helpers are no-ops outside TierMode::Tiered. The ordering
   // discipline that keeps the proof aligned with event-list order: a
-  // release-type hook publishes its clock only AFTER its own cell (and any
-  // buffered batch) is in the list; an acquire-type hook merges BEFORE
-  // appending its own cell (or loading an access anchor).
+  // release-type hook publishes its clock only AFTER enqueue has linked its
+  // own cell into the list; an acquire-type hook merges BEFORE appending
+  // its own cell (or loading an access anchor).
   /// Merge channel \p Key (a packed lock/volatile VarId) into T's clock.
   void tierSyncAcquire(ThreadId T, uint64_t Key);
   /// Publish T's clock into channel \p Key, then bump T's component.
@@ -489,27 +467,12 @@ private:
   /// Lock-free tail append: derives the cell's Seq from its predecessor,
   /// publishes it with the linking CAS and swings the monotone Last hint.
   void appendCell(Cell *C);
-  /// Generalization of appendCell for a thread-local pre-linked chain
-  /// [First .. LastC] of \p Count cells: sequence numbers are assigned by
-  /// walking the chain from the actual predecessor, then the whole chain
-  /// is published with a single linking CAS (release, so intra-chain
-  /// relaxed Next/Seq stores become visible to acquiring traversals).
-  void appendChain(Cell *First, Cell *LastC, size_t Count);
   /// Slab-backed Cell construction (throws bad_alloc on pool exhaustion;
   /// \p Owned is only consumed on success so the caller can retry).
   Cell *allocCell(const SyncEvent &E, std::unique_ptr<CommitSets> &Owned);
   /// Destroys \p C and recycles its slot (or deletes it in passthrough
   /// mode). The only way cells die.
   void destroyCell(Cell *C);
-  /// Publishes \p TS's buffered batch inside a fresh read section and
-  /// clears the buffer. Counts cells/events at publication time.
-  void publishBatch(ThreadState &TS);
-  /// Flushes thread \p T's pending batch, if any. MUST run before any
-  /// code path of T that loads Last as a check anchor (accessImpl) or a
-  /// commit anchor (commitPoint): a stale own-event anchor is unsound in
-  /// both directions (see DESIGN.md §12). Must not be called inside an
-  /// epoch section.
-  void flushPending(ThreadId T);
   VarState &varState(VarId V);
   ThreadState &threadState(ThreadId T);
   /// Lookup without creation (deregistration must not allocate).
@@ -664,10 +627,6 @@ private:
   /// shutdown() latch: hooks stop recording, verdicts are suppressed.
   std::atomic<bool> Stopped{false};
 
-  // Legacy global-lock discipline (EngineConfig::LegacyGlobalLocks).
-  mutable std::shared_mutex LegacyMu;
-  std::mutex LegacyListMu;
-
   // Per-variable serialization locks KL(o,d): a fixed-size striped table.
   // Two variables may share a stripe; that only costs parallelism, never
   // correctness (the stripe is a superset of the per-variable lock).
@@ -723,8 +682,8 @@ private:
   // deliberate exceptions — the only non-relaxed atomics in the engine —
   // are the ones the correctness arguments in DESIGN.md lean on:
   //
-  //  * Cell::Next linking CAS: release (publishes the cell's Seq/payload,
-  //    and for a batch the whole pre-linked chain) / acquire on traversal.
+  //  * Cell::Next linking CAS: release (publishes the cell's Seq/payload)
+  //    / acquire on traversal.
   //  * Last: seq_cst loads and CAS. Its monotonicity relative to the epoch
   //    entry CAS is the heart of the grace-period argument (§10): a reader
   //    section's first Last load must be ordered after its slot publish.
@@ -754,7 +713,6 @@ private:
   Histogram *HWalkLen = nullptr;      ///< cells applied per window walk
   Histogram *HLocksetSize = nullptr;  ///< prior lockset size at pair check
   Histogram *HCheckPath = nullptr;    ///< resolution path (CheckPath codes)
-  Histogram *HBatchSize = nullptr;    ///< cells per tail publication
   Histogram *HAppendRetries = nullptr;///< tail-CAS retries per publication
   Histogram *HGraceMicros = nullptr;  ///< grace-period wait latency (us)
   Histogram *HGcReclaim = nullptr;    ///< cells reclaimed per trim pass

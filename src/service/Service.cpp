@@ -245,7 +245,7 @@ void Session::deliverLocked(const RaceReport &R) {
   Svc.C.RacesDelivered.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool Session::flushPendingLocked() {
+bool Session::pushPendingLocked() {
   for (unsigned S = 0; PendingTargets; ++S) {
     uint64_t Bit = 1ull << S;
     if (!(PendingTargets & Bit))
@@ -300,7 +300,7 @@ bool Session::feedGateLocked(FeedResult &Res) {
   // that have not acked it yet — without re-parsing, so no shard ever sees
   // the action twice.
   if (HasPending) {
-    Res = flushPendingLocked() ? acceptedLocked(std::move(Res))
+    Res = pushPendingLocked() ? acceptedLocked(std::move(Res))
                                : backpressuredLocked(std::move(Res));
     return true;
   }
@@ -404,7 +404,7 @@ FeedResult Session::admitNewestLocked(FeedResult Res, size_t Before,
     JournalTruncated.store(true, std::memory_order_relaxed);
   }
 
-  return flushPendingLocked() ? acceptedLocked(std::move(Res))
+  return pushPendingLocked() ? acceptedLocked(std::move(Res))
                               : backpressuredLocked(std::move(Res));
 }
 

@@ -263,7 +263,7 @@ private:
 
   /// Pushes the pending action into every not-yet-acked target ring.
   /// Returns true when fully admitted. Requires Mu.
-  bool flushPendingLocked();
+  bool pushPendingLocked();
   // feedLine/feedAction share everything but the parse step; the split
   // keeps the two entry points byte-for-byte equivalent in semantics.
   /// Liveness checks, feed timestamping, and the pending-retry protocol.

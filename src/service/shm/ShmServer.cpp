@@ -129,14 +129,18 @@ size_t ShmServer::pollOnce(int TimeoutMs) {
   for (uint32_t I = 0; I != Cfg.Rings; ++I) {
     ShmRingHdr *R = Seg.ring(I);
     RingSw &W = Sw[I];
-    RingState S =
-        static_cast<RingState>(R->State.load(std::memory_order_acquire));
+    uint32_t RawState = R->State.load(std::memory_order_acquire);
+    RingState S = static_cast<RingState>(RawState);
 
-    // Track per-ring liveness: a heartbeat (or any state change) counts as
-    // activity; everything stale beyond WedgeTimeoutNanos is reaped.
+    // Track per-ring liveness: a heartbeat or any state change counts as
+    // activity; everything stale beyond WedgeTimeoutNanos is reaped. The
+    // state change matters for a fresh claim: a ring that sat Free past
+    // the timeout must not look stale the moment a client claims it.
     uint64_t Beat = R->Heartbeat.load(std::memory_order_relaxed);
-    if (Beat != W.LastBeat || W.LastBeatNanos == 0) {
+    if (Beat != W.LastBeat || RawState != W.LastState ||
+        W.LastBeatNanos == 0) {
       W.LastBeat = Beat;
+      W.LastState = RawState;
       W.LastBeatNanos = Now;
     }
     bool Stale = Cfg.WedgeTimeoutNanos != 0 &&
@@ -176,8 +180,11 @@ size_t ShmServer::pollOnce(int TimeoutMs) {
     case RingState::Refused:
     case RingState::Closed:
       // Waiting for the client to read the outcome; if it died first, the
-      // outcome is undeliverable — recycle.
-      if (pidGone(Pid) || Stale)
+      // outcome is undeliverable — recycle. Staleness is no evidence here:
+      // the client does not beat while it waits for the outcome, and a
+      // live client recycled under its wait would spin to its deadline
+      // (or release a ring that is no longer its own).
+      if (pidGone(Pid))
         sanitizeRing(I);
       break;
     case RingState::Released:

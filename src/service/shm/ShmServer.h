@@ -157,7 +157,8 @@ private:
     uint64_t Pos = 0;           ///< next slot position to consume
     uint64_t ClientId = 0;      ///< owner while Ready..Closed
     uint64_t LastBeat = 0;      ///< heartbeat value last seen
-    uint64_t LastBeatNanos = 0; ///< when it last changed (service clock)
+    uint32_t LastState = 0;     ///< ring state last seen (RingState)
+    uint64_t LastBeatNanos = 0; ///< last beat or state change (service clock)
     uint64_t NotBefore = 0;     ///< backpressure gate for this ring
   };
 

@@ -46,8 +46,8 @@ enum class Failpoint : unsigned {
                        ///< Last and retaining it (the grace TOCTOU window)
   EngineDeregisterDrop,///< a thread exits without deregistering its slot
   EnginePublishStall,  ///< the publisher parks between closing its epoch
-                       ///< section after a batch publish and recording the
-                       ///< publish instrumentation (the reclaim race window)
+                       ///< section after appending a cell and recording the
+                       ///< publish accounting (the reclaim race window)
   StmLockConflict,     ///< STM object-lock acquisition reports a conflict
   StmLockDelay,        ///< STM object-lock acquisition is delayed
   VmPreempt,           ///< VM thread yields at an instrumentation point

@@ -201,8 +201,6 @@ const char *flightKindName(FlightKind K) {
     return "gc-run";
   case FlightKind::GraceWait:
     return "grace-wait";
-  case FlightKind::BatchPublish:
-    return "batch-publish";
   case FlightKind::Degradation:
     return "degradation";
   case FlightKind::Quiesce:

@@ -265,7 +265,6 @@ enum class FlightKind : uint8_t {
   Race,          ///< a race was reported on A=var key
   GcRun,         ///< a collection ran (A = cells freed, B = quarantined)
   GraceWait,     ///< a grace period completed (A = micros, B = timed out)
-  BatchPublish,  ///< a pre-linked chain was published (A = cells)
   Degradation,   ///< the governor escalated (A = rung)
   Quiesce,       ///< quiesce() ran
   StallDump,     ///< a supervisor stall dump was captured

@@ -17,6 +17,9 @@
 ///    ring never blocks and sheds counted at its buffer cap; a refusing
 ///    service publishes a retry-after hint through the ring's Control word
 ///    inside the shared backoff envelope.
+///  - liveness: a ring is never recycled under a live client just because
+///    its heartbeat went quiet while the client was not owing beats (a
+///    fresh claim on a long-idle ring, a Closed ring awaiting its read).
 ///  - the shm failpoints: shm-producer-stall wedges a live producer past
 ///    the wedge timeout (crash-only reap, then reclaim-with-resume, zero
 ///    verdict divergence); shm-slot-corrupt kills the session crash-only
@@ -67,6 +70,21 @@ struct SegPath {
            "-" + std::to_string(Serial.fetch_add(1)) + ".ring";
   }
   ~SegPath() { ::unlink(Path.c_str()); }
+};
+
+/// Stops and joins a test's server-loop or claim thread on scope exit. A
+/// failed ASSERT_* returns early; without this the still-joinable
+/// std::thread's destructor would call std::terminate() and take every
+/// later test in the binary down with it.
+struct JoinGuard {
+  std::thread &T;
+  std::atomic<bool> *Stop = nullptr;
+  ~JoinGuard() {
+    if (Stop)
+      Stop->store(true);
+    if (T.joinable())
+      T.join();
+  }
 };
 
 Trace smallRandomTrace(uint64_t Seed, unsigned Steps = 40,
@@ -207,6 +225,7 @@ TEST(ShmTest, ForkedProducersMatchOracleAndStdioPath) {
 
   std::atomic<bool> Stop{false};
   std::thread Loop([&] { Shm.runLoop(Stop, 1); });
+  JoinGuard LoopGuard{Loop, &Stop};
   for (pid_t Kid : Kids) {
     int Status = -1;
     ASSERT_EQ(::waitpid(Kid, &Status, 0), Kid);
@@ -371,6 +390,7 @@ TEST(ShmTest, ProducerCrashMidFrameIsInvisibleAndSuccessorResumes) {
   client::GoldClient GC(CC);
   std::atomic<bool> Stop{false};
   std::thread Loop([&] { Shm.runLoop(Stop, 1); });
+  JoinGuard LoopGuard{Loop, &Stop};
   ASSERT_TRUE(GC.connect(Err)) << Err;
   for (const Action &A : Stream)
     ASSERT_TRUE(GC.publish(A));
@@ -421,6 +441,7 @@ TEST(ShmTest, FullRingNeverBlocksProducerAndShedsAtBufferCap) {
            std::chrono::steady_clock::now() < DeadlineAt)
       Shm.pollOnce(1);
   });
+  JoinGuard ClaimGuard{Claim};
   ASSERT_TRUE(GC.connect(Err)) << Err;
   Claim.join();
   ASSERT_EQ(Shm.stats().Claims, 1u);
@@ -446,6 +467,7 @@ TEST(ShmTest, FullRingNeverBlocksProducerAndShedsAtBufferCap) {
   // Resume serving: everything admitted must drain and close cleanly.
   std::atomic<bool> Stop{false};
   std::thread Loop([&] { Shm.runLoop(Stop, 1); });
+  JoinGuard LoopGuard{Loop, &Stop};
   std::vector<std::string> Vars;
   ASSERT_TRUE(GC.closeAndCollect(Vars, Err)) << Err;
   Stop.store(true);
@@ -480,6 +502,7 @@ TEST(ShmTest, ServiceRefusalPublishesControlWordInsideBackoffEnvelope) {
            std::chrono::steady_clock::now() < DeadlineAt)
       Shm.pollOnce(1);
   });
+  JoinGuard ClaimGuard{Claim};
   ASSERT_TRUE(GC.connect(Err)) << Err;
   Claim.join();
 
@@ -568,6 +591,7 @@ TEST(ShmTest, StalledProducerIsWedgeReapedAndResumesWithoutDivergence) {
 
   std::atomic<bool> Stop{false};
   std::thread Loop([&] { Shm.runLoop(Stop, 1); });
+  JoinGuard LoopGuard{Loop, &Stop};
   ASSERT_TRUE(GC.connect(Err)) << Err;
   ASSERT_TRUE(publishTrace(GC, T));
   std::vector<std::string> Vars;
@@ -587,6 +611,71 @@ TEST(ShmTest, StalledProducerIsWedgeReapedAndResumesWithoutDivergence) {
   const client::GoldClientStats &CSt = GC.stats();
   EXPECT_GE(CSt.ProducerStalls, 1u);
   EXPECT_GE(CSt.Reconnects, 1u);
+}
+
+TEST(ShmTest, LiveClientRingsAreNotRecycledOnStaleness) {
+  // A stale heartbeat is evidence of a wedge only while the producer owes
+  // beats. A fresh claim on a ring that sat Free past the wedge timeout,
+  // and a Closed ring whose live client has not read its verdicts yet,
+  // must both survive polls well past the timeout.
+  SegPath P("stale");
+  DetectionService Svc;
+  ShmConfig C;
+  C.Path = P.Path;
+  C.Rings = 1;
+  C.SlotsPerRing = 64;
+  C.WedgeTimeoutNanos = 5ull * 1000000;
+  ShmServer Shm(Svc, C);
+  std::string Err;
+  ASSERT_TRUE(Shm.start(Err)) << Err;
+  MappedSeg M;
+  ASSERT_TRUE(M.map(P.Path));
+  ShmRingHdr *R = M.Seg.ring(0);
+  auto State = [&] {
+    return static_cast<RingState>(R->State.load(std::memory_order_acquire));
+  };
+  auto PollPastTimeout = [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Shm.pollOnce(0);
+  };
+
+  // The ring idles Free past the timeout, then a client claims it and the
+  // server polls before the claimant's identity lands.
+  Shm.pollOnce(0);
+  PollPastTimeout();
+  uint32_t Exp = static_cast<uint32_t>(RingState::Free);
+  ASSERT_TRUE(R->State.compare_exchange_strong(
+      Exp, static_cast<uint32_t>(RingState::Claimed)));
+  Shm.pollOnce(0);
+  EXPECT_EQ(State(), RingState::Claimed) << "fresh claim recycled as stale";
+
+  R->ClientId.store(1, std::memory_order_release);
+  R->ClientPid.store(uint32_t(::getpid()), std::memory_order_release);
+  R->Priority.store(1, std::memory_order_release);
+  R->Heartbeat.store(1, std::memory_order_release);
+  Shm.pollOnce(0);
+  ASSERT_EQ(State(), RingState::Ready);
+
+  // Ask for the verdicts, then read them slowly: the ring stays Closed.
+  Exp = static_cast<uint32_t>(RingState::Ready);
+  ASSERT_TRUE(R->State.compare_exchange_strong(
+      Exp, static_cast<uint32_t>(RingState::Closing)));
+  Shm.pollOnce(0);
+  ASSERT_EQ(State(), RingState::Closed);
+  PollPastTimeout();
+  PollPastTimeout();
+  EXPECT_EQ(State(), RingState::Closed)
+      << "closed ring recycled under a live client";
+  EXPECT_EQ(Shm.stats().RingsRecycled, 0u);
+
+  // Released: now the server recycles it.
+  R->State.store(static_cast<uint32_t>(RingState::Released),
+                 std::memory_order_release);
+  Shm.pollOnce(0);
+  EXPECT_EQ(State(), RingState::Free);
+  EXPECT_EQ(Shm.stats().RingsRecycled, 1u);
+  Shm.drainAndStop();
+  Svc.shutdown();
 }
 
 TEST(ShmTest, CorruptSlotKillsSessionCrashOnlyAndIsCounted) {
@@ -616,6 +705,7 @@ TEST(ShmTest, CorruptSlotKillsSessionCrashOnlyAndIsCounted) {
 
   std::atomic<bool> Stop{false};
   std::thread Loop([&] { Shm.runLoop(Stop, 1); });
+  JoinGuard LoopGuard{Loop, &Stop};
   ASSERT_TRUE(GC.connect(Err)) << Err;
   Action W;
   W.Kind = ActionKind::Write;

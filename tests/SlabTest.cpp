@@ -11,7 +11,7 @@
 ///    through the global free list, magazine survival across arena death);
 ///
 ///  * a single-process differential sweep: seeded random traces replayed
-///    under every {slab pooling} x {append batching} configuration with a
+///    under both slab configurations (pooled, passthrough) with a
 ///    tiny GC threshold, so cells are freed and recycled hundreds of times
 ///    per run — every configuration must report exactly the reference
 ///    detector's verdicts and keep the cell accounting identity;
@@ -152,7 +152,7 @@ TEST(SlabArenaTest, MagazinesSurviveArenaDeathByGeneration) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential sweep across allocator/batching configurations
+// Differential sweep across allocator configurations
 //===----------------------------------------------------------------------===//
 
 RandomTraceParams slabParams(uint64_t Seed) {
@@ -182,16 +182,13 @@ TEST(SlabDifferentialTest, AllConfigsMatchReferenceUnderHeavyRecycling) {
   struct Config {
     const char *Name;
     bool Pooling;
-    unsigned Batch;
   };
   const Config Configs[] = {
-      {"pooled+batch", true, 8},
-      {"pooled", true, 1},
-      {"passthrough+batch", false, 8},
-      {"passthrough", false, 1},
+      {"pooled", true},
+      {"passthrough", false},
   };
 
-  uint64_t TotalFreed = 0, TotalBatched = 0;
+  uint64_t TotalFreed = 0;
   for (uint64_t Seed = 0; Seed != 24; ++Seed) {
     Trace T = generateRandomTrace(slabParams(Seed));
     std::set<VarId> Reference =
@@ -202,22 +199,17 @@ TEST(SlabDifferentialTest, AllConfigsMatchReferenceUnderHeavyRecycling) {
       EngineConfig EC;
       EC.GcThreshold = 32; // churn: free and recycle cells constantly
       EC.EnableSlabPooling = C.Pooling;
-      EC.AppendBatchSize = C.Batch;
       GoldilocksDetector D(EC);
       std::set<VarId> Got = racyVarSet(D.runTrace(T));
       EXPECT_EQ(Got, Reference);
       checkCellAccounting(D.engine());
 
-      EngineStats St = D.engine().stats();
-      TotalFreed += St.CellsFreed;
-      if (C.Batch > 1)
-        TotalBatched += St.BatchPublishes;
+      TotalFreed += D.engine().stats().CellsFreed;
     }
   }
-  // The sweep must actually exercise recycling and batch publication,
-  // otherwise the equalities above prove nothing about them.
+  // The sweep must actually exercise recycling, otherwise the equalities
+  // above prove nothing about it.
   EXPECT_GT(TotalFreed, 0u) << "GC never freed a cell";
-  EXPECT_GT(TotalBatched, 0u) << "no batch was ever published";
 }
 
 //===----------------------------------------------------------------------===//
@@ -273,9 +265,8 @@ struct StressHarness {
 /// force retired chains through the quarantine while the slab keeps
 /// recycling — under ASan a premature reuse of a held cell is a poisoned
 /// access, under TSan an unordered one.
-void runQuarantineStress(bool Pooling, unsigned Batch) {
-  SCOPED_TRACE(testing::Message()
-               << "pooling=" << Pooling << " batch=" << Batch);
+void runQuarantineStress(bool Pooling) {
+  SCOPED_TRACE(testing::Message() << "pooling=" << Pooling);
   constexpr unsigned NumThreads = 4;
   constexpr unsigned Iters = 300;
   constexpr ObjectId LockBase = 100; // + tid
@@ -286,11 +277,10 @@ void runQuarantineStress(bool Pooling, unsigned Batch) {
   C.GcThreshold = 128;          // constant reclamation pressure
   C.GraceDeadlineMicros = 1000; // parked readers blow this deadline
   C.EnableSlabPooling = Pooling;
-  C.AppendBatchSize = Batch;
-  // Full telemetry plus an attached trace sink: the instrumentation after a
-  // batch publish reads from the just-published chain while a concurrent
-  // collection may already be reclaiming it, so the recording paths must
-  // run under this stress (ASan/TSan guard the regression).
+  // Full telemetry plus an attached trace sink: the accounting after an
+  // append runs while a concurrent collection may already be reclaiming
+  // the just-published cell, so the recording paths must run under this
+  // stress (ASan/TSan guard the regression).
   C.Telemetry = TelemetryLevel::Full;
   TraceEventSink Sink;
 
@@ -315,9 +305,12 @@ void runQuarantineStress(bool Pooling, unsigned Batch) {
   FC.rate(Failpoint::EngineReaderPark, 3000)   // 0.3% of read sections
       .rate(Failpoint::EngineRetainStall, 3000) // TOCTOU window holds
       // Park publishers between epoch exit and the post-publish
-      // instrumentation so concurrent reclamation can overtake the batch:
-      // the recording paths must not touch the published chain.
-      .rate(Failpoint::EnginePublishStall, 200000);
+      // accounting so concurrent reclamation can overtake the cell: the
+      // recording paths must not touch the published cell. Every append
+      // passes this site, so keep it rare: parked publishers sit outside
+      // any epoch section, and too many of them starve the reader parks
+      // that force the quarantine.
+      .rate(Failpoint::EnginePublishStall, 20000);
 
   auto Worker = [&](ThreadId Tid) {
     VarId Racy{RacyObj, 0};
@@ -393,79 +386,74 @@ void runQuarantineStress(bool Pooling, unsigned Batch) {
   // The sink must have seen the instrumented phases, or the telemetry
   // recording paths were never stressed at all.
   EXPECT_GT(Sink.size(), 0u) << "trace sink recorded nothing";
-  if (Batch > 1) {
-    EXPECT_GT(St.BatchPublishes, 0u);
-    EXPECT_NE(Sink.json().find("\"publish\""), std::string::npos)
-        << "no publish span was ever recorded";
-  }
+  EXPECT_GT(Failpoints::instance().fires(Failpoint::EnginePublishStall), 0u)
+      << "no publisher ever parked after its append";
 }
 
 /// Deterministic replay of the post-publish reclaim race: the publisher
 /// parks (engine-publish-stall failpoint) between closing its epoch section
-/// and recording the publish span / flight-recorder entry, while the main
-/// thread drives enough collections to free the just-published batch. The
-/// instrumentation must read nothing from the published chain — under ASan
-/// a violation is a heap-use-after-free, under TSan an unordered access.
+/// and recording the publish accounting, while the main thread appends past
+/// the just-published cell and collects until it is freed. The accounting
+/// must read nothing from the published cell — under ASan a violation is a
+/// heap-use-after-free, under TSan an unordered access.
 TEST(SlabQuarantineStressTest, PublishInstrumentationSurvivesReclaim) {
-  constexpr unsigned Batch = 8;
-
   EngineConfig C;
-  C.GcThreshold = Batch;      // collect on nearly every enqueue
+  C.GcThreshold = 0;           // only the main thread below collects
   C.EnableSlabPooling = false; // freed cells return to the heap (ASan UAF)
-  C.AppendBatchSize = Batch;
   C.Telemetry = TelemetryLevel::Full; // flight recorder attached
   TraceEventSink Sink;
 
   GoldilocksDetector D(C);
   D.engine().attachTraceSink(&Sink);
-
-  FailpointConfig FC;
-  FC.StallMicros = 50000; // 50ms park: the GC driver below needs ~µs
-  FC.rate(Failpoint::EnginePublishStall, 1000000);
-  FailpointScope Scope(FC);
-
   D.onFork(0, 1);
-  size_t Before = D.engine().eventListLength();
-  std::thread Publisher([&] {
-    // Acquires are batchable: the Batch'th one publishes the whole chain
-    // and parks at the failpoint with the instrumentation still pending.
-    for (unsigned I = 0; I != Batch; ++I)
-      D.onAcquire(1, /*Lock=*/500 + I);
-  });
 
-  // Wait until the batch is appended (ListLen moves before the park), then
-  // drive collections past it: the acquire cells carry no Info references,
-  // so the trimmed prefix swallows the parked publisher's chain.
-  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (D.engine().eventListLength() < Before + Batch &&
-         std::chrono::steady_clock::now() < Deadline)
-    std::this_thread::yield();
-  EXPECT_GE(D.engine().eventListLength(), Before + Batch)
-      << "batch was never published";
-  for (unsigned I = 0; I != 4 * Batch; ++I)
+  std::atomic<bool> PublisherReturned{false};
+  std::jthread Publisher; // joins on every exit, a failed ASSERT included
+  {
+    FailpointConfig FC;
+    FC.StallMicros = 500000; // 500ms park: the collection below needs ~µs
+    FC.rate(Failpoint::EnginePublishStall, 1000000);
+    FailpointScope Scope(FC);
+    Publisher = std::jthread([&] {
+      D.onAcquire(1, /*Lock=*/500);
+      PublisherReturned.store(true);
+    });
+    // The site counts its fire before sleeping: once it has fired, the
+    // acquire cell is linked and the publisher is parked outside its epoch
+    // section. Disarm then, so the main thread's own appends do not park.
+    auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (Failpoints::instance().fires(Failpoint::EnginePublishStall) == 0 &&
+           std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::yield();
+    ASSERT_EQ(Failpoints::instance().fires(Failpoint::EnginePublishStall), 1u)
+        << "publisher never parked after its append";
+  }
+
+  // Append past the parked publisher's cell, then collect: no cell carries
+  // an Info reference, so the trim frees everything before the tail — the
+  // acquire cell included.
+  for (unsigned I = 0; I != 4; ++I)
     D.onVolatileWrite(0, VarId{900, 0});
-  EXPECT_GT(D.engine().stats().CellsFreed, 0u)
-      << "collections never freed the published chain";
+  D.engine().collectGarbage();
+  EXPECT_EQ(D.engine().eventListLength(), 1u)
+      << "collection did not free the parked publisher's cell";
+  EXPECT_GT(D.engine().stats().CellsFreed, 0u);
+  EXPECT_FALSE(PublisherReturned.load())
+      << "publisher resumed before its cell was freed";
 
   Publisher.join();
   D.onJoin(0, 1);
   D.onTerminate(1);
   D.onTerminate(0);
   checkCellAccounting(D.engine());
-  EXPECT_NE(Sink.json().find("\"publish\""), std::string::npos)
-      << "no publish span was recorded";
 }
 
-TEST(SlabQuarantineStressTest, PooledWithBatching) {
-  runQuarantineStress(/*Pooling=*/true, /*Batch=*/8);
+TEST(SlabQuarantineStressTest, Pooled) {
+  runQuarantineStress(/*Pooling=*/true);
 }
 
-TEST(SlabQuarantineStressTest, PooledNoBatching) {
-  runQuarantineStress(/*Pooling=*/true, /*Batch=*/1);
-}
-
-TEST(SlabQuarantineStressTest, PassthroughWithBatching) {
-  runQuarantineStress(/*Pooling=*/false, /*Batch=*/8);
+TEST(SlabQuarantineStressTest, Passthrough) {
+  runQuarantineStress(/*Pooling=*/false);
 }
 
 } // namespace
