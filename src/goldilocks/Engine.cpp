@@ -576,7 +576,7 @@ GoldilocksEngine::GoldilocksEngine(EngineConfig C)
   if (Cfg.Telemetry >= TelemetryLevel::Counters)
     Tel.reset(new Telemetry(Cfg.Telemetry));
   if (Cfg.Telemetry >= TelemetryLevel::Full) {
-    Flight.reset(new FlightRecorder(Cfg.FlightRingCapacity));
+    Flight.reset(new FlightRecorder(FlightRingCapacity));
     HWalkLen = &Tel->histogram("walk_cells");
     HLocksetSize = &Tel->histogram("lockset_size_at_check");
     HCheckPath = &Tel->histogram("check_path");
@@ -1416,7 +1416,7 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState *TS, VarId V,
   if (Cfg.Tier == TierMode::Sampling && !Xact && !PosOverride) {
     uint64_t Ordinal = ++St.SampleCount;
     if (Ordinal > Cfg.SamplingBudget &&
-        !sampleSelected(Cfg.SamplingSeed, V.key(), Ordinal,
+        !sampleSelected(SamplingSeed, V.key(), Ordinal,
                         Cfg.SamplingRatePpm)) {
       S->SampledSkips.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
@@ -2177,8 +2177,11 @@ void GoldilocksEngine::enforceInfoBudget(VarId Current) {
     if (!Victim)
       return; // no records left to evict; the byte budget is cell-bound
     std::lock_guard<std::mutex> KL(klFor(Victim->V));
+    // Raced with another enforcer: degrading dropped all of the victim's
+    // records, so the re-scan cannot pick it again. Re-check the budget
+    // rather than leave over it (the caller installs a record next).
     if (Victim->Degraded)
-      return; // raced with another enforcer; avoid spinning
+      continue;
     degradeVarLocked(*Victim);
   }
 }

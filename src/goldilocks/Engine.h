@@ -169,9 +169,6 @@ struct EngineConfig {
   /// The verdict never truncates — only the replay record does.
   size_t MaxProvenanceSteps = 4096;
 
-  /// Per-stripe capacity of the flight recorder (Full level only).
-  size_t FlightRingCapacity = 256;
-
   /// Precision tier (see TierMode). Tiered keeps verdicts bit-identical to
   /// Precise while skipping the pair checks on provably-ordered accesses;
   /// Sampling trades recall (never precision) for a hard per-access cost
@@ -190,10 +187,13 @@ struct EngineConfig {
   /// processed before the rate applies (the O(1)-samples-style burst that
   /// keeps short-lived variables fully covered).
   uint32_t SamplingBudget = 32;
-
-  /// Seed for the deterministic sampling hash.
-  uint64_t SamplingSeed = 0x9E3779B97F4A7C15ull;
 };
+
+/// Per-stripe capacity of the flight recorder (Full level only).
+inline constexpr size_t FlightRingCapacity = 256;
+
+/// Seed for the deterministic sampling-tier hash.
+inline constexpr uint64_t SamplingSeed = 0x9E3779B97F4A7C15ull;
 
 /// Monotonic event counters, readable while the engine runs.
 struct EngineStats {

@@ -759,7 +759,7 @@ size_t DetectionService::pumpShard(unsigned Shard) {
     return 0; // wedged: nothing moves until the shard is reincarnated
   size_t N = 0;
   ShardItem It;
-  while (N < Cfg.PumpBatch && Sh.Ring.tryPop(It)) {
+  while (N < PumpBatch && Sh.Ring.tryPop(It)) {
     QueuedBytes.fetch_sub(It.Bytes, std::memory_order_relaxed);
     Session *Se = sessionAt(It.SessionIdx);
     // QueuedItems is decremented only after the item was applied (or
@@ -990,10 +990,10 @@ void DetectionService::poll() {
   size_t B = QueuedBytes.load(std::memory_order_relaxed);
   unsigned State = 0;
   if (static_cast<double>(B) >
-      Cfg.ShedFraction * static_cast<double>(Cfg.MaxQueuedBytes))
+      ShedFraction * static_cast<double>(Cfg.MaxQueuedBytes))
     State = 2;
   else if (static_cast<double>(B) >
-           Cfg.AdmissionPauseFraction * static_cast<double>(Cfg.MaxQueuedBytes))
+           AdmissionPauseFraction * static_cast<double>(Cfg.MaxQueuedBytes))
     State = 1;
   LadderState.store(State, std::memory_order_relaxed);
 
@@ -1057,6 +1057,7 @@ void DetectionService::start() {
           std::chrono::milliseconds(PeriodMs ? PeriodMs : 50));
     }
   });
+  Running.store(true, std::memory_order_release);
 }
 
 void DetectionService::stop() {
@@ -1068,6 +1069,16 @@ void DetectionService::stop() {
   Consumers.clear();
   if (Watchdog.joinable())
     Watchdog.join();
+  Running.store(false, std::memory_order_release);
+}
+
+void DetectionService::makeProgress() {
+  if (consumersRunning()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    return;
+  }
+  pumpAll();
+  poll();
 }
 
 void DetectionService::shutdown() {

@@ -77,11 +77,6 @@ struct ServiceConfig {
   /// bound backpressure enforces: pushes that would exceed it are rejected
   /// with retry-after, so a stalled shard can never grow the heap.
   size_t MaxQueuedBytes = 8u << 20;
-  /// Queued-byte fraction above which new sessions are refused (rung 1 of
-  /// the service ladder) and above which live low-priority sessions are
-  /// shed (rung 2).
-  double AdmissionPauseFraction = 0.80;
-  double ShedFraction = 0.95;
   /// Malformed lines tolerated per session before crash-only teardown.
   size_t SessionErrorBudget = 10;
   /// Reap sessions idle longer than this (0 disables). Uses NowNanos, so
@@ -98,9 +93,6 @@ struct ServiceConfig {
   /// Producer retry-after schedule (jittered exponential; IngestRing.h).
   uint64_t BackoffBaseNanos = 2000;
   uint64_t BackoffMaxNanos = 10000000; // 10ms
-  /// Items drained per pump slice (bounds how long a consumer holds the
-  /// shard; reincarnation waits at most one slice).
-  unsigned PumpBatch = 128;
   /// Rebuild reincarnated shards from session journals. When false, queued
   /// and historical state is discarded and the discard is counted as
   /// potential verdict loss in health (explicit, never silent).
@@ -132,6 +124,15 @@ struct ServiceConfig {
 
 /// Disjoint id range handed to each session: client ids must be below this.
 inline constexpr uint32_t NamespaceStride = 1u << 20;
+
+/// Queued-byte fractions of MaxQueuedBytes above which new sessions are
+/// refused (rung 1 of the service ladder) and live low-priority sessions
+/// are shed (rung 2).
+inline constexpr double AdmissionPauseFraction = 0.80;
+inline constexpr double ShedFraction = 0.95;
+/// Items drained per pump slice (bounds how long a consumer holds the
+/// shard; reincarnation waits at most one slice).
+inline constexpr unsigned PumpBatch = 128;
 
 //===----------------------------------------------------------------------===//
 // Session
@@ -418,6 +419,16 @@ public:
   /// Stops and joins all service threads (idempotent).
   void stop();
 
+  /// True between start() and stop(): consumer threads own the shards.
+  /// Otherwise whoever holds refused work is the consumer and must pump.
+  bool consumersRunning() const {
+    return Running.load(std::memory_order_acquire);
+  }
+  /// One step of progress for a caller waiting on the shards (a refused
+  /// frame, a closing session): pumpAll() + poll() when no consumer threads
+  /// run, else a short wait for the consumers (DESIGN.md §14).
+  void makeProgress();
+
   /// Crash-only quiesce: stop threads, drain what is queued, close every
   /// session (ServiceShutdown), quiesce every engine. Idempotent.
   void shutdown();
@@ -537,6 +548,7 @@ private:
   std::vector<std::thread> Consumers;
   std::thread Watchdog;
   std::atomic<bool> StopFlag{false};
+  std::atomic<bool> Running{false};
 };
 
 } // namespace gold

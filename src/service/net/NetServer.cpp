@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
-#include <thread>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -222,10 +221,8 @@ size_t NetServer::pollOnce(int TimeoutMs) {
   }
   reapClosed();
 
-  if (Cfg.InlinePump) {
-    Svc.pumpAll();
-    Svc.poll();
-  }
+  if (!Svc.consumersRunning())
+    Svc.makeProgress();
   return St.FramesIn.load(std::memory_order_relaxed) - Frames;
 }
 
@@ -421,75 +418,59 @@ void NetServer::dispatchIngest(Conn &C, const std::string &Line,
     // Clock handshake: `t=<client-now-ns>` measures the client->server
     // monotonic offset under the open's one-way latency (same host: ~µs).
     // Re-measured by every open carrying the token, so a reconnect heals a
-    // stale offset; opens without it leave the binding's offset unchanged.
+    // stale offset.
     uint64_t ClientNow = 0;
-    bool HasClock = proto::parseClock(Line, ClientNow);
-    int64_t Offset =
-        HasClock ? (int64_t)now() - (int64_t)ClientNow : 0;
-    auto It = Bindings.find(Id);
-    if (It != Bindings.end() &&
-        It->second.S->state() != SessionState::Dead) {
-      Binding &B = It->second;
-      if (B.OwnerFd != -1 && B.OwnerFd != C.Fd) {
-        proto::fmtErrOpenBusy(Reply, sizeof(Reply), Id);
-        enqueue(C, Reply, false);
-        chargeError(C);
-        return;
-      }
-      // Reconnect-with-resume: hand the stream back exactly where the
-      // server left it. The client replays from Expect; anything below is
-      // a dup and anything above resyncs.
-      if (B.OwnerFd != C.Fd) {
-        St.Resumes.fetch_add(1, std::memory_order_relaxed);
-        C.Bound.push_back(Id);
-      }
-      B.OwnerFd = C.Fd;
-      B.ResyncAt = UINT64_MAX; // fresh stream: next gap earns one resync
-      if (HasClock)
-        B.ClockOffset = Offset;
-      proto::fmtOkOpenResumed(Reply, sizeof(Reply), Id, B.Expect);
-      enqueue(C, Reply, true);
+    std::optional<int64_t> Offset;
+    if (proto::parseClock(Line, ClientNow))
+      Offset = (int64_t)now() - (int64_t)ClientNow;
+    StreamOpen O = Streams.open(Svc, Id, Priority, uint64_t(C.Fd), Offset,
+                                [](uint64_t) { return false; });
+    if (O.K == StreamOpen::Kind::Busy) {
+      proto::fmtErrOpenBusy(Reply, sizeof(Reply), Id);
+      enqueue(C, Reply, false);
+      chargeError(C);
       return;
     }
-    DetectionService::OpenResult R = Svc.open(Id, Priority);
-    if (!R.S) {
+    if (O.K == StreamOpen::Kind::Refused) {
       St.BackpressureReplies.fetch_add(1, std::memory_order_relaxed);
-      proto::fmtErrOpenRetry(Reply, sizeof(Reply), Id, R.RetryAfterNanos,
-                             R.Error.c_str());
+      proto::fmtErrOpenRetry(Reply, sizeof(Reply), Id, O.RetryAfterNanos,
+                             O.Error.c_str());
       enqueue(C, Reply, false);
       return;
     }
-    Binding NewB;
-    NewB.S = R.S;
-    NewB.OwnerFd = C.Fd;
-    NewB.ClockOffset = Offset;
-    Bindings[Id] = NewB;
-    C.Bound.push_back(Id);
-    proto::fmtOkOpen(Reply, sizeof(Reply), Id);
+    bool Resumed = O.K == StreamOpen::Kind::Resumed;
+    if (O.Rebound) {
+      if (Resumed)
+        St.Resumes.fetch_add(1, std::memory_order_relaxed);
+      C.Bound.push_back(Id);
+    }
+    if (Resumed)
+      proto::fmtOkOpenResumed(Reply, sizeof(Reply), Id, O.St->Expect);
+    else
+      proto::fmtOkOpen(Reply, sizeof(Reply), Id);
     enqueue(C, Reply, true);
     return;
   }
 
-  auto It = Bindings.find(Id);
-  if (It == Bindings.end()) {
+  ClientStream *B = Streams.find(Id);
+  if (!B) {
     std::snprintf(Reply, sizeof(Reply), "err %s %llu unknown client",
                   Cmd.c_str(), (unsigned long long)Id);
     enqueue(C, Reply, false);
     chargeError(C);
     return;
   }
-  Binding &B = It->second;
-  Session &S = *B.S;
+  Session &S = *B->S;
 
   if (Cmd == "stat") {
     proto::fmtOkStat(Reply, sizeof(Reply), Id, sessionStateName(S.state()),
                      closeReasonName(S.closeReason()), S.linesAccepted(),
-                     B.Expect);
+                     B->Expect);
     enqueue(C, Reply, false);
     return;
   }
 
-  if (B.OwnerFd != C.Fd) {
+  if (B->Owner != uint64_t(C.Fd)) {
     std::snprintf(Reply, sizeof(Reply), "err %s %llu not owner", Cmd.c_str(),
                   (unsigned long long)Id);
     enqueue(C, Reply, false);
@@ -504,118 +485,70 @@ void NetServer::dispatchIngest(Conn &C, const std::string &Line,
       Rest.erase(0, 1);
     uint64_t Seq = 0;
     bool HasSeq = splitSeq(Rest, Seq);
-    if (HasSeq) {
-      if (Seq < B.Expect) {
-        // Idempotent retransmit after a reconnect: already applied.
-        St.DupFrames.fetch_add(1, std::memory_order_relaxed);
+    SeqClass SC = HasSeq ? B->classify(Seq) : SeqClass::InOrder;
+    if (SC == SeqClass::Dup) {
+      // Idempotent retransmit after a reconnect: already applied.
+      St.DupFrames.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    if (SC == SeqClass::Ahead) {
+      // The client ran ahead of an un-acked refusal (or lost a reply).
+      // One resync reply per stall: echoing one per pipelined frame is a
+      // storm that can outrun the write queue (see ClientStream::ResyncAt).
+      if (B->ResyncAt == B->Expect) {
+        St.FalloutFrames.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      if (Seq > B.Expect) {
-        // The client ran ahead of an un-acked refusal (or lost a reply).
-        // The frame is dropped BEFORE feedLine — a session retrying a
-        // pending action would otherwise silently swallow this line's
-        // content. But answer with a resync only ONCE per stall: after a
-        // backpressure or resync reply at Expect, every further
-        // ahead-of-expect frame is just the client's in-flight pipeline
-        // tail, and echoing a reply per frame is a resync storm that can
-        // outrun the write queue. The tail is dropped silently (counted)
-        // until the client rewinds and Expect moves again.
-        if (B.ResyncAt == B.Expect) {
-          St.FalloutFrames.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-        St.ResyncReplies.fetch_add(1, std::memory_order_relaxed);
-        B.ResyncAt = B.Expect;
-        proto::fmtErrLineResync(Reply, sizeof(Reply), Id, Seq, B.Expect);
-        enqueue(C, Reply, false);
-        return;
-      }
+      St.ResyncReplies.fetch_add(1, std::memory_order_relaxed);
+      B->ResyncAt = B->Expect;
+      proto::fmtErrLineResync(Reply, sizeof(Reply), Id, Seq, B->Expect);
+      enqueue(C, Reply, false);
+      return;
     }
     // Optional origin stamp: `@<client-monotonic-ns>` between the seq and
     // the trace line. Always stripped (the parser must never see it);
-    // threaded into the service as a span context only when tracing is on.
+    // threaded into the service as a span context only when sampled.
     FrameTrace FT;
     const FrameTrace *FTp = nullptr;
-    {
-      const char *RestC = Rest.c_str();
-      uint64_t RawOrigin = 0;
-      if (proto::splitOrigin(RestC, RawOrigin)) {
-        Rest.erase(0, static_cast<size_t>(RestC - Rest.c_str()));
-        // Only frames the deterministic sampler selects become span
-        // contexts — a raw producer may stamp every line (GoldClient only
-        // stamps sampled ones), and per-stage attribution must stay O(1)
-        // samples regardless of what the wire carries.
-        if (Svc.pipeTracingEnabled() &&
-            traceSampled(Svc.config().Trace.Seed, Id, HasSeq ? Seq : 0,
-                         Svc.config().Trace.SampleRatePpm)) {
-          // Correct the client stamp onto the server clock; clamp to 1 so a
-          // wildly-skewed stamp cannot collapse to the "untraced" sentinel.
-          int64_t Corr = static_cast<int64_t>(RawOrigin) + B.ClockOffset;
-          FT.OriginNanos = Corr > 0 ? static_cast<uint64_t>(Corr) : 1;
-          FT.FrameSeq = HasSeq ? Seq : 0;
-          FT.Span = true;
-          FTp = &FT;
-        }
-      }
+    const char *RestC = Rest.c_str();
+    uint64_t RawOrigin = 0;
+    if (proto::splitOrigin(RestC, RawOrigin)) {
+      Rest.erase(0, static_cast<size_t>(RestC - Rest.c_str()));
+      FTp = B->trace(Svc, Id, HasSeq ? Seq : 0, RawOrigin, FT);
     }
     if (Rest.empty()) {
       enqueue(C, "err proto missing trace line", false);
       chargeError(C);
       return;
     }
-    FeedResult R;
-    unsigned Attempts = 0;
-    for (;;) {
-      R = S.feedLine(Rest, FTp);
-      if (R.St != FeedResult::Status::Backpressure)
-        break;
-      if (!Draining) {
-        // When this thread pumps the service itself, a refusal usually
-        // just means the shard ring filled faster than the last pump
-        // slice drained it. Drain once and retry before escalating: the
-        // wire-level reply costs the client a rewind plus a jittered
-        // sleep, and everything it pipelined behind this line becomes
-        // fallout to retransmit.
-        if (Cfg.InlinePump && Attempts++ < 2) {
-          Svc.pumpAll();
-          continue;
-        }
-        // Wire-level backpressure: the line was NOT consumed and is NOT
-        // buffered here. The client owns the retry, with the service's
-        // jittered hint.
-        St.BackpressureReplies.fetch_add(1, std::memory_order_relaxed);
-        if (HasSeq) {
-          // Open the fallout gate: the reply tells the client to rewind to
-          // this seq, so everything it already pipelined past it will
-          // arrive ahead-of-expect and is dropped without further replies.
-          B.ResyncAt = B.Expect;
-          proto::fmtErrLineBackpressure(Reply, sizeof(Reply), Id, Seq,
-                                        R.RetryAfterNanos);
-        } else {
-          proto::fmtErrLineBackpressureNoSeq(Reply, sizeof(Reply), Id,
-                                             R.RetryAfterNanos);
-        }
-        enqueue(C, Reply, false);
-        return;
-      }
-      // Drain settle: the frame already arrived; pushing it through is
-      // what makes SIGTERM lossless. Pump (or yield to the consumers)
-      // until it lands, bounded so a wedged shard cannot hang shutdown.
-      if (++Attempts > 50000) {
+    FeedResult R =
+        feedFrame(Svc, Draining ? FeedMode::Settle : FeedMode::Live,
+                  [&] { return S.feedLine(Rest, FTp); });
+    if (R.St == FeedResult::Status::Backpressure) {
+      if (Draining) {
         St.DrainDroppedFrames.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      if (Cfg.InlinePump) {
-        Svc.pumpAll();
-        Svc.poll();
+      // Wire-level backpressure: the line was NOT consumed and is NOT
+      // buffered here. The client owns the retry, with the service's
+      // jittered hint.
+      St.BackpressureReplies.fetch_add(1, std::memory_order_relaxed);
+      if (HasSeq) {
+        // Open the fallout gate: the reply tells the client to rewind to
+        // this seq, so everything it already pipelined past it will
+        // arrive ahead-of-expect and is dropped without further replies.
+        B->ResyncAt = B->Expect;
+        proto::fmtErrLineBackpressure(Reply, sizeof(Reply), Id, Seq,
+                                      R.RetryAfterNanos);
       } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        proto::fmtErrLineBackpressureNoSeq(Reply, sizeof(Reply), Id,
+                                           R.RetryAfterNanos);
       }
+      enqueue(C, Reply, false);
+      return;
     }
-    if (HasSeq) {
-      B.Expect = Seq + 1; // Accepted/Rejected/Closed all consume the line
-      B.ResyncAt = UINT64_MAX; // progress: the next gap earns one resync
-    }
+    if (HasSeq)
+      B->advance(); // Accepted/Rejected/Closed all consume the line
     switch (R.St) {
     case FeedResult::Status::Accepted:
       break; // silent: streams are long
@@ -627,7 +560,7 @@ void NetServer::dispatchIngest(Conn &C, const std::string &Line,
       chargeError(C);
       break;
     case FeedResult::Status::Backpressure:
-      break; // unreachable (loop above)
+      break; // answered above
     case FeedResult::Status::Closed:
       std::snprintf(Reply, sizeof(Reply), "err line %llu closed: %s",
                     (unsigned long long)Id, R.Error.c_str());
@@ -639,7 +572,7 @@ void NetServer::dispatchIngest(Conn &C, const std::string &Line,
 
   if (Cmd == "close") {
     S.close();
-    if (Cfg.InlinePump && !Draining) {
+    if (!Draining && !Svc.consumersRunning()) {
       Svc.drain();
       Svc.poll();
     }
@@ -652,7 +585,7 @@ void NetServer::dispatchIngest(Conn &C, const std::string &Line,
   }
 
   if (Cmd == "verdicts") {
-    if (Cfg.InlinePump && !Draining)
+    if (!Draining && !Svc.consumersRunning())
       Svc.drain();
     size_t N = deliverVerdicts(C, Id, S);
     if (N == SIZE_MAX)
@@ -700,7 +633,7 @@ size_t NetServer::deliverVerdicts(Conn &C, uint64_t Id, Session &S) {
 
 void NetServer::chargeError(Conn &C) {
   St.ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
-  if (++C.Errors > Cfg.ConnErrorBudget) {
+  if (++C.Errors > ConnErrorBudget) {
     sendBye(C, ConnClose::ErrorBudget);
     closeConn(C, ConnClose::ErrorBudget);
   }
@@ -908,11 +841,8 @@ void NetServer::closeConn(Conn &C, ConnClose Reason) {
   // Unbind, do not close, the sessions: a reconnecting client resumes them
   // (`ok open <id> resumed expect=<n>`); an abandoned one is reaped by the
   // service's idle timeout with the loss accounted there.
-  for (uint64_t Id : C.Bound) {
-    auto It = Bindings.find(Id);
-    if (It != Bindings.end() && It->second.OwnerFd == C.Fd)
-      It->second.OwnerFd = -1;
-  }
+  for (uint64_t Id : C.Bound)
+    Streams.unbind(Id, uint64_t(C.Fd));
   C.Bound.clear();
   ::close(C.Fd);
   C.Fd = -1;

@@ -13,15 +13,12 @@
 ///    one partial frame plus one bounded write queue — never by a slow
 ///    shard.
 ///
-///  - **Sequenced streams.** Sessions retry *the same pending action* on
-///    the feed after a Backpressure, so a pipelining client that kept
-///    streaming would silently desynchronize. The wire protocol closes the
-///    hole with per-line sequence numbers: the server tracks the expected
-///    seq per client, acknowledges backpressure/resync by seq, and a
-///    reconnecting client resumes exactly where the server says
-///    (`ok open <id> resumed expect=<n>`). Verdict streams survive
-///    disconnects because verdicts stay queued in the Session until a
-///    `verdicts`/`close` round trip has room to carry them.
+///  - **Sequenced streams.** Per-line sequence numbers carry the client
+///    stream contract of service/ClientStream.h over the wire: replies
+///    acknowledge backpressure/resync by seq, and a reconnecting client
+///    resumes where the server says (`ok open <id> resumed expect=<n>`).
+///    Verdicts stay queued in the Session until a `verdicts`/`close`
+///    round trip has room to carry them.
 ///
 ///  - **Deadlines and heartbeats.** Per-connection read deadlines with
 ///    server ping/pong detect half-open peers; write deadlines and bounded
@@ -54,6 +51,7 @@
 #ifndef GOLD_SERVICE_NET_NETSERVER_H
 #define GOLD_SERVICE_NET_NETSERVER_H
 
+#include "service/ClientStream.h"
 #include "service/Service.h"
 #include "service/Snapshots.h"
 #include "service/net/Framer.h"
@@ -64,7 +62,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace gold {
@@ -100,15 +97,13 @@ struct NetConfig {
   /// Bounded per-connection write queue. Non-critical replies above this
   /// are shed (counted); critical replies close the connection instead.
   size_t WriteQueueCapBytes = 256u << 10;
-  /// Protocol errors tolerated per connection before close.
-  size_t ConnErrorBudget = 16;
   uint64_t ReadDeadlineNanos = 30ull * 1000000000;  ///< 0 disables
   uint64_t WriteDeadlineNanos = 10ull * 1000000000; ///< 0 disables
   uint64_t HeartbeatNanos = 10ull * 1000000000;     ///< 0 disables pings
-  /// Pump the service inline each poll round (single-threaded,
-  /// deterministic). Off when the service runs its own consumer threads.
-  bool InlinePump = true;
 };
+
+/// Protocol errors tolerated per connection before close.
+inline constexpr size_t ConnErrorBudget = 16;
 
 /// Monotonic wire-level counters; readable from any thread.
 struct NetStats {
@@ -152,7 +147,8 @@ public:
   uint16_t scrapePort() const { return BoundScrapePort; }
 
   /// One event-loop round: poll, accept, read/dispatch, flush, deadlines,
-  /// then (InlinePump) pump the service. Returns frames dispatched.
+  /// then pump the service unless its own consumer threads run. Returns
+  /// frames dispatched.
   size_t pollOnce(int TimeoutMs);
 
   /// pollOnce until requestStop() (or \p Until returns true).
@@ -191,22 +187,6 @@ public:
 
 private:
   struct Conn;
-  struct Binding {
-    Session *S = nullptr;
-    uint64_t Expect = 0; ///< next line seq the server will feed
-    int OwnerFd = -1;    ///< -1: unbound (resumable)
-    /// Seq at which the stream last went un-consumable (backpressure or a
-    /// resync already sent). While Expect == ResyncAt, further ahead-of-
-    /// expect frames are the client's in-flight pipeline tail: drop them
-    /// silently (FalloutFrames) instead of answering each with a resync
-    /// reply — one reply per stall, not one per pipelined frame.
-    uint64_t ResyncAt = UINT64_MAX;
-    /// Client->server monotonic clock offset measured from the open's `t=`
-    /// handshake token (server now minus client now); 0 without handshake.
-    /// Applied to `@origin` stamps before they enter the service, and
-    /// re-measured by every reconnect open.
-    int64_t ClockOffset = 0;
-  };
 
   bool listenOn(uint16_t Want, int &FdOut, uint16_t &BoundOut,
                 std::string &Err);
@@ -233,7 +213,7 @@ private:
   uint16_t BoundPort = 0;
   uint16_t BoundScrapePort = 0;
   std::vector<std::unique_ptr<Conn>> Conns; // loop thread only
-  std::unordered_map<uint64_t, Binding> Bindings;
+  StreamTable Streams; ///< stream owner token: the connection's fd
   SnapshotProducer *History = nullptr; ///< /metrics/history source (owner's)
   std::atomic<bool> StopFlag{false};
   bool Drained = false;

@@ -202,10 +202,8 @@ size_t ShmServer::pollOnce(int TimeoutMs) {
     }
   }
 
-  if (Cfg.InlinePump) {
-    Svc.pumpAll();
-    Svc.poll();
-  }
+  if (!Svc.consumersRunning())
+    Svc.makeProgress();
   return Frames;
 }
 
@@ -230,8 +228,9 @@ void ShmServer::handleClaim(uint32_t I) {
   // measured under the claim's one-way latency. 0 = legacy producer that
   // never wrote the word; origins then pass through uncorrected.
   uint64_t ClientNow = R->ClockOrigin.load(std::memory_order_relaxed);
-  int64_t Offset =
-      ClientNow ? (int64_t)now() - (int64_t)ClientNow : 0;
+  std::optional<int64_t> Offset;
+  if (ClientNow)
+    Offset = (int64_t)now() - (int64_t)ClientNow;
 
   auto Refuse = [&](RingCode Code, uint64_t RetryNs) {
     R->OpenCode.store(static_cast<uint32_t>(Code), std::memory_order_relaxed);
@@ -247,58 +246,28 @@ void ShmServer::handleClaim(uint32_t I) {
     return;
   }
 
-  auto It = Bindings.find(Cid);
-  if (It != Bindings.end() && It->second.S->state() != SessionState::Dead) {
-    uint32_t Old = It->second.OwnerRing;
-    if (Old != UINT32_MAX && Old != I) {
-      uint32_t OldPid =
-          Seg.ring(Old)->ClientPid.load(std::memory_order_relaxed);
-      if (!pidGone(OldPid)) {
-        Refuse(RingCode::Busy, 0);
-        return;
-      }
-      // The previous incarnation is dead but not yet reaped: drain its
-      // published frames NOW so the resume point below is exact. Draining
-      // can kill the session (decode error in the tail), so re-look-up.
-      St.ProducersReaped.fetch_add(1, std::memory_order_relaxed);
-      reapRing(Old, true);
-      It = Bindings.find(Cid);
-    }
+  StreamOpen O = Streams.open(Svc, Cid, Priority, I, Offset, [&](uint64_t Old) {
+    uint32_t OldRing = static_cast<uint32_t>(Old);
+    if (!pidGone(Seg.ring(OldRing)->ClientPid.load(std::memory_order_relaxed)))
+      return false;
+    // The previous incarnation is dead but not yet reaped: drain its
+    // published frames NOW so the resume point is exact.
+    St.ProducersReaped.fetch_add(1, std::memory_order_relaxed);
+    reapRing(OldRing, true);
+    return true;
+  });
+  if (!O.St) {
+    Refuse(O.K == StreamOpen::Kind::Busy ? RingCode::Busy : RingCode::Admission,
+           O.RetryAfterNanos);
+    return;
   }
-  if (It != Bindings.end() && It->second.S->state() != SessionState::Dead) {
-    // Reconnect-with-resume: hand the stream back exactly where the
-    // server left it (the mirror of `ok open <id> resumed expect=<n>`).
-    Binding &B = It->second;
-    B.OwnerRing = I;
-    if (ClientNow)
-      B.ClockOffset = Offset;
-    W.ClientId = Cid;
-    St.Claims.fetch_add(1, std::memory_order_relaxed);
+  // A resume is the mirror of `ok open <id> resumed expect=<n>`.
+  if (O.K == StreamOpen::Kind::Resumed)
     St.Resumes.fetch_add(1, std::memory_order_relaxed);
-    R->Resume.store(B.Expect, std::memory_order_relaxed);
-    R->Acked.store(B.Expect, std::memory_order_relaxed);
-    R->Control.store(0, std::memory_order_relaxed);
-    R->OpenCode.store(static_cast<uint32_t>(RingCode::Ok),
-                      std::memory_order_relaxed);
-    R->State.store(static_cast<uint32_t>(RingState::Ready),
-                   std::memory_order_release);
-    return;
-  }
-
-  DetectionService::OpenResult O = Svc.open(Cid, Priority);
-  if (!O.S) {
-    Refuse(RingCode::Admission, O.RetryAfterNanos);
-    return;
-  }
-  Binding NewB;
-  NewB.S = O.S;
-  NewB.OwnerRing = I;
-  NewB.ClockOffset = Offset;
-  Bindings[Cid] = NewB;
   W.ClientId = Cid;
   St.Claims.fetch_add(1, std::memory_order_relaxed);
-  R->Resume.store(0, std::memory_order_relaxed);
-  R->Acked.store(0, std::memory_order_relaxed);
+  R->Resume.store(O.St->Expect, std::memory_order_relaxed);
+  R->Acked.store(O.St->Expect, std::memory_order_relaxed);
   R->Control.store(0, std::memory_order_relaxed);
   R->OpenCode.store(static_cast<uint32_t>(RingCode::Ok),
                     std::memory_order_relaxed);
@@ -313,15 +282,16 @@ size_t ShmServer::consumeRing(uint32_t I, bool Draining) {
   const uint32_t Mask = Seg.mask();
   const uint32_t Cap = Seg.hdr()->SlotsPerRing;
 
-  auto It = Bindings.find(W.ClientId);
-  if (It == Bindings.end()) {
-    // A ring without a binding is a server bug turned defensive:
+  ClientStream *B = Streams.find(W.ClientId);
+  if (!B) {
+    // A ring without a stream is a server bug turned defensive:
     // quarantine rather than feed an unowned stream.
     R->State.store(static_cast<uint32_t>(RingState::Reaped),
                    std::memory_order_release);
     return 0;
   }
 
+  const FeedMode Mode = Draining ? FeedMode::Settle : FeedMode::Live;
   size_t Frames = 0;
   uint64_t SlotsLocal = 0;
   uint64_t FrameT0 = 0;
@@ -353,7 +323,7 @@ size_t ShmServer::consumeRing(uint32_t I, bool Draining) {
     }
     if (NSlots > Cap / 2) {
       St.DecodeErrors.fetch_add(1, std::memory_order_relaxed);
-      killRing(I, RingCode::Decode);
+      closeRing(I, RingCode::Decode);
       return Frames;
     }
     // Continuation slots were published (release) before the header, so
@@ -388,11 +358,10 @@ size_t ShmServer::consumeRing(uint32_t I, bool Draining) {
       // failpoint, or a real bug): silently skipping the frame would be
       // an unaccounted verdict divergence, so the session dies instead.
       St.DecodeErrors.fetch_add(1, std::memory_order_relaxed);
-      killRing(I, RingCode::Decode);
+      closeRing(I, RingCode::Decode);
       return Frames;
     }
 
-    Binding &B = It->second;
     auto FreeSlots = [&] {
       for (uint32_t K = 0; K != NSlots; ++K) {
         uint64_t P = Hd + K;
@@ -402,46 +371,49 @@ size_t ShmServer::consumeRing(uint32_t I, bool Draining) {
       SlotsLocal += NSlots;
     };
 
-    if (H.ClientSeq < B.Expect) {
+    SeqClass SC = B->classify(H.ClientSeq);
+    if (SC == SeqClass::Dup) {
       // Idempotent retransmit after a resume: already applied.
       St.DupFrames.fetch_add(1, std::memory_order_relaxed);
       FreeSlots();
       continue;
     }
-    if (H.ClientSeq > B.Expect) {
+    if (SC == SeqClass::Ahead) {
       // Same-host streams cannot lose frames in transit; a gap means the
       // producer's replay logic is broken. Crash-only, like any other
       // protocol violation.
       St.SeqViolations.fetch_add(1, std::memory_order_relaxed);
-      killRing(I, RingCode::Decode);
+      closeRing(I, RingCode::Decode);
       return Frames;
     }
 
-    // Span context: the producer's OriginNanos stamp corrected onto the
-    // server clock. Zero (legacy producer, tracing off, or a frame the
-    // shared deterministic sampler skipped) stays untraced; the sampler is
-    // re-evaluated here so an every-frame-stamping producer still costs
-    // O(1) samples downstream.
     FrameTrace FT;
-    const FrameTrace *FTp = nullptr;
-    if (H.OriginNanos && Svc.pipeTracingEnabled() &&
-        traceSampled(Svc.config().Trace.Seed, W.ClientId, H.ClientSeq,
-                     Svc.config().Trace.SampleRatePpm)) {
-      int64_t Corr = static_cast<int64_t>(H.OriginNanos) + B.ClockOffset;
-      FT.OriginNanos = Corr > 0 ? static_cast<uint64_t>(Corr) : 1;
-      FT.FrameSeq = H.ClientSeq;
-      FT.Span = true;
-      FTp = &FT;
+    const FrameTrace *FTp =
+        B->trace(Svc, W.ClientId, H.ClientSeq, H.OriginNanos, FT);
+    FeedResult FR = feedFrame(Svc, Mode, [&] {
+      return B->S->feedAction(A, HasCS ? &CS : nullptr, NSlots * SlotBytes,
+                              FTp);
+    });
+    if (FR.St == FeedResult::Status::Backpressure) {
+      if (Mode == FeedMode::Live) {
+        // Wire-level backpressure: leave the frame in the ring and hand the
+        // producer the service's jittered schedule via the control word —
+        // the same hint the TCP path puts in `retry-after-ns=`.
+        R->Control.store(FR.RetryAfterNanos, std::memory_order_release);
+        W.NotBefore = now() + FR.RetryAfterNanos;
+        St.BackpressureWrites.fetch_add(1, std::memory_order_relaxed);
+        break;
+      }
+      // Consumed-as-dropped: counted, never silent.
+      St.DrainDroppedFrames.fetch_add(1, std::memory_order_relaxed);
+    } else if (FR.St == FeedResult::Status::Closed) {
+      closeRing(I, RingCode::SessionDead);
+      return Frames;
     }
-    bool Killed = false;
-    if (!feedFrame(I, *B.S, A, HasCS ? &CS : nullptr, NSlots * SlotBytes,
-                   FTp, Draining, Killed)) {
-      if (Killed)
-        return Frames;
-      break; // backpressured: the frame stays in the ring
-    }
-    B.Expect++;
-    R->Acked.store(B.Expect, std::memory_order_release);
+    // Rejected frames are consumed too (the session charged its own error
+    // budget; a budget-exhausted session surfaces as Closed next frame).
+    B->advance();
+    R->Acked.store(B->Expect, std::memory_order_release);
     if (R->Control.load(std::memory_order_relaxed) != 0)
       R->Control.store(0, std::memory_order_relaxed);
     FreeSlots();
@@ -460,62 +432,6 @@ size_t ShmServer::consumeRing(uint32_t I, bool Draining) {
   if (Slots[W.Pos & Mask].Seq.load(std::memory_order_acquire) != W.Pos + 1)
     R->ConsumeHint.store(W.Pos, std::memory_order_release);
   return Frames;
-}
-
-bool ShmServer::feedFrame(uint32_t I, Session &S, const Action &A,
-                          const CommitSets *CS, uint32_t Bytes,
-                          const FrameTrace *FT, bool Draining, bool &Killed) {
-  ShmRingHdr *R = Seg.ring(I);
-  RingSw &W = Sw[I];
-  unsigned Attempts = 0;
-  for (;;) {
-    FeedResult FR = S.feedAction(A, CS, Bytes, FT);
-    switch (FR.St) {
-    case FeedResult::Status::Accepted:
-      return true;
-    case FeedResult::Status::Rejected:
-      // The session charged its own error budget; the frame is consumed
-      // (mirrors the TCP path, where rejected lines advance Expect). A
-      // budget-exhausted session surfaces as Closed on the next frame.
-      return true;
-    case FeedResult::Status::Closed:
-      Killed = true;
-      killRing(I, RingCode::SessionDead);
-      return false;
-    case FeedResult::Status::Backpressure:
-      if (!Draining) {
-        // When this thread pumps the service itself, a refusal usually
-        // just means the shard ring filled faster than the last pump
-        // slice drained it. Drain once and retry before escalating: an
-        // inline pump costs microseconds, while idling the producer for
-        // a jittered retry-after costs milliseconds of ring throughput.
-        if (Cfg.InlinePump && Attempts++ < 2) {
-          Svc.pumpAll();
-          break;
-        }
-        // Wire-level backpressure: leave the frame in the ring and hand
-        // the producer the service's jittered schedule via the control
-        // word — the same hint the TCP path puts in `retry-after-ns=`.
-        R->Control.store(FR.RetryAfterNanos, std::memory_order_release);
-        W.NotBefore = now() + FR.RetryAfterNanos;
-        St.BackpressureWrites.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      // Drain settle: push the frame through, bounded so a wedged shard
-      // cannot hang shutdown.
-      if (++Attempts > Cfg.DrainSettleAttempts) {
-        St.DrainDroppedFrames.fetch_add(1, std::memory_order_relaxed);
-        return true; // consumed-as-dropped; counted, never silent
-      }
-      if (Cfg.InlinePump) {
-        Svc.pumpAll();
-        Svc.poll();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-      break;
-    }
-  }
 }
 
 void ShmServer::writeVerdictsLocked(uint32_t I, Session &S) {
@@ -549,8 +465,8 @@ void ShmServer::serveClose(uint32_t I) {
       RingState::Closing)
     return; // consuming killed the ring; its path wrote the outcome
 
-  auto It = Bindings.find(W.ClientId);
-  if (It == Bindings.end() || It->second.OwnerRing != I) {
+  ClientStream *B = Streams.find(W.ClientId);
+  if (!B || B->Owner != I) {
     // The stream moved on without us (a resume claimed another ring while
     // this one sat in Closing with a dead producer): never close a session
     // another ring now owns. Quarantine; pid-death recycles it.
@@ -558,45 +474,25 @@ void ShmServer::serveClose(uint32_t I) {
                    std::memory_order_release);
     return;
   }
-  Session &S = *It->second.S;
-  S.close();
-  // Wait (bounded) for the session's queued items to apply so the verdict
-  // set is complete — close-drain, the shm mirror of `close` + `verdicts`.
-  for (uint32_t A = 0; S.state() != SessionState::Dead &&
-                       A != Cfg.DrainSettleAttempts;
-       ++A) {
-    if (Cfg.InlinePump) {
-      Svc.pumpAll();
-      Svc.drain();
-      Svc.poll();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-  writeVerdictsLocked(I, S);
-  Bindings.erase(It);
   St.ClosesServed.fetch_add(1, std::memory_order_relaxed);
-  R->OpenCode.store(static_cast<uint32_t>(RingCode::Ok),
-                    std::memory_order_relaxed);
-  R->State.store(static_cast<uint32_t>(RingState::Closed),
-                 std::memory_order_release);
+  closeRing(I, RingCode::Ok);
 }
 
-void ShmServer::killRing(uint32_t I, RingCode Code) {
+void ShmServer::closeRing(uint32_t I, RingCode Code) {
   ShmRingHdr *R = Seg.ring(I);
   RingSw &W = Sw[I];
-  auto It = Bindings.find(W.ClientId);
-  if (It != Bindings.end()) {
-    Session &S = *It->second.S;
+  if (ClientStream *B = Streams.find(W.ClientId)) {
+    Session &S = *B->S;
     S.close();
-    if (Cfg.InlinePump) {
-      Svc.drain();
-      Svc.poll();
-    }
-    // Verdicts accepted before the violation still get delivered — the
-    // stream died, not the accounting.
+    // Wait (bounded) for the session's queued items to apply so the
+    // verdict set is complete — the shm mirror of `close` + `verdicts`.
+    // After a violation the verdicts accepted before it still get
+    // delivered: the stream died, not the accounting.
+    for (unsigned A = 0; S.state() != SessionState::Dead && A != SettleBound;
+         ++A)
+      Svc.makeProgress();
     writeVerdictsLocked(I, S);
-    Bindings.erase(It);
+    Streams.erase(W.ClientId);
   }
   R->OpenCode.store(static_cast<uint32_t>(Code), std::memory_order_relaxed);
   R->State.store(static_cast<uint32_t>(RingState::Closed),
@@ -619,9 +515,7 @@ void ShmServer::reapRing(uint32_t I, bool PidDead) {
 
   // The session is NOT closed: the client may reincarnate and resume
   // (service idle timeout reaps truly abandoned sessions).
-  auto It = Bindings.find(W.ClientId);
-  if (It != Bindings.end() && It->second.OwnerRing == I)
-    It->second.OwnerRing = UINT32_MAX;
+  Streams.unbind(W.ClientId, I);
   R->State.store(static_cast<uint32_t>(RingState::Reaped),
                  std::memory_order_release);
   if (PidDead)
@@ -676,7 +570,7 @@ void ShmServer::drainAndStop() {
       }
       if (static_cast<RingState>(R->State.load(
               std::memory_order_acquire)) == RingState::Ready)
-        killRing(I, RingCode::Shutdown);
+        closeRing(I, RingCode::Shutdown);
       break;
     }
     case RingState::Closing:
@@ -685,10 +579,6 @@ void ShmServer::drainAndStop() {
     default:
       break;
     }
-  }
-  if (Cfg.InlinePump) {
-    Svc.pumpAll();
-    Svc.poll();
   }
   Drained = true;
 }

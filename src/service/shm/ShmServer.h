@@ -16,12 +16,10 @@
 ///    and recycles it. A wedged producer that wakes up can therefore only
 ///    scribble on its own quarantined ring, never on a successor's.
 ///
-///  - **Reconnect-resume.** Client ids map to sessions exactly as on the
-///    TCP path: a re-claim by a known client reattaches to its session and
-///    is told the next expected stream sequence (Resume word); frames
-///    below it are dups (dropped, counted), frames above it kill the
-///    session crash-only — a same-host producer that skips sequences is
-///    corrupt, not lossy.
+///  - **Reconnect-resume.** Streams follow service/ClientStream.h, as on
+///    the TCP path: a re-claim resumes at the Resume word; frames above it
+///    kill the session crash-only — a same-host producer that skips
+///    sequences is corrupt, not lossy.
 ///
 ///  - **Wire-level backpressure.** A frame the service refuses stays in
 ///    the ring; the jittered retry-after-ns schedule is written to the
@@ -42,13 +40,13 @@
 #ifndef GOLD_SERVICE_SHM_SHMSERVER_H
 #define GOLD_SERVICE_SHM_SHMSERVER_H
 
+#include "service/ClientStream.h"
 #include "service/Service.h"
 #include "service/shm/ShmRing.h"
 #include "support/Telemetry.h"
 
 #include <atomic>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace gold {
@@ -64,12 +62,6 @@ struct ShmConfig {
   uint64_t WedgeTimeoutNanos = 5ull * 1000000000;
   /// Frames consumed from one ring before moving on (fairness bound).
   uint32_t ConsumeBatch = 256;
-  /// Bounded pump attempts while settling one backpressured frame during
-  /// drain (mirrors NetServer's drain settle loop).
-  uint32_t DrainSettleAttempts = 50000;
-  /// Pump the service inline each poll round (single-threaded,
-  /// deterministic). Off when the service runs its own consumer threads.
-  bool InlinePump = true;
 };
 
 /// Monotonic transport counters; readable from any thread.
@@ -106,7 +98,8 @@ public:
   bool start(std::string &Err);
 
   /// One serving round: claim scan, per-ring consume (bounded), heartbeat
-  /// and pid reaping, recycle, then (InlinePump) pump the service.
+  /// and pid reaping, recycle, then pump the service unless its own
+  /// consumer threads run.
   /// \p TimeoutMs > 0 futex-waits on the doorbell that long when the
   /// previous round found no work. Returns frames consumed.
   size_t pollOnce(int TimeoutMs = 0);
@@ -137,20 +130,6 @@ public:
   std::string metricsJson() const;
 
 private:
-  /// Client id -> session stream state, the resume map. OwnerRing is the
-  /// ring currently feeding the session (UINT32_MAX when none: reaped or
-  /// released, awaiting a re-claim).
-  struct Binding {
-    Session *S = nullptr;
-    uint64_t Expect = 0; ///< next ClientSeq the server will feed
-    uint32_t OwnerRing = UINT32_MAX;
-    /// Client->server monotonic clock offset (server now minus the
-    /// producer's ClockOrigin header stamp, measured at claim). 0 for
-    /// legacy producers that never wrote ClockOrigin. Applied to
-    /// FrameHead::OriginNanos before it enters the service.
-    int64_t ClockOffset = 0;
-  };
-
   /// Server-local per-ring consumer state (never in the segment: a
   /// producer must not be able to corrupt the consumer's cursor).
   struct RingSw {
@@ -165,18 +144,14 @@ private:
   void handleClaim(uint32_t I);
   /// Consumes up to ConsumeBatch frames from ring \p I. Returns frames.
   size_t consumeRing(uint32_t I, bool Draining);
-  /// Feeds one decoded frame into session \p S; returns false on
-  /// backpressure (frame stays). The caller passes the binding's session
-  /// so the hot loop does one map lookup per batch, not per frame.
-  bool feedFrame(uint32_t I, Session &S, const Action &A,
-                 const CommitSets *CS, uint32_t Bytes, const FrameTrace *FT,
-                 bool Draining, bool &Killed);
   void serveClose(uint32_t I);
   /// Drains published frames, then quarantines the ring (Reaped).
   void reapRing(uint32_t I, bool PidDead);
-  /// Kills the session crash-only (decode/sequence violation) and moves
-  /// the ring to Closed with \p Code so the producer learns why.
-  void killRing(uint32_t I, RingCode Code);
+  /// Closes the ring's session (orderly, or crash-only after a decode or
+  /// sequence violation) once its queued items have applied, writes its
+  /// verdicts, and moves the ring to Closed with \p Code so the producer
+  /// learns why.
+  void closeRing(uint32_t I, RingCode Code);
   void writeVerdictsLocked(uint32_t I, Session &S);
   /// Rewrites every slot seq and recycles a ring whose pid is gone.
   void sanitizeRing(uint32_t I);
@@ -189,7 +164,9 @@ private:
   int Fd = -1;
   SegView Seg;
   std::vector<RingSw> Sw;
-  std::unordered_map<uint64_t, Binding> Bindings;
+  /// The resume map; a stream's owner token is the index of the ring
+  /// feeding it (none when reaped or released, awaiting a re-claim).
+  StreamTable Streams;
   std::atomic<bool> StopFlag{false};
   bool Drained = false;
   uint32_t LastDoorbell = 0;

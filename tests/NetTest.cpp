@@ -35,6 +35,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -393,18 +394,24 @@ TEST(NetServerTest, FramerRejectionsThroughSocketWithFragmentedReads) {
 }
 
 TEST(NetServerTest, BackpressureReplyCarriesSharedJitteredSchedule) {
-  // Tiny queued-byte budget, no pumping: once the budget fills the next
-  // line cannot be admitted, so the wire must refuse it with the shared
-  // backoff schedule.
+  // Tiny queued-byte budget behind started consumer threads that stall on
+  // every item: the server leaves pumping to those threads, so once the
+  // budget fills the next line cannot be admitted and the wire must refuse
+  // it with the shared backoff schedule. (Armed before start(): the
+  // consumers read the failpoint config.)
+  FailpointConfig FC;
+  FC.rate(Failpoint::ServiceIngestStall, 1000000);
+  FC.StallMicros = 500000;
+  std::optional<FailpointScope> Stall(std::in_place, FC);
   ServiceConfig SC;
   SC.Shards = 1;
   SC.RingCapacity = 8;
   SC.MaxQueuedBytes = 256;
   NetConfig NC;
-  NC.InlinePump = false;
   NC.Scrape = true;
   NetFixture FX;
   FX.init(NC, SC);
+  FX.Svc->start();
   std::vector<std::string> Lines = traceLines(smallRandomTrace(5));
 
   TClient C;
@@ -454,10 +461,16 @@ TEST(NetServerTest, BackpressureReplyCarriesSharedJitteredSchedule) {
   EXPECT_NE(Resp.find("net.backpressure_replies"), std::string::npos);
   EXPECT_NE(Resp.find("service.backpressure_rejects"), std::string::npos);
 
-  // The refused line was NOT buffered server-side: after the service is
-  // pumped, honoring the hint and re-sending the SAME line succeeds.
-  FX.Svc->pumpAll();
-  FX.Svc->poll();
+  // The refused line was NOT buffered server-side: once the stall lifts
+  // and the consumers drain the queue, honoring the hint and re-sending
+  // the SAME line succeeds.
+  Stall.reset();
+  auto DeadlineAt = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (FX.Svc->health().QueuedItems != 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), DeadlineAt)
+        << "consumers never drained after the stall lifted";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   std::snprintf(Head, sizeof(Head), "line 1 %zu ", Refused);
   ASSERT_TRUE(C.sendRaw(Head + Lines[Refused] + "\n"));
   ASSERT_TRUE(C.sendRaw("stat 1\n"));
@@ -816,9 +829,11 @@ struct SoakResult {
 /// One adversarial soak client: pipelines sequenced lines, honors
 /// backpressure/resync replies, answers pings, reconnects (with replay from
 /// the server's resume point) on every disconnect, and forces an abrupt
-/// disconnect every \p ReconnectEvery lines.
+/// disconnect every \p ReconnectEvery lines. \p BeforeClose, when set,
+/// runs once every line is settled and before the client closes.
 void soakClient(uint16_t Port, uint64_t Id, const std::vector<std::string> &Ls,
-                size_t ReconnectEvery, SoakResult &R) {
+                size_t ReconnectEvery, SoakResult &R,
+                const std::function<void()> &BeforeClose) {
   auto Deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(120);
   auto Expired = [&] { return std::chrono::steady_clock::now() > Deadline; };
@@ -962,6 +977,8 @@ void soakClient(uint16_t Port, uint64_t Id, const std::vector<std::string> &Ls,
     }
   }
 
+  if (BeforeClose)
+    BeforeClose();
   // Close and collect verdicts; shed/backpressured replies heal by re-send.
   for (unsigned Try = 0; Try != 400; ++Try) {
     if (Expired())
@@ -1010,9 +1027,9 @@ void soakClient(uint16_t Port, uint64_t Id, const std::vector<std::string> &Ls,
   R.Why = "close: no ack";
 }
 
-} // namespace
-
-TEST(NetSoakTest, EightChaoticClientsSurviveAllNetFailpointsAndMatchOracle) {
+/// The eight-client chaos soak, over an inline-pumped service or one
+/// running its own consumer threads.
+void runNetSoak(bool Threaded) {
   FailpointConfig FC;
   FC.Seed = 31;
   FC.rate(Failpoint::NetAcceptFail, 30000);    // 3% of accepts refused
@@ -1030,6 +1047,8 @@ TEST(NetSoakTest, EightChaoticClientsSurviveAllNetFailpointsAndMatchOracle) {
   NC.WriteDeadlineNanos = 2000ull * 1000000; // stalls are failpoint-driven
   NetFixture FX;
   FX.init(NC, SC);
+  if (Threaded)
+    FX.Svc->start();
 
   constexpr size_t K = 8;
   std::vector<Trace> Traces;
@@ -1042,11 +1061,28 @@ TEST(NetSoakTest, EightChaoticClientsSurviveAllNetFailpointsAndMatchOracle) {
   std::atomic<bool> Stop{false};
   std::thread Loop([&] { FX.Net->runLoop(Stop, 2); });
 
+  // A threaded service applies frames (and delivers verdicts) after the
+  // wire accepted them, so `close` alone would hand back an incomplete
+  // verdict set. Every client parks once its stream is settled; when all
+  // have, the queues drain and one pump round waits out any item still
+  // being applied, so each close carries the full set.
+  std::atomic<size_t> Parked{0};
+  std::atomic<bool> Release{false};
   std::vector<SoakResult> Results(K);
   std::vector<std::thread> Clients;
   for (size_t I = 0; I != K; ++I)
     Clients.emplace_back([&, I] {
-      soakClient(FX.Net->port(), I + 1, AllLines[I], 20, Results[I]);
+      bool DidPark = false;
+      auto Park = [&] {
+        DidPark = true;
+        Parked.fetch_add(1);
+        while (!Release.load())
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      };
+      soakClient(FX.Net->port(), I + 1, AllLines[I], 20, Results[I],
+                 Threaded ? std::function<void()>(Park) : nullptr);
+      if (!DidPark)
+        Parked.fetch_add(1); // failed early: never hold the others
     });
 
   // Mid-soak scrape: the health surface must answer while chaos runs.
@@ -1055,10 +1091,22 @@ TEST(NetSoakTest, EightChaoticClientsSurviveAllNetFailpointsAndMatchOracle) {
   if (Scrape.connectTo(FX.Net->scrapePort()) &&
       Scrape.sendRaw("GET /metrics HTTP/1.0\r\n\r\n"))
     Resp = Scrape.readAll(nullptr, 600);
+  if (Threaded) {
+    while (Parked.load() != K)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    auto DeadlineAt =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (FX.Svc->health().QueuedItems != 0 &&
+           std::chrono::steady_clock::now() < DeadlineAt)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    FX.Svc->pumpAll();
+    Release.store(true);
+  }
   for (std::thread &T : Clients)
     T.join();
   Stop.store(true);
   Loop.join();
+  FX.Net->drainAndStop();
 
   EXPECT_NE(Resp.find("gold-metrics-v1"), std::string::npos);
 
@@ -1076,6 +1124,17 @@ TEST(NetSoakTest, EightChaoticClientsSurviveAllNetFailpointsAndMatchOracle) {
   NetStats S = FX.Net->stats();
   EXPECT_GT(Reconnects, 0u);
   EXPECT_GT(S.Resumes, 0u); // reconnect-with-resume actually exercised
+  EXPECT_EQ(S.DrainDroppedFrames, 0u);
   EXPECT_EQ(FX.Svc->health().VerdictLossEvents, 0u);
   ASSERT_EQ(FX.Svc->health().ParseErrors, 0u);
+}
+
+} // namespace
+
+TEST(NetSoakTest, EightChaoticClientsSurviveAllNetFailpointsAndMatchOracle) {
+  runNetSoak(/*Threaded=*/false);
+}
+
+TEST(NetSoakTest, EightChaoticClientsMatchOracleOverThreadedService) {
+  runNetSoak(/*Threaded=*/true);
 }

@@ -42,6 +42,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -171,13 +172,13 @@ struct MappedSeg {
   }
 };
 
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // Cross-process differential
 //===----------------------------------------------------------------------===//
 
-TEST(ShmTest, ForkedProducersMatchOracleAndStdioPath) {
+/// Three forked producers diffed against the oracle and the stdio path,
+/// over an inline-pumped service or one running its own consumer threads.
+void forkedProducersDifferential(bool Threaded) {
   SegPath P("diff");
   constexpr unsigned Clients = 3;
 
@@ -223,6 +224,10 @@ TEST(ShmTest, ForkedProducersMatchOracleAndStdioPath) {
     Kids.push_back(Kid);
   }
 
+  // Threads start only after the forks: a child of a multi-threaded
+  // parent may inherit locks held by threads it does not have.
+  if (Threaded)
+    Svc.start();
   std::atomic<bool> Stop{false};
   std::thread Loop([&] { Shm.runLoop(Stop, 1); });
   JoinGuard LoopGuard{Loop, &Stop};
@@ -237,6 +242,7 @@ TEST(ShmTest, ForkedProducersMatchOracleAndStdioPath) {
   Loop.join();
   Shm.drainAndStop();
   Svc.shutdown();
+  EXPECT_EQ(Svc.health().VerdictLossEvents, 0u);
 
   size_t TotalActions = 0;
   for (const Trace &T : Traces)
@@ -249,11 +255,22 @@ TEST(ShmTest, ForkedProducersMatchOracleAndStdioPath) {
   EXPECT_EQ(St.SeqViolations, 0u);
   EXPECT_EQ(St.DupFrames, 0u);
   EXPECT_GE(St.SlotsIn, St.FramesIn); // commits carry continuation slots
+  EXPECT_EQ(St.DrainDroppedFrames, 0u);
 
   // The stdio leg: same traces, text parse, same oracle. Equality of both
   // legs against one oracle is the byte-exact transport differential.
   for (const Trace &T : Traces)
     EXPECT_EQ(stdioVerdicts(T), oracleVarStrings(T));
+}
+
+} // namespace
+
+TEST(ShmTest, ForkedProducersMatchOracleAndStdioPath) {
+  forkedProducersDifferential(/*Threaded=*/false);
+}
+
+TEST(ShmTest, ForkedProducersMatchOracleOverThreadedService) {
+  forkedProducersDifferential(/*Threaded=*/true);
 }
 
 //===----------------------------------------------------------------------===//
@@ -479,6 +496,13 @@ TEST(ShmTest, FullRingNeverBlocksProducerAndShedsAtBufferCap) {
 
 TEST(ShmTest, ServiceRefusalPublishesControlWordInsideBackoffEnvelope) {
   SegPath P("bp");
+  // Started consumer threads that stall on every item: the server leaves
+  // pumping to them, so the service's refusals must escalate to the ring.
+  // (Armed before start(): the consumers read the failpoint config.)
+  FailpointConfig FC;
+  FC.rate(Failpoint::ServiceIngestStall, 1000000);
+  FC.StallMicros = 500000;
+  std::optional<FailpointScope> Stall(std::in_place, FC);
   ServiceConfig SC;
   SC.RingCapacity = 8; // tiny ingest ring: refusals come fast
   DetectionService Svc(SC);
@@ -486,10 +510,10 @@ TEST(ShmTest, ServiceRefusalPublishesControlWordInsideBackoffEnvelope) {
   C.Path = P.Path;
   C.Rings = 1;
   C.SlotsPerRing = 64;
-  C.InlinePump = false; // the test owns the pump: refusals must escalate
   ShmServer Shm(Svc, C);
   std::string Err;
   ASSERT_TRUE(Shm.start(Err)) << Err;
+  Svc.start();
 
   client::GoldClientConfig CC;
   CC.ClientId = 1;
@@ -514,12 +538,12 @@ TEST(ShmTest, ServiceRefusalPublishesControlWordInsideBackoffEnvelope) {
     ASSERT_TRUE(GC.publish(W));
   ASSERT_TRUE(GC.flush(Err)) << Err;
 
-  // One unpumped poll round: the service's ring fills, feedFrame refuses,
+  // The stalled consumers let the service's ring fill, the feed refuses,
   // and the server writes the jittered retry-after into the Control word.
   auto DeadlineAt = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (Shm.stats().BackpressureWrites == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), DeadlineAt)
-        << "service never refused despite an unpumped 8-entry ring";
+        << "service never refused despite a stalled 8-entry ring";
     Shm.pollOnce(0);
   }
   ShmStats Mid = Shm.stats();
@@ -539,13 +563,12 @@ TEST(ShmTest, ServiceRefusalPublishesControlWordInsideBackoffEnvelope) {
   EXPECT_GE(Hint, Lo0);
   EXPECT_LE(Hint, HiMax);
 
-  // Recovery: pump the service between polls and the stream settles; the
-  // Control word is cleared with the first frame accepted afterwards.
+  // Recovery: lift the stall, the consumers drain and the stream settles;
+  // the Control word is cleared with the first frame accepted afterwards.
+  Stall.reset();
   while (Shm.stats().FramesIn != 32) {
     ASSERT_LT(std::chrono::steady_clock::now(), DeadlineAt)
-        << "stream never settled after pumping resumed";
-    Svc.pumpAll();
-    Svc.poll();
+        << "stream never settled after the stall lifted";
     Shm.pollOnce(0);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

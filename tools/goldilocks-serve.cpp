@@ -43,6 +43,7 @@
 #include "event/RandomTrace.h"
 #include "event/TraceIO.h"
 #include "hb/HbOracle.h"
+#include "service/ClientStream.h"
 #include "service/Service.h"
 #include "service/Snapshots.h"
 #include "service/net/NetServer.h"
@@ -269,29 +270,8 @@ bool parseFailpointArg(const char *V, FailpointConfig &FC) {
 }
 
 //===----------------------------------------------------------------------===//
-// Feeding with the backpressure contract.
+// Protocol mode
 //===----------------------------------------------------------------------===//
-
-/// Presents \p Line until it is accepted or terminally refused, honoring the
-/// retry-the-same-line backpressure contract. In inline mode the caller IS
-/// the consumer, so instead of sleeping we pump the shards (and poll, which
-/// un-wedges a shard whose ring is closed for reincarnation). In threaded
-/// mode we sleep the jittered retry-after the service handed back.
-FeedResult feedWithRetry(DetectionService &Svc, Session &S,
-                         const std::string &Line, bool Threaded) {
-  for (;;) {
-    FeedResult R = S.feedLine(Line);
-    if (R.St != FeedResult::Status::Backpressure || interrupted())
-      return R;
-    if (Threaded) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(
-          R.RetryAfterNanos ? R.RetryAfterNanos : 1000));
-    } else {
-      Svc.pumpAll();
-      Svc.poll();
-    }
-  }
-}
 
 size_t printVerdicts(Session &S, uint64_t Client) {
   std::vector<RaceReport> Races = S.takeVerdicts();
@@ -300,11 +280,7 @@ size_t printVerdicts(Session &S, uint64_t Client) {
   return Races.size();
 }
 
-//===----------------------------------------------------------------------===//
-// Protocol mode
-//===----------------------------------------------------------------------===//
-
-void runProtocol(DetectionService &Svc, bool Threaded) {
+void runProtocol(DetectionService &Svc) {
   std::unordered_map<uint64_t, Session *> Clients;
   std::string L;
   while (!interrupted() && std::getline(std::cin, L)) {
@@ -321,7 +297,7 @@ void runProtocol(DetectionService &Svc, bool Threaded) {
       continue;
     }
     if (Cmd == "pump") {
-      if (!Threaded) {
+      if (!Svc.consumersRunning()) {
         Svc.drain();
         Svc.poll();
       }
@@ -363,7 +339,10 @@ void runProtocol(DetectionService &Svc, bool Threaded) {
       std::getline(In, Rest);
       if (!Rest.empty() && Rest[0] == ' ')
         Rest.erase(0, 1);
-      FeedResult R = feedWithRetry(Svc, S, Rest, Threaded);
+      // The line already arrived: settle it (service/ClientStream.h). One
+      // still refused after the settle bound was not consumed.
+      FeedResult R =
+          feedFrame(Svc, FeedMode::Settle, [&] { return S.feedLine(Rest); });
       switch (R.St) {
       case FeedResult::Status::Accepted:
         break; // silent: streams are long
@@ -386,7 +365,7 @@ void runProtocol(DetectionService &Svc, bool Threaded) {
       }
     } else if (Cmd == "close") {
       S.close();
-      if (!Threaded) {
+      if (!Svc.consumersRunning()) {
         Svc.drain();
         Svc.poll();
       }
@@ -394,7 +373,7 @@ void runProtocol(DetectionService &Svc, bool Threaded) {
       std::printf("ok close %llu races=%zu\n", (unsigned long long)Id, N);
       std::fflush(stdout);
     } else if (Cmd == "verdicts") {
-      if (!Threaded)
+      if (!Svc.consumersRunning())
         Svc.drain();
       size_t N = printVerdicts(S, Id);
       std::printf("ok verdicts %llu races=%zu\n", (unsigned long long)Id, N);
@@ -425,7 +404,7 @@ struct SoakClient {
 /// variables against the happens-before oracle over its own trace. Returns
 /// the number of diverging clients.
 int runSoak(DetectionService &Svc, size_t K, unsigned Steps, unsigned Threads,
-            uint64_t Seed, uint64_t DurationMs, bool Threaded) {
+            uint64_t Seed, uint64_t DurationMs) {
   std::vector<SoakClient> Clients(K);
   for (size_t I = 0; I != K; ++I) {
     SoakClient &C = Clients[I];
@@ -465,12 +444,13 @@ int runSoak(DetectionService &Svc, size_t K, unsigned Steps, unsigned Threads,
       C.Closed = true;
       return false;
     }
-    FeedResult R = feedWithRetry(Svc, *C.S, C.Lines[C.Cursor], Threaded);
+    FeedResult R = feedFrame(Svc, FeedMode::Settle,
+                             [&] { return C.S->feedLine(C.Lines[C.Cursor]); });
     if (R.St == FeedResult::Status::Accepted) {
       ++C.Cursor;
       return true;
     }
-    if (R.St == FeedResult::Status::Backpressure) // interrupted mid-retry
+    if (R.St == FeedResult::Status::Backpressure) // never landed: cut short
       C.Truncated = true;
     else
       std::fprintf(stderr, "soak: client %llu stopped at line %zu: %s\n",
@@ -479,7 +459,7 @@ int runSoak(DetectionService &Svc, size_t K, unsigned Steps, unsigned Threads,
     return false;
   };
 
-  if (Threaded) {
+  if (Svc.consumersRunning()) {
     std::vector<std::thread> Producers;
     Producers.reserve(K);
     for (SoakClient &C : Clients)
@@ -497,10 +477,8 @@ int runSoak(DetectionService &Svc, size_t K, unsigned Steps, unsigned Threads,
       Progress = false;
       for (SoakClient &C : Clients)
         Progress |= FeedOne(C);
-      Svc.pumpAll();
-      Svc.poll();
+      Svc.makeProgress();
     }
-    Svc.drain();
   }
 
   // Quiesce before comparing: every queued item applied, verdicts delivered.
@@ -755,7 +733,6 @@ int main(int Argc, char **Argv) {
     NC.Port = ListenPort;
     NC.Scrape = ScrapeSet;
     NC.ScrapePort = ScrapePortNum;
-    NC.InlinePump = !Threaded;
     Net.emplace(Svc, NC);
     std::string Err;
     if (!Net->start(Err)) {
@@ -773,7 +750,6 @@ int main(int Argc, char **Argv) {
   std::optional<shm::ShmServer> Shm;
   if (!ShmC.Path.empty()) {
     ShmC.WedgeTimeoutNanos = ShmWedgeMs * 1000000ull;
-    ShmC.InlinePump = !Threaded;
     Shm.emplace(Svc, ShmC);
     std::string Err;
     if (!Shm->start(Err)) {
@@ -888,10 +864,9 @@ int main(int Argc, char **Argv) {
     if (Shm)
       Shm->drainAndStop();
   } else if (SoakClients) {
-    Rc = runSoak(Svc, SoakClients, SoakSteps, SoakThreads, Seed, DurationMs,
-                 Threaded);
+    Rc = runSoak(Svc, SoakClients, SoakSteps, SoakThreads, Seed, DurationMs);
   } else {
-    runProtocol(Svc, Threaded);
+    runProtocol(Svc);
   }
 
   // Crash-only quiesce (idempotent — soak already did it), then the final
