@@ -62,36 +62,7 @@ inline void jsonEngineStats(JsonWriter &J, const char *Key,
                             const EngineStats &S) {
   J.key(Key);
   J.beginObject();
-  J.kv("accesses", S.Accesses);
-  J.kv("pair_checks", S.PairChecks);
-  J.kv("sc1_xact", S.Sc1Xact);
-  J.kv("sc2_same_thread", S.Sc2SameThread);
-  J.kv("sc3_alock", S.Sc3ALock);
-  J.kv("filtered_walks", S.FilteredWalks);
-  J.kv("full_walks", S.FullWalks);
-  J.kv("cells_walked", S.CellsWalked);
-  J.kv("cells_allocated", S.CellsAllocated);
-  J.kv("cells_freed", S.CellsFreed);
-  J.kv("gc_runs", S.GcRuns);
-  J.kv("eager_advances", S.EagerAdvances);
-  J.kv("races", S.Races);
-  J.kv("skipped_disabled", S.SkippedDisabled);
-  J.kv("sync_events", S.SyncEvents);
-  J.kv("commits", S.Commits);
-  J.kv("degradation_events", S.DegradationEvents);
-  J.kv("degraded_vars", S.DegradedVars);
-  J.kv("forced_gcs", S.ForcedGcs);
-  J.kv("append_retries", S.AppendRetries);
-  J.kv("grace_waits", S.GraceWaits);
-  J.kv("grace_timeouts", S.GraceTimeouts);
-  J.kv("cells_quarantined", S.CellsQuarantined);
-  J.kv("reclaimed_dead_slots", S.ReclaimedDeadSlots);
-  J.kv("threads_registered", S.ThreadsRegistered);
-  J.kv("threads_deregistered", S.ThreadsDeregistered);
-  J.kv("slot_fallbacks", S.SlotFallbacks);
-  J.kv("tier_filtered", S.TierFiltered);
-  J.kv("escalations", S.Escalations);
-  J.kv("sampled_skips", S.SampledSkips);
+  jsonCounters(J, S);
   J.kv("short_circuit_fraction", S.shortCircuitFraction());
   J.endObject();
 }

@@ -202,14 +202,7 @@ size_t varProbeStart(uint64_t Key, size_t Mask) {
 } // namespace
 
 struct GoldilocksEngine::AtomicStats {
-  std::atomic<uint64_t> Accesses{0}, PairChecks{0}, Sc1Xact{0},
-      Sc2SameThread{0}, Sc3ALock{0}, FilteredWalks{0}, FullWalks{0},
-      CellsWalked{0}, CellsAllocated{0}, CellsFreed{0}, GcRuns{0},
-      EagerAdvances{0}, Races{0}, SkippedDisabled{0}, SyncEvents{0},
-      Commits{0}, DegradationEvents{0}, DegradedVars{0}, ForcedGcs{0},
-      AppendRetries{0}, GraceWaits{0}, GraceTimeouts{0}, CellsQuarantined{0},
-      ReclaimedDeadSlots{0}, ThreadsRegistered{0}, ThreadsDeregistered{0},
-      SlotFallbacks{0}, TierFiltered{0}, Escalations{0}, SampledSkips{0};
+  GOLD_COUNTER_ATOMICS(GOLD_ENGINE_COUNTERS)
 };
 
 //===----------------------------------------------------------------------===//
@@ -2188,39 +2181,7 @@ void GoldilocksEngine::enforceInfoBudget(VarId Current) {
 
 EngineStats GoldilocksEngine::stats() const {
   EngineStats Out;
-  auto L = [](const std::atomic<uint64_t> &A) {
-    return A.load(std::memory_order_relaxed);
-  };
-  Out.Accesses = L(S->Accesses);
-  Out.PairChecks = L(S->PairChecks);
-  Out.Sc1Xact = L(S->Sc1Xact);
-  Out.Sc2SameThread = L(S->Sc2SameThread);
-  Out.Sc3ALock = L(S->Sc3ALock);
-  Out.FilteredWalks = L(S->FilteredWalks);
-  Out.FullWalks = L(S->FullWalks);
-  Out.CellsWalked = L(S->CellsWalked);
-  Out.CellsAllocated = L(S->CellsAllocated);
-  Out.CellsFreed = L(S->CellsFreed);
-  Out.GcRuns = L(S->GcRuns);
-  Out.EagerAdvances = L(S->EagerAdvances);
-  Out.Races = L(S->Races);
-  Out.SkippedDisabled = L(S->SkippedDisabled);
-  Out.SyncEvents = L(S->SyncEvents);
-  Out.Commits = L(S->Commits);
-  Out.DegradationEvents = L(S->DegradationEvents);
-  Out.DegradedVars = L(S->DegradedVars);
-  Out.ForcedGcs = L(S->ForcedGcs);
-  Out.AppendRetries = L(S->AppendRetries);
-  Out.GraceWaits = L(S->GraceWaits);
-  Out.GraceTimeouts = L(S->GraceTimeouts);
-  Out.CellsQuarantined = L(S->CellsQuarantined);
-  Out.ReclaimedDeadSlots = L(S->ReclaimedDeadSlots);
-  Out.ThreadsRegistered = L(S->ThreadsRegistered);
-  Out.ThreadsDeregistered = L(S->ThreadsDeregistered);
-  Out.SlotFallbacks = L(S->SlotFallbacks);
-  Out.TierFiltered = L(S->TierFiltered);
-  Out.Escalations = L(S->Escalations);
-  Out.SampledSkips = L(S->SampledSkips);
+  S->loadInto(Out);
   return Out;
 }
 
@@ -2256,8 +2217,8 @@ EngineHealth GoldilocksEngine::health() const {
 
 TelemetrySnapshot GoldilocksEngine::telemetry() const {
   // Start from the registry (histograms and any registered instruments),
-  // then mirror the EngineStats counters and the health/arena gauges under
-  // the same names BenchJson uses, so --metrics-json readers see one flat
+  // then add the counter table (the names jsonEngineStats emits too) and
+  // the health/arena gauges, so --metrics-json readers see one flat
   // vocabulary regardless of which layer produced a number.
   TelemetrySnapshot Snap;
   if (Tel)
@@ -2265,37 +2226,7 @@ TelemetrySnapshot GoldilocksEngine::telemetry() const {
   else
     Snap.Level = TelemetryLevel::Off;
 
-  EngineStats St = stats();
-  Snap.addCounter("accesses", St.Accesses);
-  Snap.addCounter("pair_checks", St.PairChecks);
-  Snap.addCounter("sc1_xact", St.Sc1Xact);
-  Snap.addCounter("sc2_same_thread", St.Sc2SameThread);
-  Snap.addCounter("sc3_alock", St.Sc3ALock);
-  Snap.addCounter("filtered_walks", St.FilteredWalks);
-  Snap.addCounter("full_walks", St.FullWalks);
-  Snap.addCounter("cells_walked", St.CellsWalked);
-  Snap.addCounter("cells_allocated", St.CellsAllocated);
-  Snap.addCounter("cells_freed", St.CellsFreed);
-  Snap.addCounter("gc_runs", St.GcRuns);
-  Snap.addCounter("eager_advances", St.EagerAdvances);
-  Snap.addCounter("races", St.Races);
-  Snap.addCounter("skipped_disabled", St.SkippedDisabled);
-  Snap.addCounter("sync_events", St.SyncEvents);
-  Snap.addCounter("commits", St.Commits);
-  Snap.addCounter("degradation_events", St.DegradationEvents);
-  Snap.addCounter("degraded_vars", St.DegradedVars);
-  Snap.addCounter("forced_gcs", St.ForcedGcs);
-  Snap.addCounter("append_retries", St.AppendRetries);
-  Snap.addCounter("grace_waits", St.GraceWaits);
-  Snap.addCounter("grace_timeouts", St.GraceTimeouts);
-  Snap.addCounter("cells_quarantined", St.CellsQuarantined);
-  Snap.addCounter("reclaimed_dead_slots", St.ReclaimedDeadSlots);
-  Snap.addCounter("threads_registered", St.ThreadsRegistered);
-  Snap.addCounter("threads_deregistered", St.ThreadsDeregistered);
-  Snap.addCounter("slot_fallbacks", St.SlotFallbacks);
-  Snap.addCounter("tier_filtered", St.TierFiltered);
-  Snap.addCounter("escalations", St.Escalations);
-  Snap.addCounter("sampled_skips", St.SampledSkips);
+  addCounters(Snap, "", stats());
   Snap.addCounter("slab_cell_refills", CellArena->magazineRefills());
   Snap.addCounter("slab_var_refills", VarArena->magazineRefills());
   Snap.addCounter("slab_read_refills", ReadArena->magazineRefills());

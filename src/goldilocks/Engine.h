@@ -195,38 +195,45 @@ inline constexpr size_t FlightRingCapacity = 256;
 /// Seed for the deterministic sampling-tier hash.
 inline constexpr uint64_t SamplingSeed = 0x9E3779B97F4A7C15ull;
 
+/// The engine's monotonic event counters, one X(Field, "exported_name")
+/// row each (DESIGN.md §13). EngineStats, the atomic block behind it,
+/// stats(), telemetry() and the gold-bench-v1 stats block are all expanded
+/// from this table.
+#define GOLD_ENGINE_COUNTERS(X)                                                \
+  X(Accesses, "accesses")                        /* accesses presented */      \
+  X(PairChecks, "pair_checks")                   /* happens-before checks */   \
+  X(Sc1Xact, "sc1_xact")                         /* sc: both transactional */  \
+  X(Sc2SameThread, "sc2_same_thread")            /* sc: same owner */          \
+  X(Sc3ALock, "sc3_alock")                       /* sc: common lock held */    \
+  X(FilteredWalks, "filtered_walks")             /* thread-filtered walks */   \
+  X(FullWalks, "full_walks")                     /* full lockset walks */      \
+  X(CellsWalked, "cells_walked")                 /* cells visited by walks */  \
+  X(CellsAllocated, "cells_allocated")                                         \
+  X(CellsFreed, "cells_freed")                                                 \
+  X(GcRuns, "gc_runs")                                                         \
+  X(EagerAdvances, "eager_advances")             /* eager Info advances */     \
+  X(Races, "races")                                                            \
+  X(SkippedDisabled, "skipped_disabled")         /* skipped: disabled var */   \
+  X(SyncEvents, "sync_events")                   /* cells appended */          \
+  X(Commits, "commits")                                                        \
+  X(DegradationEvents, "degradation_events")     /* governor rungs fired */    \
+  X(DegradedVars, "degraded_vars")               /* vars the governor cut */   \
+  X(ForcedGcs, "forced_gcs")                     /* GCs forced by caps/OOM */  \
+  X(AppendRetries, "append_retries")             /* tail-CAS retries */        \
+  X(GraceWaits, "grace_waits")                   /* grace periods done */      \
+  X(GraceTimeouts, "grace_timeouts")             /* grace deadlines hit */     \
+  X(CellsQuarantined, "cells_quarantined")       /* cells ever quarantined */  \
+  X(ReclaimedDeadSlots, "reclaimed_dead_slots")  /* dead threads' slots */     \
+  X(ThreadsRegistered, "threads_registered")     /* new registerThread() */    \
+  X(ThreadsDeregistered, "threads_deregistered") /* live deregisterThread() */ \
+  X(SlotFallbacks, "slot_fallbacks")             /* fallback-mutex sections */ \
+  X(TierFiltered, "tier_filtered")               /* checks skipped: tier 0 */  \
+  X(Escalations, "escalations")                  /* vars escalated tier 0 */   \
+  X(SampledSkips, "sampled_skips")               /* skipped: sampling tier */
+
 /// Monotonic event counters, readable while the engine runs.
 struct EngineStats {
-  uint64_t Accesses = 0;         ///< data accesses presented to the engine
-  uint64_t PairChecks = 0;       ///< Check-Happens-Before invocations
-  uint64_t Sc1Xact = 0;          ///< resolved: both transactional
-  uint64_t Sc2SameThread = 0;    ///< resolved: same owner
-  uint64_t Sc3ALock = 0;         ///< resolved: common lock held
-  uint64_t FilteredWalks = 0;    ///< resolved by the thread-filtered walk
-  uint64_t FullWalks = 0;        ///< full lockset computations performed
-  uint64_t CellsWalked = 0;      ///< cells visited across all walks
-  uint64_t CellsAllocated = 0;
-  uint64_t CellsFreed = 0;
-  uint64_t GcRuns = 0;
-  uint64_t EagerAdvances = 0;    ///< Info records advanced partially-eagerly
-  uint64_t Races = 0;
-  uint64_t SkippedDisabled = 0;  ///< accesses skipped on disabled variables
-  uint64_t SyncEvents = 0;       ///< cells appended
-  uint64_t Commits = 0;
-  uint64_t DegradationEvents = 0; ///< governor ladder rungs fired
-  uint64_t DegradedVars = 0;      ///< variables disabled by the governor
-  uint64_t ForcedGcs = 0;         ///< collections forced by caps / OOM
-  uint64_t AppendRetries = 0;     ///< tail-CAS retries (append contention)
-  uint64_t GraceWaits = 0;        ///< epoch grace periods completed by GC
-  uint64_t GraceTimeouts = 0;     ///< grace periods that hit their deadline
-  uint64_t CellsQuarantined = 0;  ///< cells ever deferred to the quarantine
-  uint64_t ReclaimedDeadSlots = 0;///< epoch slots recycled from dead threads
-  uint64_t ThreadsRegistered = 0; ///< registerThread() on new threads
-  uint64_t ThreadsDeregistered = 0;///< deregisterThread() on live threads
-  uint64_t SlotFallbacks = 0;     ///< read sections on the fallback mutex
-  uint64_t TierFiltered = 0;      ///< pair checks skipped by the tier-0 proof
-  uint64_t Escalations = 0;       ///< variables escalated tier 0 -> precise
-  uint64_t SampledSkips = 0;      ///< accesses skipped by the sampling tier
+  GOLD_COUNTER_FIELDS(GOLD_ENGINE_COUNTERS)
 
   /// Fraction of happens-before pair checks resolved by the *constant-time*
   /// short circuits (the paper's Table 1 metric); the rest required lockset

@@ -490,24 +490,10 @@ void ServiceHealth::jsonBody(JsonWriter &J) const {
   J.kv("shards", Shards);
   J.kv("ladder_state", LadderState);
   J.kv("active_sessions", (uint64_t)ActiveSessions);
-  J.kv("sessions_opened", SessionsOpened);
-  J.kv("sessions_closed", SessionsClosed);
-  J.kv("sessions_shed", SessionsShed);
-  J.kv("lost_sessions", LostSessions);
-  J.kv("lines_accepted", LinesAccepted);
-  J.kv("parse_errors", ParseErrors);
-  J.kv("actions_routed", ActionsRouted);
-  J.kv("backpressure_rejects", BackpressureRejects);
-  J.kv("admission_rejects", AdmissionRejects);
   J.kv("queued_items", (uint64_t)QueuedItems);
   J.kv("queued_bytes", (uint64_t)QueuedBytes);
   J.kv("queued_bytes_high_water", (uint64_t)QueuedBytesHighWater);
-  J.kv("reincarnations", Reincarnations);
-  J.kv("items_discarded", ItemsDiscarded);
-  J.kv("replayed_actions", ReplayedActions);
-  J.kv("races_delivered", RacesDelivered);
-  J.kv("verdicts_dropped_dead", VerdictsDroppedDead);
-  J.kv("dropped_pending_actions", DroppedPendingActions);
+  jsonCounters(J, *this);
   J.kv("verdict_loss_events", VerdictLossEvents);
   J.kv("tier", Tier);
   J.kv("tier_filtered", TierFiltered);
@@ -1124,27 +1110,10 @@ ServiceHealth DetectionService::health() const {
   ServiceHealth H;
   H.Shards = NumShards;
   H.LadderState = LadderState.load(std::memory_order_relaxed);
-  H.SessionsOpened = C.SessionsOpened.load(std::memory_order_relaxed);
-  H.SessionsClosed = C.SessionsClosed.load(std::memory_order_relaxed);
-  H.SessionsShed = C.SessionsShed.load(std::memory_order_relaxed);
-  H.LostSessions = C.LostSessions.load(std::memory_order_relaxed);
-  H.LinesAccepted = C.LinesAccepted.load(std::memory_order_relaxed);
-  H.ParseErrors = C.ParseErrors.load(std::memory_order_relaxed);
-  H.ActionsRouted = C.ActionsRouted.load(std::memory_order_relaxed);
-  H.BackpressureRejects =
-      C.BackpressureRejects.load(std::memory_order_relaxed);
-  H.AdmissionRejects = C.AdmissionRejects.load(std::memory_order_relaxed);
   H.QueuedBytes = QueuedBytes.load(std::memory_order_relaxed);
   H.QueuedBytesHighWater =
       QueuedBytesHighWater.load(std::memory_order_relaxed);
-  H.Reincarnations = C.Reincarnations.load(std::memory_order_relaxed);
-  H.ItemsDiscarded = C.ItemsDiscarded.load(std::memory_order_relaxed);
-  H.ReplayedActions = C.ReplayedActions.load(std::memory_order_relaxed);
-  H.RacesDelivered = C.RacesDelivered.load(std::memory_order_relaxed);
-  H.VerdictsDroppedDead =
-      C.VerdictsDroppedDead.load(std::memory_order_relaxed);
-  H.DroppedPendingActions =
-      C.DroppedPendingActions.load(std::memory_order_relaxed);
+  C.loadInto(H);
   H.VerdictLossEvents = H.LostSessions + H.VerdictsDroppedDead +
                         H.DroppedPendingActions +
                         C.ReplayDiscardLoss.load(std::memory_order_relaxed);
@@ -1176,27 +1145,11 @@ TelemetrySnapshot DetectionService::telemetry() const {
     return TelemetrySnapshot();
   TelemetrySnapshot Snap = Tel->snapshot();
   ServiceHealth H = health();
-  Snap.addCounter("service.sessions_opened", H.SessionsOpened);
-  Snap.addCounter("service.sessions_closed", H.SessionsClosed);
-  Snap.addCounter("service.sessions_shed", H.SessionsShed);
-  Snap.addCounter("service.lost_sessions", H.LostSessions);
-  Snap.addCounter("service.lines_accepted", H.LinesAccepted);
-  Snap.addCounter("service.parse_errors", H.ParseErrors);
-  Snap.addCounter("service.actions_routed", H.ActionsRouted);
-  Snap.addCounter("service.backpressure_rejects", H.BackpressureRejects);
-  Snap.addCounter("service.admission_rejects", H.AdmissionRejects);
-  Snap.addCounter("service.reincarnations", H.Reincarnations);
-  Snap.addCounter("service.items_discarded", H.ItemsDiscarded);
-  Snap.addCounter("service.replayed_actions", H.ReplayedActions);
-  Snap.addCounter("service.races_delivered", H.RacesDelivered);
+  addCounters(Snap, "service.", H);
   Snap.addCounter("service.verdict_loss_events", H.VerdictLossEvents);
   Snap.addCounter("service.tier_filtered", H.TierFiltered);
   Snap.addCounter("service.escalations", H.Escalations);
   Snap.addCounter("service.sampled_skips", H.SampledSkips);
-  Snap.addCounter("service.idle_reaped",
-                  C.IdleReaped.load(std::memory_order_relaxed));
-  Snap.addCounter("service.wedge_requests",
-                  C.WedgeRequests.load(std::memory_order_relaxed));
   Snap.addGauge("service.ladder_state", H.LadderState);
   Snap.addGauge("service.active_sessions",
                 static_cast<int64_t>(H.ActiveSessions));

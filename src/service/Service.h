@@ -329,30 +329,38 @@ private:
 // Health
 //===----------------------------------------------------------------------===//
 
+/// The service's monotonic counters, one X(Field, "exported_name") row
+/// each (DESIGN.md §13). ServiceHealth, the atomic block behind it, the
+/// health JSON and the "service." telemetry counters are expanded from it.
+#define GOLD_SERVICE_COUNTERS(X)                                               \
+  X(SessionsOpened, "sessions_opened")                                         \
+  X(SessionsClosed, "sessions_closed")                                         \
+  X(SessionsShed, "sessions_shed")                                             \
+  X(LostSessions, "lost_sessions")                    /* shard-lost kills */   \
+  X(LinesAccepted, "lines_accepted")                                           \
+  X(ParseErrors, "parse_errors")                                               \
+  X(ActionsRouted, "actions_routed")                                           \
+  X(BackpressureRejects, "backpressure_rejects")                               \
+  X(AdmissionRejects, "admission_rejects")                                     \
+  X(Reincarnations, "reincarnations")                                          \
+  X(ItemsDiscarded, "items_discarded")                /* reincarnation drop */ \
+  X(ReplayedActions, "replayed_actions")              /* journal re-feeds */   \
+  X(RacesDelivered, "races_delivered")                                         \
+  X(VerdictsDroppedDead, "verdicts_dropped_dead")     /* for dead sessions */  \
+  X(DroppedPendingActions, "dropped_pending_actions") /* abandoned at close */ \
+  X(IdleReaped, "idle_reaped")                        /* idle-timeout kills */ \
+  X(WedgeRequests, "wedge_requests")                  /* shard-wedge fires */
+
 /// Point-in-time service health: ladder state, queue bounds, session and
 /// verdict-loss accounting, plus every shard engine's own health snapshot.
 struct ServiceHealth {
   unsigned Shards = 0;
   unsigned LadderState = 0; ///< 0 normal, 1 admission-paused, 2 shedding
   size_t ActiveSessions = 0;
-  uint64_t SessionsOpened = 0;
-  uint64_t SessionsClosed = 0;
-  uint64_t SessionsShed = 0;
-  uint64_t LostSessions = 0; ///< killed at reincarnation (truncated journal)
-  uint64_t LinesAccepted = 0;
-  uint64_t ParseErrors = 0;
-  uint64_t ActionsRouted = 0;
-  uint64_t BackpressureRejects = 0;
-  uint64_t AdmissionRejects = 0;
   size_t QueuedItems = 0;
   size_t QueuedBytes = 0;
   size_t QueuedBytesHighWater = 0;
-  uint64_t Reincarnations = 0;
-  uint64_t ItemsDiscarded = 0;   ///< queued items dropped by reincarnations
-  uint64_t ReplayedActions = 0;  ///< journal actions re-fed into fresh shards
-  uint64_t RacesDelivered = 0;
-  uint64_t VerdictsDroppedDead = 0;  ///< reports for already-dead sessions
-  uint64_t DroppedPendingActions = 0;///< pendings abandoned at session close
+  GOLD_COUNTER_FIELDS(GOLD_SERVICE_COUNTERS)
   /// Total accounted possible-verdict-loss events: lost sessions, dead
   /// drops, abandoned pendings, and (only when replay is disabled)
   /// reincarnation discards. Zero means the service is provably exact.
@@ -518,14 +526,12 @@ private:
   std::atomic<unsigned> LadderState{0};
   std::atomic<bool> ShuttingDown{false};
 
-  // Service counters (source of truth; telemetry mirrors them).
+  // Service counters (source of truth; health and telemetry mirror them).
   struct Counters {
-    std::atomic<uint64_t> SessionsOpened{0}, SessionsClosed{0},
-        SessionsShed{0}, LostSessions{0}, LinesAccepted{0}, ParseErrors{0},
-        ActionsRouted{0}, BackpressureRejects{0}, AdmissionRejects{0},
-        Reincarnations{0}, ItemsDiscarded{0}, ReplayedActions{0},
-        RacesDelivered{0}, VerdictsDroppedDead{0}, DroppedPendingActions{0},
-        ReplayDiscardLoss{0}, IdleReaped{0}, WedgeRequests{0};
+    GOLD_COUNTER_ATOMICS(GOLD_SERVICE_COUNTERS)
+    /// Reincarnation discards with replay off; exported only as part of
+    /// the derived VerdictLossEvents.
+    std::atomic<uint64_t> ReplayDiscardLoss{0};
   };
   Counters C;
 

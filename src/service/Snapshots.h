@@ -9,6 +9,12 @@
 /// matter which path served them, so dashboards and the CI schema checker
 /// never care whether a snapshot came from a file or a scrape.
 ///
+/// A document is composed from the service's own health/telemetry plus one
+/// section per live front end (FrontEndSection: the TCP server's "net",
+/// the shm server's "shm"). A host running both front ends over one
+/// service therefore renders one document carrying both sections, on every
+/// path.
+///
 /// SnapshotProducer additionally keeps the live time-series history
 /// (gold-timeseries-v1, served at GET /metrics/history): a bounded ring of
 /// per-interval *delta* samples — counter rates, gauge absolutes, and
@@ -33,23 +39,46 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace gold {
 
-/// Complete gold-health-v1 document for \p H. \p Extra, when provided, is
-/// invoked inside the top-level object so a front end can append its own
-/// section (the NetServer adds a "net" object) without forking the schema.
-inline std::string
-renderHealthJson(const ServiceHealth &H, const char *Source, bool Interrupted,
-                 const std::function<void(JsonWriter &)> &Extra = nullptr) {
+/// One front end's part of the service documents: its counters (and
+/// histograms) in the metrics snapshot, and its object in the health
+/// document. Implementations read only atomics, so any thread may render.
+class FrontEndSection {
+public:
+  virtual void addMetrics(TelemetrySnapshot &Snap) const = 0;
+  virtual void addHealth(JsonWriter &J) const = 0;
+
+protected:
+  ~FrontEndSection() = default;
+};
+
+using FrontEnds = std::vector<const FrontEndSection *>;
+
+/// Service telemetry plus every front end's counter section.
+inline TelemetrySnapshot composeMetrics(const DetectionService &Svc,
+                                        const FrontEnds &Fronts) {
+  TelemetrySnapshot Snap = Svc.telemetry();
+  for (const FrontEndSection *F : Fronts)
+    F->addMetrics(Snap);
+  return Snap;
+}
+
+/// Complete gold-health-v1 document: service health plus every front end's
+/// section.
+inline std::string composeHealthJson(const DetectionService &Svc,
+                                     const char *Source, bool Interrupted,
+                                     const FrontEnds &Fronts) {
   JsonWriter J;
   J.beginObject();
   J.kv("schema", "gold-health-v1");
   J.kv("source", Source);
   J.kv("interrupted", Interrupted);
-  H.jsonBody(J);
-  if (Extra)
-    Extra(J);
+  Svc.health().jsonBody(J);
+  for (const FrontEndSection *F : Fronts)
+    F->addHealth(J);
   J.endObject();
   return J.str();
 }
@@ -82,11 +111,11 @@ deltaBucketQuantile(const std::vector<std::pair<unsigned, uint64_t>> &Buckets,
 }
 
 /// The single snapshot producer behind every live render path: the scrape
-/// port's /metrics, the --metrics-interval-ms emitter, and the
-/// /metrics/history time-series ring all pull from the one \p Metrics
-/// callback installed here. sample() is called on the emitter's period (or
-/// by tests); metricsJson()/historyJson() may be called concurrently from
-/// the serving thread.
+/// port's /healthz, /metrics and /metrics/history, the
+/// --metrics-interval-ms emitter, and the exit artifacts all pull from the
+/// \p Metrics and \p Health callbacks installed here. sample() is called
+/// on the emitter's period (or by tests); the render calls may run
+/// concurrently from the serving thread.
 class SnapshotProducer {
 public:
   struct Config {
@@ -98,14 +127,24 @@ public:
     uint64_t IntervalHintMillis = 1000;
   };
 
-  SnapshotProducer(Config C, std::function<TelemetrySnapshot()> Metrics)
-      : Cfg(std::move(C)), Metrics(std::move(Metrics)) {}
+  /// \p Health renders the gold-health-v1 document; a producer without one
+  /// serves metrics and history only and must not be asked for health.
+  SnapshotProducer(
+      Config C, std::function<TelemetrySnapshot()> Metrics,
+      std::function<std::string(bool Interrupted)> Health = nullptr)
+      : Cfg(std::move(C)), Metrics(std::move(Metrics)),
+        Health(std::move(Health)) {}
 
   const std::string &source() const { return Cfg.Source; }
 
   /// The gold-metrics-v1 document every render path shares.
   std::string metricsJson() const {
     return renderMetricsJson(Metrics(), Cfg.Source.c_str());
+  }
+
+  /// The gold-health-v1 document every render path shares.
+  std::string healthJson(bool Interrupted) const {
+    return Health(Interrupted);
   }
 
   /// Takes one snapshot and appends the delta against the previous one to
@@ -231,6 +270,7 @@ private:
 
   const Config Cfg;
   const std::function<TelemetrySnapshot()> Metrics;
+  const std::function<std::string(bool)> Health;
   mutable std::mutex Mu;
   bool HavePrev = false;
   uint64_t PrevNanos = 0;

@@ -667,12 +667,12 @@ void NetServer::dispatchScrape(Conn &C) {
     Status = "405 Method Not Allowed";
     Body = "{\"error\":\"method not allowed\"}";
   } else if (Path == "/healthz") {
-    Body = healthJson(false);
+    Body = Snapshots ? Snapshots->healthJson(false) : healthJson(false);
   } else if (Path == "/metrics") {
-    Body = metricsJson();
+    Body = Snapshots ? Snapshots->metricsJson() : metricsJson();
   } else if (Path == "/metrics/history") {
-    if (History) {
-      Body = History->historyJson();
+    if (Snapshots) {
+      Body = Snapshots->historyJson();
     } else {
       Status = "404 Not Found";
       Body = "{\"error\":\"history not enabled (run with a metrics "
@@ -924,95 +924,15 @@ void NetServer::drainAndStop() {
 
 NetStats NetServer::stats() const {
   NetStats S;
-  S.ConnsAccepted = St.ConnsAccepted.load(std::memory_order_relaxed);
-  S.ConnsRejected = St.ConnsRejected.load(std::memory_order_relaxed);
-  S.Resumes = St.Resumes.load(std::memory_order_relaxed);
-  S.FramesIn = St.FramesIn.load(std::memory_order_relaxed);
-  S.BytesIn = St.BytesIn.load(std::memory_order_relaxed);
-  S.BytesOut = St.BytesOut.load(std::memory_order_relaxed);
-  S.OversizeFrames = St.OversizeFrames.load(std::memory_order_relaxed);
-  S.DupFrames = St.DupFrames.load(std::memory_order_relaxed);
-  S.ProtocolErrors = St.ProtocolErrors.load(std::memory_order_relaxed);
-  S.BackpressureReplies =
-      St.BackpressureReplies.load(std::memory_order_relaxed);
-  S.ResyncReplies = St.ResyncReplies.load(std::memory_order_relaxed);
-  S.FalloutFrames = St.FalloutFrames.load(std::memory_order_relaxed);
-  S.RepliesShed = St.RepliesShed.load(std::memory_order_relaxed);
-  S.VerdictRepliesDropped =
-      St.VerdictRepliesDropped.load(std::memory_order_relaxed);
-  S.PartialFramesDropped =
-      St.PartialFramesDropped.load(std::memory_order_relaxed);
-  S.DrainDroppedFrames =
-      St.DrainDroppedFrames.load(std::memory_order_relaxed);
-  S.HeartbeatsSent = St.HeartbeatsSent.load(std::memory_order_relaxed);
-  S.ConnHangs = St.ConnHangs.load(std::memory_order_relaxed);
-  S.WriteStalls = St.WriteStalls.load(std::memory_order_relaxed);
-  S.ScrapeRequests = St.ScrapeRequests.load(std::memory_order_relaxed);
+  St.loadInto(S);
   for (unsigned I = 0; I != NumConnCloseReasons; ++I)
     S.ClosedBy[I] = St.ClosedBy[I].load(std::memory_order_relaxed);
   return S;
 }
 
-std::string NetServer::healthJson(bool Interrupted) const {
-  ServiceHealth H = Svc.health();
+void NetServer::addMetrics(TelemetrySnapshot &Snap) const {
   NetStats S = stats();
-  return renderHealthJson(
-      H, "goldilocks-netserver", Interrupted, [&](JsonWriter &J) {
-        J.key("net");
-        J.beginObject();
-        J.kv("conns_accepted", S.ConnsAccepted);
-        J.kv("conns_rejected", S.ConnsRejected);
-        J.kv("conns_open", (uint64_t)openConnections());
-        J.kv("resumes", S.Resumes);
-        J.kv("frames_in", S.FramesIn);
-        J.kv("bytes_in", S.BytesIn);
-        J.kv("bytes_out", S.BytesOut);
-        J.kv("oversize_frames", S.OversizeFrames);
-        J.kv("dup_frames", S.DupFrames);
-        J.kv("protocol_errors", S.ProtocolErrors);
-        J.kv("backpressure_replies", S.BackpressureReplies);
-        J.kv("resync_replies", S.ResyncReplies);
-        J.kv("fallout_frames", S.FalloutFrames);
-        J.kv("replies_shed", S.RepliesShed);
-        J.kv("verdict_replies_dropped", S.VerdictRepliesDropped);
-        J.kv("partial_frames_dropped", S.PartialFramesDropped);
-        J.kv("drain_dropped_frames", S.DrainDroppedFrames);
-        J.kv("heartbeats_sent", S.HeartbeatsSent);
-        J.kv("conn_hangs", S.ConnHangs);
-        J.kv("write_stalls", S.WriteStalls);
-        J.kv("scrape_requests", S.ScrapeRequests);
-        J.key("closed_by");
-        J.beginObject();
-        for (unsigned I = 0; I != NumConnCloseReasons; ++I)
-          J.kv(connCloseReasonName(static_cast<ConnClose>(I)), S.ClosedBy[I]);
-        J.endObject();
-        J.endObject();
-      });
-}
-
-TelemetrySnapshot NetServer::metricsSnapshot() const {
-  TelemetrySnapshot Snap = Svc.telemetry();
-  NetStats S = stats();
-  Snap.addCounter("net.conns_accepted", S.ConnsAccepted);
-  Snap.addCounter("net.conns_rejected", S.ConnsRejected);
-  Snap.addCounter("net.resumes", S.Resumes);
-  Snap.addCounter("net.frames_in", S.FramesIn);
-  Snap.addCounter("net.bytes_in", S.BytesIn);
-  Snap.addCounter("net.bytes_out", S.BytesOut);
-  Snap.addCounter("net.oversize_frames", S.OversizeFrames);
-  Snap.addCounter("net.dup_frames", S.DupFrames);
-  Snap.addCounter("net.protocol_errors", S.ProtocolErrors);
-  Snap.addCounter("net.backpressure_replies", S.BackpressureReplies);
-  Snap.addCounter("net.resync_replies", S.ResyncReplies);
-  Snap.addCounter("net.fallout_frames", S.FalloutFrames);
-  Snap.addCounter("net.replies_shed", S.RepliesShed);
-  Snap.addCounter("net.verdict_replies_dropped", S.VerdictRepliesDropped);
-  Snap.addCounter("net.partial_frames_dropped", S.PartialFramesDropped);
-  Snap.addCounter("net.drain_dropped_frames", S.DrainDroppedFrames);
-  Snap.addCounter("net.heartbeats_sent", S.HeartbeatsSent);
-  Snap.addCounter("net.conn_hangs", S.ConnHangs);
-  Snap.addCounter("net.write_stalls", S.WriteStalls);
-  Snap.addCounter("net.scrape_requests", S.ScrapeRequests);
+  addCounters(Snap, "net.", S);
   for (unsigned I = 0; I != NumConnCloseReasons; ++I)
     Snap.addCounter(std::string("net.closed_by.") +
                         connCloseReasonName(static_cast<ConnClose>(I)),
@@ -1024,7 +944,28 @@ TelemetrySnapshot NetServer::metricsSnapshot() const {
   // (gold-metrics-v1 forbids histograms below that level).
   if (Snap.Level < TelemetryLevel::Full)
     Snap.Level = TelemetryLevel::Full;
-  return Snap;
+}
+
+void NetServer::addHealth(JsonWriter &J) const {
+  NetStats S = stats();
+  J.key("net");
+  J.beginObject();
+  J.kv("conns_open", (uint64_t)openConnections());
+  jsonCounters(J, S);
+  J.key("closed_by");
+  J.beginObject();
+  for (unsigned I = 0; I != NumConnCloseReasons; ++I)
+    J.kv(connCloseReasonName(static_cast<ConnClose>(I)), S.ClosedBy[I]);
+  J.endObject();
+  J.endObject();
+}
+
+std::string NetServer::healthJson(bool Interrupted) const {
+  return composeHealthJson(Svc, "goldilocks-netserver", Interrupted, {this});
+}
+
+TelemetrySnapshot NetServer::metricsSnapshot() const {
+  return composeMetrics(Svc, {this});
 }
 
 std::string NetServer::metricsJson() const {

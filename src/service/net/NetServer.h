@@ -105,33 +105,38 @@ struct NetConfig {
 /// Protocol errors tolerated per connection before close.
 inline constexpr size_t ConnErrorBudget = 16;
 
+/// The TCP front end's monotonic counters, one X(Field, "exported_name")
+/// row each (DESIGN.md §13): NetStats, the atomic block behind it, the
+/// health "net" section and the "net." telemetry counters expand from it.
+#define GOLD_NET_COUNTERS(X)                                                   \
+  X(ConnsAccepted, "conns_accepted")                                           \
+  X(ConnsRejected, "conns_rejected")                                           \
+  X(Resumes, "resumes")                               /* resumed opens */      \
+  X(FramesIn, "frames_in")                                                     \
+  X(BytesIn, "bytes_in")                                                       \
+  X(BytesOut, "bytes_out")                                                     \
+  X(OversizeFrames, "oversize_frames")                                         \
+  X(DupFrames, "dup_frames")                          /* below-expect dups */  \
+  X(ProtocolErrors, "protocol_errors")                                         \
+  X(BackpressureReplies, "backpressure_replies")                               \
+  X(ResyncReplies, "resync_replies")                                           \
+  X(FalloutFrames, "fallout_frames")                  /* after backpressure */ \
+  X(RepliesShed, "replies_shed")                      /* non-critical shed */  \
+  X(VerdictRepliesDropped, "verdict_replies_dropped") /* queue overflow */     \
+  X(PartialFramesDropped, "partial_frames_dropped")   /* unterminated */       \
+  X(DrainDroppedFrames, "drain_dropped_frames")       /* drain unsettled */    \
+  X(HeartbeatsSent, "heartbeats_sent")                                         \
+  X(ConnHangs, "conn_hangs")                          /* net-conn-hang */      \
+  X(WriteStalls, "write_stalls")                      /* net-write-stall */    \
+  X(ScrapeRequests, "scrape_requests")
+
 /// Monotonic wire-level counters; readable from any thread.
 struct NetStats {
-  uint64_t ConnsAccepted = 0;
-  uint64_t ConnsRejected = 0;
-  uint64_t Resumes = 0; ///< reconnect-with-resume opens
-  uint64_t FramesIn = 0;
-  uint64_t BytesIn = 0;
-  uint64_t BytesOut = 0;
-  uint64_t OversizeFrames = 0;
-  uint64_t DupFrames = 0; ///< seq below expected: retransmit, ignored
-  uint64_t ProtocolErrors = 0;
-  uint64_t BackpressureReplies = 0;
-  uint64_t ResyncReplies = 0;
-  uint64_t FalloutFrames = 0; ///< pipelined frames silently dropped after a
-                              ///< backpressure reply (client will rewind)
-  uint64_t RepliesShed = 0;           ///< non-critical replies dropped
-  uint64_t VerdictRepliesDropped = 0; ///< race replies lost to overflow
-  uint64_t PartialFramesDropped = 0;  ///< unterminated frames at close
-  uint64_t DrainDroppedFrames = 0;    ///< frames drain could not settle
-  uint64_t HeartbeatsSent = 0;
-  uint64_t ConnHangs = 0;   ///< net-conn-hang failpoint fires
-  uint64_t WriteStalls = 0; ///< net-write-stall failpoint fires
-  uint64_t ScrapeRequests = 0;
+  GOLD_COUNTER_FIELDS(GOLD_NET_COUNTERS)
   std::array<uint64_t, NumConnCloseReasons> ClosedBy{};
 };
 
-class NetServer {
+class NetServer : public FrontEndSection {
 public:
   NetServer(DetectionService &Svc, NetConfig C = NetConfig());
   ~NetServer();
@@ -172,18 +177,26 @@ public:
     return FrameLatency.snapshot("net.frame_latency_ns");
   }
 
-  /// Live gold-health-v1 document (service health + a "net" section).
+  /// The "net" section of the service documents: net.* counters, the
+  /// open-connection gauge and the frame-latency histogram; the health
+  /// document's "net" object.
+  void addMetrics(TelemetrySnapshot &Snap) const override;
+  void addHealth(JsonWriter &J) const override;
+
+  /// Live gold-health-v1 document (service health + the "net" section).
   std::string healthJson(bool Interrupted) const;
-  /// The telemetry snapshot behind metricsJson(): service telemetry + net
-  /// counters + the frame-latency histogram. This is what a shared
-  /// SnapshotProducer installs as its source.
+  /// Service telemetry + the "net" section: the snapshot behind
+  /// metricsJson().
   TelemetrySnapshot metricsSnapshot() const;
   /// Live gold-metrics-v1 document (renderMetricsJson of metricsSnapshot).
   std::string metricsJson() const;
 
-  /// Binds the /metrics/history endpoint to a SnapshotProducer owned by
-  /// the embedding tool (null unbinds; the endpoint then answers 404).
-  void bindHistory(SnapshotProducer *P) { History = P; }
+  /// Serves /healthz, /metrics and /metrics/history from \p P, a producer
+  /// owned by the embedding tool that renders health as well as metrics —
+  /// so a host running several front ends scrapes the one composed
+  /// document. Null unbinds: /healthz and /metrics then serve this server's
+  /// own documents and /metrics/history answers 404.
+  void bindSnapshots(SnapshotProducer *P) { Snapshots = P; }
 
 private:
   struct Conn;
@@ -214,7 +227,7 @@ private:
   uint16_t BoundScrapePort = 0;
   std::vector<std::unique_ptr<Conn>> Conns; // loop thread only
   StreamTable Streams; ///< stream owner token: the connection's fd
-  SnapshotProducer *History = nullptr; ///< /metrics/history source (owner's)
+  SnapshotProducer *Snapshots = nullptr; ///< bound scrape source (owner's)
   std::atomic<bool> StopFlag{false};
   bool Drained = false;
   std::atomic<size_t> OpenConns{0};
@@ -222,12 +235,7 @@ private:
   // Counters mirrored into NetStats; atomics so snapshot threads may read
   // while the loop runs.
   struct AtomicStats {
-    std::atomic<uint64_t> ConnsAccepted{0}, ConnsRejected{0}, Resumes{0},
-        FramesIn{0}, BytesIn{0}, BytesOut{0}, OversizeFrames{0}, DupFrames{0},
-        ProtocolErrors{0}, BackpressureReplies{0}, ResyncReplies{0},
-        FalloutFrames{0}, RepliesShed{0}, VerdictRepliesDropped{0}, PartialFramesDropped{0},
-        DrainDroppedFrames{0}, HeartbeatsSent{0}, ConnHangs{0}, WriteStalls{0},
-        ScrapeRequests{0};
+    GOLD_COUNTER_ATOMICS(GOLD_NET_COUNTERS)
     std::array<std::atomic<uint64_t>, NumConnCloseReasons> ClosedBy{};
   } St;
   Histogram FrameLatency; ///< frame extracted -> dispatch complete, nanos

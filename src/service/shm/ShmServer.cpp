@@ -585,83 +585,30 @@ void ShmServer::drainAndStop() {
 
 ShmStats ShmServer::stats() const {
   ShmStats S;
-  S.Claims = St.Claims.load(std::memory_order_relaxed);
-  S.Resumes = St.Resumes.load(std::memory_order_relaxed);
-  S.OpensRefused = St.OpensRefused.load(std::memory_order_relaxed);
-  S.FramesIn = St.FramesIn.load(std::memory_order_relaxed);
-  S.SlotsIn = St.SlotsIn.load(std::memory_order_relaxed);
-  S.DupFrames = St.DupFrames.load(std::memory_order_relaxed);
-  S.DecodeErrors = St.DecodeErrors.load(std::memory_order_relaxed);
-  S.SeqViolations = St.SeqViolations.load(std::memory_order_relaxed);
-  S.BackpressureWrites = St.BackpressureWrites.load(std::memory_order_relaxed);
-  S.ProducersReaped = St.ProducersReaped.load(std::memory_order_relaxed);
-  S.ProducersWedged = St.ProducersWedged.load(std::memory_order_relaxed);
-  S.RingsRecycled = St.RingsRecycled.load(std::memory_order_relaxed);
-  S.ClosesServed = St.ClosesServed.load(std::memory_order_relaxed);
-  S.VerdictsWritten = St.VerdictsWritten.load(std::memory_order_relaxed);
-  S.VerdictsTruncated = St.VerdictsTruncated.load(std::memory_order_relaxed);
-  S.DrainDroppedFrames =
-      St.DrainDroppedFrames.load(std::memory_order_relaxed);
-  S.Wakeups = St.Wakeups.load(std::memory_order_relaxed);
+  St.loadInto(S);
   return S;
 }
 
-std::string ShmServer::healthJson(bool Interrupted) const {
-  ServiceHealth H = Svc.health();
-  ShmStats S = stats();
-  return renderHealthJson(
-      H, "goldilocks-shmserver", Interrupted, [&](JsonWriter &J) {
-        J.key("shm");
-        J.beginObject();
-        J.kv("claims", S.Claims);
-        J.kv("resumes", S.Resumes);
-        J.kv("opens_refused", S.OpensRefused);
-        J.kv("frames_in", S.FramesIn);
-        J.kv("slots_in", S.SlotsIn);
-        J.kv("dup_frames", S.DupFrames);
-        J.kv("decode_errors", S.DecodeErrors);
-        J.kv("seq_violations", S.SeqViolations);
-        J.kv("backpressure_writes", S.BackpressureWrites);
-        J.kv("producers_reaped", S.ProducersReaped);
-        J.kv("producers_wedged", S.ProducersWedged);
-        J.kv("rings_recycled", S.RingsRecycled);
-        J.kv("closes_served", S.ClosesServed);
-        J.kv("verdicts_written", S.VerdictsWritten);
-        J.kv("verdicts_truncated", S.VerdictsTruncated);
-        J.kv("drain_dropped_frames", S.DrainDroppedFrames);
-        J.kv("wakeups", S.Wakeups);
-        J.endObject();
-      });
-}
-
-TelemetrySnapshot ShmServer::metricsSnapshot() const {
-  TelemetrySnapshot Snap = Svc.telemetry();
-  ShmStats S = stats();
-  Snap.addCounter("shm.claims", S.Claims);
-  Snap.addCounter("shm.resumes", S.Resumes);
-  Snap.addCounter("shm.opens_refused", S.OpensRefused);
-  Snap.addCounter("shm.frames_in", S.FramesIn);
-  Snap.addCounter("shm.slots_in", S.SlotsIn);
-  Snap.addCounter("shm.dup_frames", S.DupFrames);
-  Snap.addCounter("shm.decode_errors", S.DecodeErrors);
-  Snap.addCounter("shm.seq_violations", S.SeqViolations);
-  Snap.addCounter("shm.backpressure_writes", S.BackpressureWrites);
-  Snap.addCounter("shm.producers_reaped", S.ProducersReaped);
-  Snap.addCounter("shm.producers_wedged", S.ProducersWedged);
-  Snap.addCounter("shm.rings_recycled", S.RingsRecycled);
-  Snap.addCounter("shm.closes_served", S.ClosesServed);
-  Snap.addCounter("shm.verdicts_written", S.VerdictsWritten);
-  Snap.addCounter("shm.verdicts_truncated", S.VerdictsTruncated);
-  Snap.addCounter("shm.drain_dropped_frames", S.DrainDroppedFrames);
-  Snap.addCounter("shm.wakeups", S.Wakeups);
+void ShmServer::addMetrics(TelemetrySnapshot &Snap) const {
+  addCounters(Snap, "shm.", stats());
   Snap.Histograms.push_back(EnqueueLatency.snapshot("shm.enqueue_latency_ns"));
   // The transport always records its latency histogram, so the rendered
   // document is 'full' regardless of the service telemetry level.
   if (Snap.Level < TelemetryLevel::Full)
     Snap.Level = TelemetryLevel::Full;
-  return Snap;
 }
 
-std::string ShmServer::metricsJson() const {
-  return renderMetricsJson(metricsSnapshot(), "goldilocks-shmserver");
+void ShmServer::addHealth(JsonWriter &J) const {
+  J.key("shm");
+  J.beginObject();
+  jsonCounters(J, stats());
+  J.endObject();
+}
+
+std::string ShmServer::healthJson(bool Interrupted) const {
+  return composeHealthJson(Svc, "goldilocks-shmserver", Interrupted, {this});
+}
+
+TelemetrySnapshot ShmServer::metricsSnapshot() const {
+  return composeMetrics(Svc, {this});
 }

@@ -42,6 +42,7 @@
 
 #include "service/ClientStream.h"
 #include "service/Service.h"
+#include "service/Snapshots.h"
 #include "service/shm/ShmRing.h"
 #include "support/Telemetry.h"
 
@@ -64,28 +65,34 @@ struct ShmConfig {
   uint32_t ConsumeBatch = 256;
 };
 
+/// The shm front end's monotonic counters, one X(Field, "exported_name")
+/// row each (DESIGN.md §13): ShmStats, the atomic block behind it, the
+/// health "shm" section and the "shm." telemetry counters expand from it.
+#define GOLD_SHM_COUNTERS(X)                                                   \
+  X(Claims, "claims")                           /* rings handed out */         \
+  X(Resumes, "resumes")                         /* live-session re-claims */   \
+  X(OpensRefused, "opens_refused")              /* admission refusals */       \
+  X(FramesIn, "frames_in")                      /* frames fed into sessions */ \
+  X(SlotsIn, "slots_in")                        /* frames + continuations */   \
+  X(DupFrames, "dup_frames")                    /* below-resume retransmits */ \
+  X(DecodeErrors, "decode_errors")              /* corrupt; session killed */  \
+  X(SeqViolations, "seq_violations")            /* ahead; session killed */    \
+  X(BackpressureWrites, "backpressure_writes")  /* Control-word hints */       \
+  X(ProducersReaped, "producers_reaped")        /* dead-pid reaps */           \
+  X(ProducersWedged, "producers_wedged")        /* stale-heartbeat reaps */    \
+  X(RingsRecycled, "rings_recycled")            /* sanitize -> Free */         \
+  X(ClosesServed, "closes_served")              /* Closing -> Closed */        \
+  X(VerdictsWritten, "verdicts_written")        /* pairs placed in rings */    \
+  X(VerdictsTruncated, "verdicts_truncated")    /* beyond VerdictCap */        \
+  X(DrainDroppedFrames, "drain_dropped_frames") /* drain unsettled */          \
+  X(Wakeups, "wakeups")                         /* doorbell futex wakes */
+
 /// Monotonic transport counters; readable from any thread.
 struct ShmStats {
-  uint64_t Claims = 0;         ///< rings handed to producers (incl. resumes)
-  uint64_t Resumes = 0;        ///< re-claims attached to a live session
-  uint64_t OpensRefused = 0;   ///< admission refusals (busy or ladder)
-  uint64_t FramesIn = 0;       ///< frames fed into sessions
-  uint64_t SlotsIn = 0;        ///< slots consumed (frames + continuations)
-  uint64_t DupFrames = 0;      ///< below-resume retransmits, dropped
-  uint64_t DecodeErrors = 0;   ///< corrupt frames; session killed
-  uint64_t SeqViolations = 0;  ///< above-expect frames; session killed
-  uint64_t BackpressureWrites = 0; ///< Control-word retry-after publishes
-  uint64_t ProducersReaped = 0;    ///< dead-pid reaps
-  uint64_t ProducersWedged = 0;    ///< stale-heartbeat reaps (pid alive)
-  uint64_t RingsRecycled = 0;      ///< sanitize -> Free transitions
-  uint64_t ClosesServed = 0;       ///< orderly Closing -> Closed
-  uint64_t VerdictsWritten = 0;    ///< verdict pairs placed in rings
-  uint64_t VerdictsTruncated = 0;  ///< pairs beyond VerdictCap, counted
-  uint64_t DrainDroppedFrames = 0; ///< frames drain could not settle
-  uint64_t Wakeups = 0;            ///< doorbell futex wakes observed
+  GOLD_COUNTER_FIELDS(GOLD_SHM_COUNTERS)
 };
 
-class ShmServer {
+class ShmServer : public FrontEndSection {
 public:
   ShmServer(DetectionService &Svc, ShmConfig C);
   ~ShmServer();
@@ -120,14 +127,15 @@ public:
     return EnqueueLatency.snapshot("shm.enqueue_latency_ns");
   }
 
-  /// Live gold-health-v1 document (service health + an "shm" section).
+  /// The "shm" section of the service documents: shm.* counters and the
+  /// enqueue-latency histogram; the health document's "shm" object.
+  void addMetrics(TelemetrySnapshot &Snap) const override;
+  void addHealth(JsonWriter &J) const override;
+
+  /// Live gold-health-v1 document (service health + the "shm" section).
   std::string healthJson(bool Interrupted) const;
-  /// The telemetry snapshot behind metricsJson(): service telemetry + shm
-  /// counters + the enqueue-latency histogram. This is what a shared
-  /// SnapshotProducer installs as its source.
+  /// Service telemetry + the "shm" section.
   TelemetrySnapshot metricsSnapshot() const;
-  /// Live gold-metrics-v1 document (renderMetricsJson of metricsSnapshot).
-  std::string metricsJson() const;
 
 private:
   /// Server-local per-ring consumer state (never in the segment: a
@@ -172,11 +180,7 @@ private:
   uint32_t LastDoorbell = 0;
 
   struct AtomicStats {
-    std::atomic<uint64_t> Claims{0}, Resumes{0}, OpensRefused{0}, FramesIn{0},
-        SlotsIn{0}, DupFrames{0}, DecodeErrors{0}, SeqViolations{0},
-        BackpressureWrites{0}, ProducersReaped{0}, ProducersWedged{0},
-        RingsRecycled{0}, ClosesServed{0}, VerdictsWritten{0},
-        VerdictsTruncated{0}, DrainDroppedFrames{0}, Wakeups{0};
+    GOLD_COUNTER_ATOMICS(GOLD_SHM_COUNTERS)
   } St;
   Histogram EnqueueLatency; ///< slot decode -> dispatch complete, nanos
 };

@@ -22,6 +22,8 @@
 #ifndef GOLD_SUPPORT_TELEMETRY_H
 #define GOLD_SUPPORT_TELEMETRY_H
 
+#include "support/Json.h"
+
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -32,8 +34,6 @@
 #include <vector>
 
 namespace gold {
-
-class JsonWriter;
 
 //===----------------------------------------------------------------------===//
 // Level
@@ -179,6 +179,59 @@ struct TelemetrySnapshot {
   /// Complete gold-metrics-v1 document; \p Source names the producer.
   std::string json(const char *Source) const;
 };
+
+//===----------------------------------------------------------------------===//
+// Counter tables
+//===----------------------------------------------------------------------===//
+
+// A layer names each of its monotonic counters exactly once, as one row of
+// an X-macro table in export order:
+//
+//   #define GOLD_NET_COUNTERS(X) X(FramesIn, "frames_in") X(BytesIn, ...)
+//
+// Everything else is expanded from that table: the public snapshot struct
+// (GOLD_COUNTER_FIELDS), the relaxed-atomic block the hot paths increment
+// and its relaxed-load copy (GOLD_COUNTER_ATOMICS), and — through the
+// generated forEachCounter() — the JSON members (jsonCounters) and the
+// telemetry counters (addCounters). Adding a counter is adding a row
+// (DESIGN.md §13).
+
+#define GOLD_COUNTER_FIELD(Field, Name) uint64_t Field = 0;
+#define GOLD_COUNTER_VISIT(Field, Name) Visit(Name, Field);
+#define GOLD_COUNTER_ATOMIC(Field, Name) std::atomic<uint64_t> Field{0};
+#define GOLD_COUNTER_LOAD(Field, Name)                                         \
+  Out.Field = Field.load(std::memory_order_relaxed);
+
+/// Snapshot-struct members for a counter table: one uint64_t per row, and
+/// forEachCounter(Visit), which calls Visit("name", value) in row order.
+#define GOLD_COUNTER_FIELDS(TABLE)                                             \
+  TABLE(GOLD_COUNTER_FIELD)                                                    \
+  template <typename VisitT> void forEachCounter(VisitT &&Visit) const {       \
+    TABLE(GOLD_COUNTER_VISIT)                                                  \
+  }
+
+/// Atomic-block members for a counter table: one relaxed atomic per row,
+/// and loadInto(Out), the relaxed-load copy into any struct holding the
+/// table's GOLD_COUNTER_FIELDS.
+#define GOLD_COUNTER_ATOMICS(TABLE)                                            \
+  TABLE(GOLD_COUNTER_ATOMIC)                                                   \
+  template <typename SnapT> void loadInto(SnapT &Out) const {                  \
+    TABLE(GOLD_COUNTER_LOAD)                                                   \
+  }
+
+/// Emits every row of \p S's counter table as a JSON member, in row order.
+template <typename StatsT> void jsonCounters(JsonWriter &J, const StatsT &S) {
+  S.forEachCounter([&J](const char *Name, uint64_t V) { J.kv(Name, V); });
+}
+
+/// Adds every row of \p S's counter table to \p Snap as "<Prefix><name>".
+template <typename StatsT>
+void addCounters(TelemetrySnapshot &Snap, const char *Prefix,
+                 const StatsT &S) {
+  S.forEachCounter([&](const char *Name, uint64_t V) {
+    Snap.addCounter(std::string(Prefix) + Name, V);
+  });
+}
 
 /// Named registry of counters, gauges and histograms. Registration is
 /// mutex-guarded and deque-backed so returned references stay valid for the

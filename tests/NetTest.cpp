@@ -584,10 +584,12 @@ TEST(NetServerTest, HistoryEndpointServesTheRingAndUnboundIs404) {
   // binding it turns the endpoint on with whatever the ring holds.
   SnapshotProducer::Config PC;
   PC.HistoryCapacity = 8;
-  SnapshotProducer P(PC, [&] { return FX.Net->metricsSnapshot(); });
+  SnapshotProducer P(
+      PC, [&] { return FX.Net->metricsSnapshot(); },
+      [&](bool Interrupted) { return FX.Net->healthJson(Interrupted); });
   P.sample(1000000000ull); // primes the baseline
   P.sample(3000000000ull); // first real delta sample
-  FX.Net->bindHistory(&P);
+  FX.Net->bindSnapshots(&P);
 
   TClient On;
   ASSERT_TRUE(On.connectTo(FX.Net->scrapePort()));

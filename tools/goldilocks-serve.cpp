@@ -761,37 +761,34 @@ int main(int Argc, char **Argv) {
   }
 
   // One SnapshotProducer behind every live render path: the interval
-  // emitter, the exit-time metrics artifact, and the scrape port's
-  // /metrics/history ring all pull from this single source, so the
-  // documents can never drift between paths.
-  // Artifact precedence when several front ends are live: the shm document
-  // embeds service health plus the shm.* section, so it wins over the net
-  // document for the file artifacts; the HTTP scrape endpoint always serves
-  // the net renderer's own view regardless.
+  // emitter, both exit artifacts, and the scrape port's /healthz, /metrics
+  // and /metrics/history all pull from this single source, so the
+  // documents can never drift between paths. Each document is the service's
+  // own plus one section per live front end: a host running both TCP and
+  // shm serves one document carrying both the net and the shm sections.
+  FrontEnds Fronts;
+  if (Net)
+    Fronts.push_back(&*Net);
+  if (Shm)
+    Fronts.push_back(&*Shm);
   SnapshotProducer::Config PC;
-  PC.Source = Shm ? "goldilocks-shmserver"
-              : Net ? "goldilocks-netserver"
-                    : "goldilocks-serve";
+  PC.Source = Fronts.size() != 1 ? "goldilocks-serve"
+              : Net              ? "goldilocks-netserver"
+                                 : "goldilocks-shmserver";
   PC.HistoryCapacity = HistoryCap;
   PC.IntervalHintMillis = MetricsIntervalMs ? MetricsIntervalMs : 1000;
-  SnapshotProducer Producer(PC, [&]() -> TelemetrySnapshot {
-    if (Shm)
-      return Shm->metricsSnapshot();
-    if (Net)
-      return Net->metricsSnapshot();
-    return Svc.telemetry();
-  });
+  SnapshotProducer Producer(
+      PC, [&] { return composeMetrics(Svc, Fronts); },
+      [&](bool Interrupted) {
+        return composeHealthJson(Svc, PC.Source.c_str(), Interrupted, Fronts);
+      });
   if (Net)
-    Net->bindHistory(&Producer);
+    Net->bindSnapshots(&Producer);
 
   auto EmitSnapshots = [&](bool Final) -> bool {
     bool Ok = true;
     if (!HealthJsonPath.empty()) {
-      std::string Doc = Shm   ? Shm->healthJson(interrupted())
-                        : Net ? Net->healthJson(interrupted())
-                              : renderHealthJson(Svc.health(),
-                                                 "goldilocks-serve",
-                                                 interrupted());
+      std::string Doc = Producer.healthJson(interrupted());
       std::ofstream Out(HealthJsonPath);
       if (Out)
         Out << Doc << '\n';
