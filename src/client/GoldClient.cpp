@@ -42,6 +42,14 @@ constexpr uint64_t PollNanos = 100 * 1000;
 /// this many. Small enough that the ring never starves, large enough to
 /// amortize the per-pump preamble.
 constexpr uint64_t ShmBatch = 8;
+/// TCP pipelining batch (frames written before reply processing).
+constexpr size_t TcpBatch = 16;
+/// `stat` poll cadence while unsent work exists (TCP), in frames.
+constexpr size_t StatEveryFrames = 512;
+/// Non-progressing `stat` polls before the cursor rewinds to expect.
+constexpr unsigned StatStallPolls = 3;
+/// Ceiling for any single backoff sleep.
+constexpr uint64_t MaxWaitNanos = 5ull * 1000000;
 
 } // namespace
 
@@ -70,7 +78,7 @@ struct GoldClient::ShmState {
 struct GoldClient::TcpState {
   int Fd = -1;
   std::string In;           ///< unconsumed reply bytes
-  std::string CloseReply;   ///< latest ok/err close|verdicts line
+  std::string CloseReply;   ///< latest reply to close
   uint64_t FramesSinceStat = 0;
   uint64_t LastStatNanos = 0;
   uint64_t LastStatAccepted = UINT64_MAX;
@@ -112,8 +120,8 @@ uint64_t GoldClient::nowNanos() const {
 void GoldClient::sleepNanos(uint64_t Ns) const {
   if (Ns == 0)
     return;
-  if (Ns > Cfg.MaxWaitNanos)
-    Ns = Cfg.MaxWaitNanos;
+  if (Ns > MaxWaitNanos)
+    Ns = MaxWaitNanos;
   timespec Ts;
   Ts.tv_sec = static_cast<time_t>(Ns / 1000000000ull);
   Ts.tv_nsec = static_cast<long>(Ns % 1000000000ull);
@@ -212,7 +220,7 @@ bool GoldClient::publish(const Action &A, const CommitSets *CS) {
   if (Shm) {
     if (NextSeq - SendSeq >= ShmBatch)
       pump(Err);
-  } else if (NextSeq - SendSeq >= Cfg.Batch) {
+  } else if (NextSeq - SendSeq >= TcpBatch) {
     pump(Err);
   }
   return !Dead;
@@ -937,7 +945,7 @@ bool GoldClient::tcpHandleReply(const std::string &L, std::string &Err) {
     // was shed — rewind to its expect (dup-dropping makes this free).
     if (BaseSeq < NextSeq) {
       if (Accepted == Tcp->LastStatAccepted) {
-        if (++Tcp->StallPolls >= Cfg.StatStallPolls && Expect < SendSeq) {
+        if (++Tcp->StallPolls >= StatStallPolls && Expect < SendSeq) {
           SendSeq = Expect < BaseSeq ? BaseSeq : Expect;
           ++St.StallRewinds;
           Tcp->StallPolls = 0;
@@ -956,8 +964,8 @@ bool GoldClient::tcpHandleReply(const std::string &L, std::string &Err) {
       PendingRaces.push_back(Var);
     return true;
   }
-  if (hasPrefix(L, OkClose) || hasPrefix(L, OkVerdicts) ||
-      hasPrefix(L, "err close") || hasPrefix(L, "err verdicts")) {
+  if (hasPrefix(L, OkClose) || hasPrefix(L, "err close") ||
+      hasPrefix(L, "err verdicts")) {
     Tcp->CloseReply = L;
     return true;
   }
@@ -1019,7 +1027,7 @@ bool GoldClient::pumpTcp(std::string &Err) {
   // Ship the next batch.
   std::string Out;
   char Head[64];
-  size_t Budget = Cfg.Batch;
+  size_t Budget = TcpBatch;
   while (SendSeq < NextSeq && Budget--) {
     const Rec &R = recAt(SendSeq);
     // `@origin` rides only on sampled frames — unsampled lines are byte
@@ -1057,13 +1065,13 @@ bool GoldClient::pumpTcp(std::string &Err) {
   // Ack tracking: periodic stat while work is in flight, throttled so a
   // wait loop does not flood the server.
   bool WantStat =
-      Tcp->FramesSinceStat >= Cfg.StatEveryFrames ||
+      Tcp->FramesSinceStat >= StatEveryFrames ||
       (BaseSeq < NextSeq && SendSeq == NextSeq &&
        nowNanos() - Tcp->LastStatNanos > 1000000ull);
   if (WantStat && !Tcp->StatPending)
     return tcpSendStat(Err);
   if (Tcp->StatPending &&
-      nowNanos() - Tcp->LastStatNanos > Cfg.MaxWaitNanos * 4)
+      nowNanos() - Tcp->LastStatNanos > MaxWaitNanos * 4)
     Tcp->StatPending = false; // reply lost to a shed write; re-ask later
   return true;
 }

@@ -74,14 +74,6 @@ struct GoldClientConfig {
 
   /// Unacknowledged-action replay buffer; beyond it publish() sheds.
   size_t BufferCapActions = 1u << 15;
-  /// TCP pipelining batch (frames written before reply processing).
-  size_t Batch = 16;
-  /// `stat` poll cadence while unsent work exists (TCP), in frames.
-  size_t StatEveryFrames = 512;
-  /// Non-progressing `stat` polls before the cursor rewinds to expect.
-  unsigned StatStallPolls = 3;
-  /// Ceiling for any single backoff sleep.
-  uint64_t MaxWaitNanos = 5ull * 1000000;
   /// Overall deadline for flush()/closeAndCollect().
   uint64_t OpTimeoutNanos = 30ull * 1000000000;
 

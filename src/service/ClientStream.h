@@ -4,8 +4,8 @@
 /// The transport-independent half of a client stream — the contract of
 /// DESIGN.md §14 that net::NetServer, shm::ShmServer and goldilocks-serve's
 /// stdio loop share: resume where the server says (StreamTable), drop
-/// duplicates and never feed past a gap (ClientStream::classify), and
-/// settle every received frame through backpressure (feedFrame).
+/// duplicates and never feed past a gap (ClientStream::classify), settle
+/// frames through backpressure (feedFrame), close completely (settleClose).
 ///
 /// Everything here runs on the transport's serving thread; the per-frame
 /// calls are inline and allocation-free.
@@ -28,8 +28,8 @@ namespace gold {
 /// Owner token of a stream that no transport endpoint currently feeds.
 inline constexpr uint64_t NoStreamOwner = UINT64_MAX;
 
-/// Progress steps spent settling one refused frame on the settle path
-/// before it is dropped (and counted): a wedged shard cannot hang a drain.
+/// Progress steps for one refused frame on the settle path (then dropped
+/// and counted) or one close (then retried): a wedged shard hangs neither.
 inline constexpr unsigned SettleBound = 50000;
 
 /// Where a frame seq stands relative to the stream's Expect.
@@ -212,6 +212,20 @@ inline FeedResult feedFrame(DetectionService &Svc, FeedMode Mode,
       return R;
     Svc.makeProgress();
   }
+}
+
+/// Closes \p S and steps the service until the session is Dead: every
+/// action it admitted applied, its verdict set complete. False after
+/// SettleBound steps; the front end then answers with a retry, never a
+/// partial set.
+inline bool settleClose(DetectionService &Svc, Session &S) {
+  S.close();
+  for (unsigned Steps = 0; S.state() != SessionState::Dead; ++Steps) {
+    if (Steps == SettleBound)
+      return false;
+    Svc.makeProgress();
+  }
+  return true;
 }
 
 } // namespace gold

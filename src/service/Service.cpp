@@ -6,6 +6,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <utility>
 
 #include <unistd.h>
 
@@ -192,6 +193,7 @@ void Session::closeLocked(CloseReason R) {
     if (State == SessionState::Open) {
       State = SessionState::Draining;
       Reason = R;
+      finalizeIfDrainedLocked();
     }
     return;
   }
@@ -215,6 +217,15 @@ void Session::closeLocked(CloseReason R) {
     break;
   }
   (void)Parser.take(); // a Dead session is never replayed; free the journal
+}
+
+void Session::finalizeIfDrainedLocked() {
+  // Acquire pairs with retireItem's decrement: the last verdicts are in.
+  if (State != SessionState::Draining ||
+      QueuedItems.load(std::memory_order_acquire) != 0)
+    return;
+  State = SessionState::Dead;
+  (void)Parser.take(); // fully applied: never replayed again
 }
 
 std::vector<RaceReport> Session::takeVerdicts() {
@@ -532,6 +543,8 @@ struct DetectionService::ShardState {
   /// never race an application.
   std::mutex ConsumerMu;
   std::atomic<bool> WedgeRequested{false};
+  /// Owner of the item the wedge lost; retired after the replay rebuilds it.
+  Session *WedgeDropped = nullptr;
 };
 
 static unsigned clampShards(unsigned N) {
@@ -738,6 +751,13 @@ void DetectionService::applyItem(ShardState &Sh, const ShardItem &It) {
   });
 }
 
+void DetectionService::retireItem(Session *Se) {
+  if (!Se || Se->QueuedItems.fetch_sub(1, std::memory_order_acq_rel) != 1)
+    return;
+  std::lock_guard<std::mutex> G(Se->Mu);
+  Se->finalizeIfDrainedLocked();
+}
+
 size_t DetectionService::pumpShard(unsigned Shard) {
   ShardState &Sh = *ShardsVec[Shard];
   std::lock_guard<std::mutex> G(Sh.ConsumerMu);
@@ -748,19 +768,16 @@ size_t DetectionService::pumpShard(unsigned Shard) {
   while (N < PumpBatch && Sh.Ring.tryPop(It)) {
     QueuedBytes.fetch_sub(It.Bytes, std::memory_order_relaxed);
     Session *Se = sessionAt(It.SessionIdx);
-    // QueuedItems is decremented only after the item was applied (or
-    // consciously skipped): poll() finalizes a Draining session when the
-    // count hits zero, and an early decrement would let it free the
-    // journal and kill the session while its final action is still in
-    // flight between pop and apply — dropping that action silently.
+    // Retired only after it was applied (or consciously skipped): retiring
+    // the last item finalizes a Draining session, so an early retire would
+    // drop its final action, still in flight, silently.
     ++N;
     failpointStall(Failpoint::ServiceIngestStall);
     if (failpoint(Failpoint::ServiceShardWedge)) {
       // Simulated consumer crash after dequeue, before apply: the item is
-      // lost from the queue, which is exactly what the journal replay must
-      // recover. The shard stops consuming until poll() reincarnates it.
-      if (Se)
-        Se->QueuedItems.fetch_sub(1, std::memory_order_relaxed);
+      // lost from the queue. The shard stops until poll() reincarnates it,
+      // whose journal replay must recover the item — and only then retire it.
+      Sh.WedgeDropped = Se;
       Sh.WedgeRequested.store(true, std::memory_order_relaxed);
       C.WedgeRequests.fetch_add(1, std::memory_order_relaxed);
       C.ItemsDiscarded.fetch_add(1, std::memory_order_relaxed);
@@ -805,8 +822,7 @@ size_t DetectionService::pumpShard(unsigned Shard) {
         }
       }
     } // else: a dead session's queued items are skipped, not applied
-    if (Se)
-      Se->QueuedItems.fetch_sub(1, std::memory_order_relaxed);
+    retireItem(Se);
     It = ShardItem(); // drop the commit-set reference before the next pop
   }
   return N;
@@ -851,13 +867,14 @@ void DetectionService::reincarnateLocked(unsigned S, ShardState &Sh) {
   Sh.Ring.close();
 
   // 2. Discard the queue. The journal — not the queue — is the source of
-  //    truth, so dropping items is safe; every drop is counted.
+  //    truth, so dropping items is safe; every drop is counted. They (and
+  //    the item a wedge lost) retire only after the replay in step 4.
+  std::vector<Session *> Dropped{std::exchange(Sh.WedgeDropped, nullptr)};
   ShardItem It;
   size_t Disc = 0;
   while (Sh.Ring.tryPop(It)) {
     QueuedBytes.fetch_sub(It.Bytes, std::memory_order_relaxed);
-    if (Session *Se = sessionAt(It.SessionIdx))
-      Se->QueuedItems.fetch_sub(1, std::memory_order_relaxed);
+    Dropped.push_back(sessionAt(It.SessionIdx));
     ++Disc;
   }
   It = ShardItem();
@@ -928,7 +945,9 @@ void DetectionService::reincarnateLocked(unsigned S, ShardState &Sh) {
     }
   }
 
-  // 5. Reopen for business.
+  // 5. Retire the dropped items, now replayed, and reopen for business.
+  for (Session *Se : Dropped)
+    retireItem(Se);
   Sh.Ring.reopen();
   Sh.WedgeRequested.store(false, std::memory_order_relaxed);
   C.Reincarnations.fetch_add(1, std::memory_order_relaxed);
@@ -1001,25 +1020,18 @@ void DetectionService::poll() {
     }
   }
 
+  if (!Cfg.IdleTimeoutNanos)
+    return;
   uint64_t NowN = Now();
   for (uint32_t Idx = 0; Idx != N; ++Idx) {
     Session *Se = sessionAt(Idx);
     if (!Se)
       continue;
     std::lock_guard<std::mutex> SG(Se->Mu);
-    // Idle reaping.
-    if (Cfg.IdleTimeoutNanos && Se->State == SessionState::Open) {
-      uint64_t Last = Se->LastFeedNanos.load(std::memory_order_relaxed);
-      if (NowN > Last && NowN - Last > Cfg.IdleTimeoutNanos)
-        Se->closeLocked(CloseReason::IdleTimeout);
-    }
-    // A Draining session with nothing queued anywhere is fully applied:
-    // finalize it (verdicts stay takeable; the journal is freed).
-    if (Se->State == SessionState::Draining && !Se->HasPending &&
-        Se->QueuedItems.load(std::memory_order_relaxed) == 0) {
-      Se->State = SessionState::Dead;
-      (void)Se->Parser.take();
-    }
+    uint64_t Last = Se->LastFeedNanos.load(std::memory_order_relaxed);
+    if (Se->State == SessionState::Open && NowN > Last &&
+        NowN - Last > Cfg.IdleTimeoutNanos)
+      Se->closeLocked(CloseReason::IdleTimeout);
   }
 }
 
@@ -1037,18 +1049,22 @@ void DetectionService::start() {
     });
   unsigned PeriodMs = Cfg.ShardSupervisor.SamplePeriodMillis;
   Watchdog = std::thread([this, PeriodMs] {
-    while (!StopFlag.load(std::memory_order_relaxed)) {
+    std::unique_lock<std::mutex> L(WakeMu);
+    while (!WakeCv.wait_for(
+        L, std::chrono::milliseconds(PeriodMs ? PeriodMs : 50),
+        [this] { return StopFlag.load(std::memory_order_relaxed); }))
       poll();
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(PeriodMs ? PeriodMs : 50));
-    }
   });
   Running.store(true, std::memory_order_release);
 }
 
 void DetectionService::stop() {
   std::lock_guard<std::mutex> G(LifecycleMu);
-  StopFlag.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> W(WakeMu);
+    StopFlag.store(true, std::memory_order_relaxed);
+  }
+  WakeCv.notify_all();
   for (std::thread &T : Consumers)
     if (T.joinable())
       T.join();

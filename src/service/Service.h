@@ -49,6 +49,7 @@
 #include "support/Telemetry.h"
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -141,13 +142,13 @@ inline constexpr unsigned PumpBatch = 128;
 enum class SessionState : uint8_t {
   Open = 0, ///< accepting lines
   Draining, ///< client closed; queued items still apply, verdicts deliver
-  Dead,     ///< crash-only teardown done; items are skipped, verdicts drop
+  Dead,     ///< finalized or torn down: items are skipped, verdicts drop
 };
 
 enum class CloseReason : uint8_t {
   None = 0,
   ClientClose,     ///< orderly close() (state becomes Draining, then Dead
-                   ///< once the queues hold nothing of the session)
+                   ///< as soon as nothing of the session is queued)
   ErrorBudget,     ///< malformed-line budget exhausted
   IdleTimeout,     ///< no feed activity for IdleTimeoutNanos
   Shed,            ///< dropped by the overload ladder (lowest priority)
@@ -221,7 +222,7 @@ public:
   FeedResult feedAction(const Action &A, const CommitSets *CS, uint32_t Bytes,
                         const FrameTrace *FT = nullptr);
 
-  /// Orderly client close: stop accepting, let queued work finish.
+  /// Orderly close: stop accepting; Dead once nothing of it is queued.
   void close();
 
   /// Drains the verdicts delivered so far, with thread/object ids mapped
@@ -282,6 +283,8 @@ private:
   FeedResult backpressuredLocked(FeedResult Res);
   /// Crash-only teardown. Requires Mu.
   void closeLocked(CloseReason R);
+  /// Draining with nothing queued means fully applied: Dead. Requires Mu.
+  void finalizeIfDrainedLocked();
   /// Verdict delivery from a shard consumer (or a reincarnation replay,
   /// which already holds Mu — hence the Locked split). Dedups by variable.
   void deliver(const RaceReport &R);
@@ -316,8 +319,8 @@ private:
   std::vector<RaceReport> Verdicts;            ///< delivered, not yet taken
   std::unordered_set<uint64_t> RacyVarKeys;    ///< dedup across replays
   std::atomic<uint64_t> LastFeedNanos{0};
-  /// Items of this session currently sitting in shard rings. Zero (plus no
-  /// pending) is what lets a Draining session be reaped as fully applied.
+  /// Items of this session queued in shard rings, or lost by a wedge and
+  /// not yet replayed. Only DetectionService::retireItem decrements it.
   std::atomic<uint64_t> QueuedItems{0};
   std::atomic<uint64_t> LinesAccepted{0};
   std::atomic<uint64_t> ParseErrors{0};
@@ -485,6 +488,9 @@ private:
 
   /// Applies one queued item to a shard engine, delivering any verdicts.
   void applyItem(ShardState &Sh, const ShardItem &It);
+  /// Retires one of \p Se's items (applied, skipped or discarded), which
+  /// may finalize it. Under ConsumerMu; Se->Mu nests inside, as in deliver.
+  void retireItem(Session *Se);
   /// Feeds one journal action into a freshly reincarnated shard.
   void replayAction(ShardState &Sh, Session &S, const Action &A,
                     const CommitSets *CS);
@@ -553,6 +559,8 @@ private:
   std::mutex LifecycleMu;
   std::vector<std::thread> Consumers;
   std::thread Watchdog;
+  std::mutex WakeMu; ///< with WakeCv: stop() cuts the watchdog's sleep short
+  std::condition_variable WakeCv;
   std::atomic<bool> StopFlag{false};
   std::atomic<bool> Running{false};
 };

@@ -571,12 +571,8 @@ void NetServer::dispatchIngest(Conn &C, const std::string &Line,
   }
 
   if (Cmd == "close") {
-    S.close();
-    if (!Draining && !Svc.consumersRunning()) {
-      Svc.drain();
-      Svc.poll();
-    }
-    size_t N = deliverVerdicts(C, Id, S);
+    // The close rule (DESIGN.md §14): the complete verdict set or a retry.
+    size_t N = deliverVerdicts(C, Id, S, settleClose(Svc, S));
     if (N == SIZE_MAX)
       return; // backpressured; client retries `close` (idempotent)
     proto::fmtOkClose(Reply, sizeof(Reply), Id, N);
@@ -587,7 +583,7 @@ void NetServer::dispatchIngest(Conn &C, const std::string &Line,
   if (Cmd == "verdicts") {
     if (!Draining && !Svc.consumersRunning())
       Svc.drain();
-    size_t N = deliverVerdicts(C, Id, S);
+    size_t N = deliverVerdicts(C, Id, S, /*Complete=*/true);
     if (N == SIZE_MAX)
       return;
     proto::fmtOkVerdicts(Reply, sizeof(Reply), Id, N,
@@ -602,12 +598,14 @@ void NetServer::dispatchIngest(Conn &C, const std::string &Line,
   chargeError(C);
 }
 
-size_t NetServer::deliverVerdicts(Conn &C, uint64_t Id, Session &S) {
+size_t NetServer::deliverVerdicts(Conn &C, uint64_t Id, Session &S,
+                                  bool Complete) {
   // Room check BEFORE draining the session: refused delivery leaves the
   // verdicts queued server-side, so a slow reader loses nothing — it is
   // told to come back, with the same backoff schedule as everything else.
+  // An incomplete set (a close that did not settle) is refused the same way.
   size_t Pending = C.Out.size() - C.OutPos;
-  if (Pending > Cfg.WriteQueueCapBytes / 2) {
+  if (!Complete || Pending > Cfg.WriteQueueCapBytes / 2) {
     uint64_t Wait = backoffNanos(Svc.config().BackoffBaseNanos,
                                  C.VerdictAttempt++, Id ^ uint64_t(C.Fd),
                                  Svc.config().BackoffMaxNanos);

@@ -209,7 +209,8 @@ private:
   void dispatchIngest(Conn &C, const std::string &Line, bool Draining);
   void dispatchScrape(Conn &C);
   void refillScrape(Conn &C);
-  size_t deliverVerdicts(Conn &C, uint64_t Id, Session &S);
+  /// SIZE_MAX when refused: the set is not \p Complete or lacks room.
+  size_t deliverVerdicts(Conn &C, uint64_t Id, Session &S, bool Complete);
   void flushConn(Conn &C);
   void checkDeadlines(Conn &C, uint64_t Now);
   bool enqueue(Conn &C, const std::string &Line, bool Critical);

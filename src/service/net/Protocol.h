@@ -29,7 +29,13 @@
 ///   err line <id> seq=<s> resync expect=<n>
 ///   err line <id> [seq=<s>] backpressure retry-after-ns=<n>
 ///   ok close <id> races=<n>              ok verdicts <id> races=<n> state=…
+///   err verdicts <id> backpressure retry-after-ns=<n>
 ///   race <id> <report text>              bye <reason>
+///
+/// `ok close` comes only once every accepted line was applied, after one
+/// `race` line per racy variable: the complete set (DESIGN.md §14). Else
+/// the reply is `err verdicts … backpressure` and the client re-sends the
+/// idempotent close. `ok verdicts` carries what was delivered so far.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -187,10 +193,6 @@ inline int fmtStat(char *Buf, size_t N, uint64_t Id) {
 }
 inline int fmtClose(char *Buf, size_t N, uint64_t Id) {
   return std::snprintf(Buf, N, "%s %llu\n", CmdClose, (unsigned long long)Id);
-}
-inline int fmtVerdicts(char *Buf, size_t N, uint64_t Id) {
-  return std::snprintf(Buf, N, "%s %llu\n", CmdVerdicts,
-                       (unsigned long long)Id);
 }
 
 //===----------------------------------------------------------------------===//

@@ -474,29 +474,28 @@ void ShmServer::serveClose(uint32_t I) {
                    std::memory_order_release);
     return;
   }
-  St.ClosesServed.fetch_add(1, std::memory_order_relaxed);
-  closeRing(I, RingCode::Ok);
+  // Unsettled within the bound: the ring stays Closing; next round retries.
+  if (closeRing(I, RingCode::Ok))
+    St.ClosesServed.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ShmServer::closeRing(uint32_t I, RingCode Code) {
+bool ShmServer::closeRing(uint32_t I, RingCode Code) {
   ShmRingHdr *R = Seg.ring(I);
   RingSw &W = Sw[I];
   if (ClientStream *B = Streams.find(W.ClientId)) {
     Session &S = *B->S;
-    S.close();
-    // Wait (bounded) for the session's queued items to apply so the
-    // verdict set is complete — the shm mirror of `close` + `verdicts`.
-    // After a violation the verdicts accepted before it still get
-    // delivered: the stream died, not the accounting.
-    for (unsigned A = 0; S.state() != SessionState::Dead && A != SettleBound;
-         ++A)
-      Svc.makeProgress();
+    // The close rule (DESIGN.md §14): an orderly close answers only with
+    // the complete verdict set. A killed stream reports the verdicts it
+    // has under its kill code: the stream died, not the accounting.
+    if (!settleClose(Svc, S) && Code == RingCode::Ok)
+      return false;
     writeVerdictsLocked(I, S);
     Streams.erase(W.ClientId);
   }
   R->OpenCode.store(static_cast<uint32_t>(Code), std::memory_order_relaxed);
   R->State.store(static_cast<uint32_t>(RingState::Closed),
                  std::memory_order_release);
+  return true;
 }
 
 void ShmServer::reapRing(uint32_t I, bool PidDead) {

@@ -156,10 +156,10 @@ private:
   /// Drains published frames, then quarantines the ring (Reaped).
   void reapRing(uint32_t I, bool PidDead);
   /// Closes the ring's session (orderly, or crash-only after a decode or
-  /// sequence violation) once its queued items have applied, writes its
-  /// verdicts, and moves the ring to Closed with \p Code so the producer
-  /// learns why.
-  void closeRing(uint32_t I, RingCode Code);
+  /// sequence violation) with settleClose, writes its verdicts, and moves
+  /// the ring to Closed with \p Code so the producer learns why. False,
+  /// changing nothing, when an Ok close did not settle within the bound.
+  bool closeRing(uint32_t I, RingCode Code);
   void writeVerdictsLocked(uint32_t I, Session &S);
   /// Rewrites every slot seq and recycles a ring whose pid is gone.
   void sanitizeRing(uint32_t I);

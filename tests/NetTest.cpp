@@ -11,10 +11,12 @@
 /// and /metrics scraping while ingestion is backpressured, and the
 /// eight-client loopback chaos soak (all four net failpoints + forced
 /// reconnect-with-resume) differentially validated against the
-/// happens-before oracle.
+/// happens-before oracle, and the close rule over stalled consumer threads
+/// (CloseRuleHarness.h).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "CloseRuleHarness.h"
 #include "event/RandomTrace.h"
 #include "event/TraceIO.h"
 #include "hb/HbOracle.h"
@@ -831,11 +833,9 @@ struct SoakResult {
 /// One adversarial soak client: pipelines sequenced lines, honors
 /// backpressure/resync replies, answers pings, reconnects (with replay from
 /// the server's resume point) on every disconnect, and forces an abrupt
-/// disconnect every \p ReconnectEvery lines. \p BeforeClose, when set,
-/// runs once every line is settled and before the client closes.
+/// disconnect every \p ReconnectEvery lines.
 void soakClient(uint16_t Port, uint64_t Id, const std::vector<std::string> &Ls,
-                size_t ReconnectEvery, SoakResult &R,
-                const std::function<void()> &BeforeClose) {
+                size_t ReconnectEvery, SoakResult &R) {
   auto Deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(120);
   auto Expired = [&] { return std::chrono::steady_clock::now() > Deadline; };
@@ -979,8 +979,6 @@ void soakClient(uint16_t Port, uint64_t Id, const std::vector<std::string> &Ls,
     }
   }
 
-  if (BeforeClose)
-    BeforeClose();
   // Close and collect verdicts; shed/backpressured replies heal by re-send.
   for (unsigned Try = 0; Try != 400; ++Try) {
     if (Expired())
@@ -1063,28 +1061,11 @@ void runNetSoak(bool Threaded) {
   std::atomic<bool> Stop{false};
   std::thread Loop([&] { FX.Net->runLoop(Stop, 2); });
 
-  // A threaded service applies frames (and delivers verdicts) after the
-  // wire accepted them, so `close` alone would hand back an incomplete
-  // verdict set. Every client parks once its stream is settled; when all
-  // have, the queues drain and one pump round waits out any item still
-  // being applied, so each close carries the full set.
-  std::atomic<size_t> Parked{0};
-  std::atomic<bool> Release{false};
   std::vector<SoakResult> Results(K);
   std::vector<std::thread> Clients;
   for (size_t I = 0; I != K; ++I)
     Clients.emplace_back([&, I] {
-      bool DidPark = false;
-      auto Park = [&] {
-        DidPark = true;
-        Parked.fetch_add(1);
-        while (!Release.load())
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      };
-      soakClient(FX.Net->port(), I + 1, AllLines[I], 20, Results[I],
-                 Threaded ? std::function<void()>(Park) : nullptr);
-      if (!DidPark)
-        Parked.fetch_add(1); // failed early: never hold the others
+      soakClient(FX.Net->port(), I + 1, AllLines[I], 20, Results[I]);
     });
 
   // Mid-soak scrape: the health surface must answer while chaos runs.
@@ -1093,17 +1074,6 @@ void runNetSoak(bool Threaded) {
   if (Scrape.connectTo(FX.Net->scrapePort()) &&
       Scrape.sendRaw("GET /metrics HTTP/1.0\r\n\r\n"))
     Resp = Scrape.readAll(nullptr, 600);
-  if (Threaded) {
-    while (Parked.load() != K)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    auto DeadlineAt =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (FX.Svc->health().QueuedItems != 0 &&
-           std::chrono::steady_clock::now() < DeadlineAt)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    FX.Svc->pumpAll();
-    Release.store(true);
-  }
   for (std::thread &T : Clients)
     T.join();
   Stop.store(true);
@@ -1139,4 +1109,25 @@ TEST(NetSoakTest, EightChaoticClientsSurviveAllNetFailpointsAndMatchOracle) {
 
 TEST(NetSoakTest, EightChaoticClientsMatchOracleOverThreadedService) {
   runNetSoak(/*Threaded=*/true);
+}
+
+TEST(NetServerTest, CloseAnswersWithTheCompleteVerdictSetOverThreadedService) {
+  FailpointScope Stalls(closerule::ingestStalls());
+  DetectionService Svc(closerule::serviceConfig());
+  NetServer Net(Svc, NetConfig());
+  std::string Err;
+  ASSERT_TRUE(Net.start(Err)) << Err;
+  Svc.start();
+  std::atomic<bool> Stop{false};
+  std::thread Loop([&] { Net.runLoop(Stop, 2); });
+
+  client::GoldClientConfig CC;
+  CC.Port = Net.port();
+  closerule::closeReturnsCompleteVerdicts(CC);
+
+  Stop.store(true);
+  Loop.join();
+  Net.drainAndStop();
+  Svc.shutdown();
+  EXPECT_EQ(Svc.health().VerdictLossEvents, 0u);
 }

@@ -648,7 +648,7 @@ TEST(ServiceTest, RecycledSlotPublicationIsRaceFree) {
     ASSERT_EQ(feedThreaded(*R.S, "write 0 1 0").St,
               FeedResult::Status::Accepted);
     R.S->close();
-    // The consumers drain the item; the watchdog's poll finalizes Draining.
+    // The consumer that applies the item finalizes the Draining session.
     while (R.S->state() != SessionState::Dead)
       std::this_thread::yield();
     Svc.recycleNamespaces();
@@ -656,6 +656,54 @@ TEST(ServiceTest, RecycledSlotPublicationIsRaceFree) {
   Svc.shutdown();
   // Every generation's handle stays valid and Dead after recycling.
   EXPECT_EQ(Svc.health().ActiveSessions, 0u);
+}
+
+TEST(ServiceTest, ClosedSessionIsDeadOnceItsLastItemApplies) {
+  ServiceConfig SC;
+  SC.Shards = 1;
+  DetectionService Svc(SC);
+  auto Idle = Svc.open(1);
+  ASSERT_NE(Idle.S, nullptr);
+  Idle.S->close();
+  EXPECT_EQ(Idle.S->state(), SessionState::Dead) << "nothing was queued";
+
+  auto R = Svc.open(2);
+  ASSERT_NE(R.S, nullptr);
+  for (const char *L : {"fork 0 1", "write 0 1 0", "write 1 1 0"})
+    ASSERT_EQ(R.S->feedLine(L).St, FeedResult::Status::Accepted);
+  R.S->close();
+  EXPECT_EQ(R.S->state(), SessionState::Draining);
+  // The pump that applies the last item finalizes the session: no poll().
+  EXPECT_EQ(Svc.pumpAll(), 3u);
+  EXPECT_EQ(R.S->state(), SessionState::Dead);
+  EXPECT_EQ(R.S->closeReason(), CloseReason::ClientClose);
+  EXPECT_EQ(R.S->takeVerdicts().size(), 1u);
+}
+
+TEST(ServiceTest, WedgeLostItemFinalizesOnlyAfterTheReplay) {
+  ServiceConfig SC;
+  SC.Shards = 1;
+  DetectionService Svc(SC);
+  auto R = Svc.open(1);
+  ASSERT_NE(R.S, nullptr);
+  ASSERT_EQ(R.S->feedLine("fork 0 1").St, FeedResult::Status::Accepted);
+  ASSERT_EQ(R.S->feedLine("write 0 1 0").St, FeedResult::Status::Accepted);
+  EXPECT_EQ(Svc.pumpAll(), 2u);
+  ASSERT_EQ(R.S->feedLine("write 1 1 0").St, FeedResult::Status::Accepted);
+  R.S->close();
+  {
+    FailpointConfig FC;
+    FC.rate(Failpoint::ServiceShardWedge, 1000000);
+    FailpointScope Wedge(FC);
+    Svc.pumpAll(); // pops the racing write, the session's last item, and
+                   // loses it
+  }
+  // The lost item is owed until the replay rebuilds it: not Dead yet.
+  EXPECT_EQ(R.S->state(), SessionState::Draining);
+  Svc.poll(); // reincarnates the shard, replays the journal
+  EXPECT_EQ(R.S->state(), SessionState::Dead);
+  EXPECT_EQ(R.S->takeVerdicts().size(), 1u);
+  EXPECT_EQ(Svc.health().VerdictLossEvents, 0u);
 }
 
 TEST(ServiceTest, NamespaceRecyclingReclaimsDeadSlots) {
@@ -668,10 +716,8 @@ TEST(ServiceTest, NamespaceRecyclingReclaimsDeadSlots) {
   auto Refused = Svc.open(3);
   EXPECT_EQ(Refused.S, nullptr) << "namespace must be exhausted at 2";
 
-  A.S->close();
+  A.S->close(); // nothing queued: Dead at once
   B.S->close();
-  Svc.drain();
-  Svc.poll(); // finalizes the drained sessions to Dead
   EXPECT_EQ(Svc.recycleNamespaces(), 2u);
   auto C1 = Svc.open(4);
   ASSERT_NE(C1.S, nullptr) << C1.Error;

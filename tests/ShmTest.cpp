@@ -20,6 +20,8 @@
 ///  - liveness: a ring is never recycled under a live client just because
 ///    its heartbeat went quiet while the client was not owing beats (a
 ///    fresh claim on a long-idle ring, a Closed ring awaiting its read).
+///  - the close rule (CloseRuleHarness.h): over stalled consumer threads
+///    and a parked watchdog, every close still carries the complete set.
 ///  - the shm failpoints: shm-producer-stall wedges a live producer past
 ///    the wedge timeout (crash-only reap, then reclaim-with-resume, zero
 ///    verdict divergence); shm-slot-corrupt kills the session crash-only
@@ -27,6 +29,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "CloseRuleHarness.h"
 #include "client/GoldClient.h"
 #include "event/RandomTrace.h"
 #include "event/TraceIO.h"
@@ -575,6 +578,34 @@ TEST(ShmTest, ServiceRefusalPublishesControlWordInsideBackoffEnvelope) {
   EXPECT_EQ(M.Seg.ring(0)->Control.load(std::memory_order_acquire), 0u);
   Shm.drainAndStop();
   Svc.shutdown();
+}
+
+TEST(ShmTest, CloseAnswersWithTheCompleteVerdictSetOverThreadedService) {
+  SegPath P("close");
+  FailpointScope Stalls(closerule::ingestStalls());
+  DetectionService Svc(closerule::serviceConfig());
+  ShmConfig C;
+  C.Path = P.Path;
+  C.Rings = 2;
+  C.SlotsPerRing = 256;
+  ShmServer Shm(Svc, C);
+  std::string Err;
+  ASSERT_TRUE(Shm.start(Err)) << Err;
+  Svc.start();
+  std::atomic<bool> Stop{false};
+  std::thread Loop([&] { Shm.runLoop(Stop, 1); });
+  JoinGuard LoopGuard{Loop, &Stop};
+
+  client::GoldClientConfig CC;
+  CC.ShmPath = P.Path;
+  closerule::closeReturnsCompleteVerdicts(CC);
+
+  Stop.store(true);
+  Loop.join();
+  Shm.drainAndStop();
+  Svc.shutdown();
+  EXPECT_EQ(Shm.stats().ClosesServed, closerule::Sessions);
+  EXPECT_EQ(Svc.health().VerdictLossEvents, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,7 +16,7 @@
 /// Protocol (one command per line):
 ///   open <client-id> [priority]   admit a session (ids are decimal)
 ///   line <client-id> <trace-line> stream one TraceIO line into the session
-///   close <client-id>             orderly close; prints delivered verdicts
+///   close <client-id>             orderly close; complete verdict set
 ///   verdicts <client-id>          print (and drain) verdicts delivered so far
 ///   health                        print a one-line service health snapshot
 ///   pump                          drain every shard ring (inline mode)
@@ -364,13 +364,14 @@ void runProtocol(DetectionService &Svc) {
         break;
       }
     } else if (Cmd == "close") {
-      S.close();
-      if (!Svc.consumersRunning()) {
-        Svc.drain();
-        Svc.poll();
+      if (settleClose(Svc, S)) { // the close rule (DESIGN.md §14)
+        size_t N = printVerdicts(S, Id);
+        std::printf("ok close %llu races=%zu\n", (unsigned long long)Id, N);
+      } else { // not settled within the bound: the client re-sends close
+        std::printf("err verdicts %llu backpressure retry-after-ns=%llu\n",
+                    (unsigned long long)Id,
+                    (unsigned long long)Svc.config().BackoffMaxNanos);
       }
-      size_t N = printVerdicts(S, Id);
-      std::printf("ok close %llu races=%zu\n", (unsigned long long)Id, N);
       std::fflush(stdout);
     } else if (Cmd == "verdicts") {
       if (!Svc.consumersRunning())

@@ -571,47 +571,6 @@ void runClient(const Params &P, uint64_t Id, Result &R) {
   if (R.Killed)
     return;
 
-  // Threaded servers may produce verdicts after the close ack; poll until
-  // the session reports dead with nothing further to hand over.
-  while (!Expired()) {
-    proto::fmtVerdicts(Buf, sizeof(Buf), Id);
-    if (!W.connected() || !W.sendAll(Buf, nullptr))
-      break; // already drained everything via close; conn gone is fine
-    std::string L;
-    size_t Batch = 0;
-    bool Done = false, Lost = false;
-    for (;;) {
-      int Rd = W.readLine(L, 2000);
-      if (Rd <= 0) {
-        Lost = true;
-        break;
-      }
-      if (proto::hasPrefix(L, proto::Ping)) {
-        W.sendAll("pong" + L.substr(4) + "\n", nullptr);
-        continue;
-      }
-      if (proto::hasPrefix(L, proto::Race)) {
-        std::string Var;
-        if (proto::raceVar(L, Var)) {
-          GotVars.insert(Var);
-          ++R.Races;
-        }
-        ++Batch;
-        continue;
-      }
-      if (proto::hasPrefix(L, proto::OkVerdicts)) {
-        Done = Batch == 0 && L.find(proto::StateDead) != std::string::npos;
-        break;
-      }
-      if (L.find("backpressure") != std::string::npos ||
-          L.find(proto::UnknownClientMark) != std::string::npos)
-        break;
-    }
-    if (Lost || Done)
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-
   // Differential validation against the happens-before oracle.
   compareVerdicts(T, GotVars, Id, R);
 }
