@@ -38,7 +38,7 @@ inline std::string gitRevision() {
   return N ? std::string(Buf, N) : std::string("unknown");
 }
 
-/// Emits the shared header every BENCH_*.json artifact starts with, so the
+/// Emits the shared header every gold-bench-v1 artifact starts with, so the
 /// plotting/CI side can treat them uniformly: schema tag, bench name, the
 /// revision the binary was built from, hardware parallelism and a UTC
 /// timestamp. Leaves the top-level object open for bench-specific fields.

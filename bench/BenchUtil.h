@@ -13,17 +13,13 @@
 #include "analysis/StaticRace.h"
 #include "bench/BenchJson.h"
 #include "detectors/GoldilocksDetectors.h"
-#include "support/Telemetry.h"
 #include "support/Timer.h"
 #include "vm/Vm.h"
 #include "workloads/Workload.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 namespace gold {
 
@@ -32,14 +28,12 @@ struct RunResult {
   double Seconds = 0;
   VmStats Vm;
   EngineStats Engine;
-  TelemetrySnapshot Telemetry; ///< engine metrics (Level==Off uninstrumented)
   size_t DistinctVarsChecked = 0;
   size_t Races = 0;
 };
 
 /// Runs \p Prog once with optional Goldilocks instrumentation, under the
-/// given engine configuration (the knob the ablation/observability benches
-/// vary; the default is the production config).
+/// given engine configuration (the default is the production config).
 inline RunResult runOnce(const Program &Prog, bool Instrument,
                          const EngineConfig &EC = EngineConfig()) {
   RunResult R;
@@ -60,7 +54,6 @@ inline RunResult runOnce(const Program &Prog, bool Instrument,
   R.Seconds = T.seconds();
   R.Vm = V.stats();
   R.Engine = D.engine().stats();
-  R.Telemetry = D.engine().telemetry();
   R.DistinctVarsChecked = D.engine().distinctVarsChecked();
   R.Races = V.raceLog().size();
   return R;
@@ -94,49 +87,6 @@ inline ProgramVariants makeVariants(const Workload &W) {
   Out.RccJava = W.Prog;
   applyStaticResult(Out.RccJava, runRccJavaAnalysis(W.Prog, W.Rcc));
   return Out;
-}
-
-/// Runs \p F \p Reps times and returns the fastest wall-clock seconds
-/// (steady clock). Min-of-k is the repetition policy for every timed number
-/// this repo reports: the minimum is the run least disturbed by the
-/// scheduler, and the paper's tables are steady-state figures.
-template <typename Fn> inline double bestOfK(int Reps, Fn &&F) {
-  double Best = 0;
-  for (int I = 0; I != Reps; ++I) {
-    double S = timeIt(F);
-    if (I == 0 || S < Best)
-      Best = S;
-  }
-  return Best;
-}
-
-/// Upper-bound estimate of the \p Q quantile from a log2 histogram
-/// snapshot: walk the cumulative counts to the covering bucket and report
-/// its inclusive upper edge (clamped to the observed max, which tightens
-/// the top bucket). Shared by every bench that reports latency quantiles
-/// from the runtime's own telemetry histograms.
-inline uint64_t histQuantile(const HistogramSnapshot &H, double Q) {
-  if (!H.Count)
-    return 0;
-  uint64_t Need = static_cast<uint64_t>(std::ceil(Q * double(H.Count)));
-  if (!Need)
-    Need = 1;
-  uint64_t Cum = 0;
-  for (const auto &B : H.Buckets) {
-    Cum += B.second;
-    if (Cum >= Need)
-      return std::min(Histogram::bucketHi(B.first), H.Max);
-  }
-  return H.Max;
-}
-
-/// Finds a named histogram in a telemetry snapshot (null when absent).
-inline const HistogramSnapshot *findHist(const TelemetrySnapshot &T,
-                                         const char *Name) {
-  for (const HistogramSnapshot &H : T.Histograms)
-    if (H.Name == Name)
-      return &H;
-  return nullptr;
 }
 
 /// Parses the scale factor from argv ("--scale N", default \p Default).

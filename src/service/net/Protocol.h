@@ -3,7 +3,7 @@
 /// \file
 /// The single home of the line-protocol literals (DESIGN.md §16) that were
 /// previously copy-pasted between the server (NetServer.cpp) and every
-/// client (net_chaos_client, bench_net, GoldClient). Both sides build and
+/// client (net_chaos_client, GoldClient). Both sides build and
 /// recognize replies through these helpers, so a wording change is a
 /// one-line edit instead of a cross-file grep — and a client library can
 /// never drift from what the server actually says.

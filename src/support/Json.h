@@ -2,10 +2,10 @@
 ///
 /// \file
 /// A small streaming JSON writer shared by the benchmark harnesses
-/// (BENCH_*.json perf-trajectory artifacts) and the goldilocks-trace CLI
-/// (--stats-json). Deliberately write-only: the repo never parses JSON, it
-/// only has to emit well-formed output that external tooling (CI validation,
-/// plotting scripts) can load. Keys are emitted in call order; the writer
+/// (`bench_table1 --json`) and the goldilocks-trace CLI (--stats-json).
+/// Deliberately write-only: the repo never parses JSON, it only has to emit
+/// well-formed output that external tooling (CI validation, plotting
+/// scripts) can load. Keys are emitted in call order; the writer
 /// tracks nesting and comma placement so call sites stay linear.
 ///
 //===----------------------------------------------------------------------===//
@@ -26,12 +26,12 @@ namespace gold {
 /// \code
 ///   JsonWriter J;
 ///   J.beginObject();
-///   J.kv("name", "bench_scaling");
+///   J.kv("name", "bench_table1");
 ///   J.key("runs"); J.beginArray();
 ///   ...
 ///   J.endArray();
 ///   J.endObject();
-///   J.writeFile("BENCH_scaling.json");
+///   J.writeFile("table1.json");
 /// \endcode
 class JsonWriter {
 public:

@@ -11,7 +11,9 @@
 /// and /metrics scraping while ingestion is backpressured, and the
 /// eight-client loopback chaos soak (all four net failpoints + forced
 /// reconnect-with-resume) differentially validated against the
-/// happens-before oracle, and the close rule over stalled consumer threads
+/// happens-before oracle, eight GoldClient producers over TCP (steady:
+/// zero loss, resyncs and reconnects; chaos: every close matches the
+/// oracle), and the close rule over stalled consumer threads
 /// (CloseRuleHarness.h).
 ///
 //===----------------------------------------------------------------------===//
@@ -1109,6 +1111,116 @@ TEST(NetSoakTest, EightChaoticClientsSurviveAllNetFailpointsAndMatchOracle) {
 
 TEST(NetSoakTest, EightChaoticClientsMatchOracleOverThreadedService) {
   runNetSoak(/*Threaded=*/true);
+}
+
+//===----------------------------------------------------------------------===//
+// Eight GoldClient producers over TCP: the library's reconnect-resume path
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Eight concurrent GoldClient threads, one seeded random trace each,
+/// against an inline-pumped server. With \p Chaos all four net failpoints
+/// are armed; every client that closes must still match the oracle.
+/// Without it, nothing may be lost, resynced, dropped or reconnected.
+void runGoldClientFleet(bool Chaos) {
+  FailpointConfig FC;
+  FC.Seed = 1;
+  if (Chaos) {
+    FC.rate(Failpoint::NetAcceptFail, 30000);
+    FC.rate(Failpoint::NetPartialRead, 100000);
+    FC.rate(Failpoint::NetWriteStall, 50000);
+    FC.rate(Failpoint::NetConnHang, 1000);
+  }
+  FailpointScope Scope(FC);
+
+  ServiceConfig SC;
+  SC.RingCapacity = 256;
+  DetectionService Svc(SC);
+  NetConfig NC;
+  // Deadlines sized for an oversubscribed host: a client thread descheduled
+  // for a few quanta must not lose a healthy connection, while a hung one
+  // (the conn-hang failpoint) still resolves within one read deadline.
+  NC.ReadDeadlineNanos = 500ull * 1000000;
+  NC.HeartbeatNanos = 150ull * 1000000;
+  NC.WriteDeadlineNanos = 2000ull * 1000000;
+  NetServer Net(Svc, NC);
+  std::string Err;
+  ASSERT_TRUE(Net.start(Err)) << Err;
+
+  constexpr unsigned K = 8;
+  std::vector<Trace> Traces;
+  for (unsigned I = 0; I != K; ++I) {
+    RandomTraceParams P;
+    P.Seed = 1000 + I;
+    P.StepsPerThread = 40;
+    Traces.push_back(generateRandomTrace(P));
+  }
+
+  std::atomic<bool> Stop{false};
+  std::thread Loop([&] { Net.runLoop(Stop, 2); });
+  std::vector<std::optional<std::set<std::string>>> Got(K);
+  std::vector<std::string> Why(K);
+  std::atomic<uint64_t> Reconnects{0};
+  {
+    std::vector<std::thread> Clients;
+    for (unsigned I = 0; I != K; ++I)
+      Clients.emplace_back([&, I] {
+        client::GoldClientConfig CC;
+        CC.ClientId = I + 1;
+        CC.Port = Net.port();
+        CC.BufferCapActions = Traces[I].Actions.size() + 8; // no shedding
+        CC.OpTimeoutNanos = 120ull * 1000000000;
+        client::GoldClient GC(CC);
+        if (!GC.connect(Why[I]))
+          return;
+        for (const Action &A : Traces[I].Actions)
+          if (!GC.publish(A, A.Kind == ActionKind::Commit
+                                 ? &Traces[I].commitSets(A)
+                                 : nullptr))
+            break; // the stream died; closeAndCollect says why
+        std::vector<std::string> Vars;
+        if (GC.closeAndCollect(Vars, Why[I]))
+          Got[I].emplace(Vars.begin(), Vars.end());
+        Reconnects += GC.stats().Reconnects;
+      });
+    for (std::thread &T : Clients)
+      T.join();
+  }
+  Stop.store(true);
+  Loop.join();
+  Net.drainAndStop();
+  Svc.shutdown();
+
+  size_t Closed = 0;
+  for (unsigned I = 0; I != K; ++I) {
+    if (!Got[I]) {
+      EXPECT_TRUE(Chaos) << "client " << I + 1 << ": " << Why[I];
+      continue;
+    }
+    ++Closed;
+    EXPECT_EQ(*Got[I], oracleVarStrings(Traces[I])) << "client " << I + 1;
+  }
+  EXPECT_GT(Closed, 0u);
+  EXPECT_EQ(Svc.health().VerdictLossEvents, 0u);
+  if (Chaos) {
+    EXPECT_GT(Failpoints::instance().fires(Failpoint::NetPartialRead), 0u);
+    return;
+  }
+  NetStats S = Net.stats();
+  EXPECT_EQ(S.ResyncReplies, 0u); // the steady-state resync storm stays fixed
+  EXPECT_EQ(S.DrainDroppedFrames, 0u);
+  EXPECT_EQ(Reconnects.load(), 0u);
+}
+
+} // namespace
+
+TEST(NetGoldClientTest, EightProducersSteadyLoseNothing) {
+  runGoldClientFleet(/*Chaos=*/false);
+}
+
+TEST(NetGoldClientTest, EightProducersUnderNetFailpointsMatchOracle) {
+  runGoldClientFleet(/*Chaos=*/true);
 }
 
 TEST(NetServerTest, CloseAnswersWithTheCompleteVerdictSetOverThreadedService) {

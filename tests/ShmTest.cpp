@@ -259,6 +259,8 @@ void forkedProducersDifferential(bool Threaded) {
   EXPECT_EQ(St.DupFrames, 0u);
   EXPECT_GE(St.SlotsIn, St.FramesIn); // commits carry continuation slots
   EXPECT_EQ(St.DrainDroppedFrames, 0u);
+  EXPECT_EQ(St.ProducersReaped, 0u); // every producer closed; none died
+  EXPECT_EQ(St.ProducersWedged, 0u);
 
   // The stdio leg: same traces, text parse, same oracle. Equality of both
   // legs against one oracle is the byte-exact transport differential.

@@ -5,9 +5,11 @@
 /// escalation to the precise engine) produces verdicts *identical* to pure
 /// Goldilocks — same racy-variable sets, same report sequences — across a
 /// wide seeded sweep of trace shapes, thread counts, and engine
-/// configurations. The sampling tier is held to the soundness half only
-/// (precision 1.0: it never invents a race; recall is traded for cost and
-/// measured in bench_tiers), plus determinism so sampled runs replay.
+/// configurations. Every paper kernel (the Table-1 suite through the VM)
+/// runs race-free in tiered mode with no escalation. The sampling tier is
+/// held to the soundness half only (precision 1.0: it never invents a race;
+/// recall is traded for cost), to exact verdicts and no skips at full rate,
+/// and to determinism so sampled runs replay.
 ///
 /// A true-concurrency run drives the tiered engine through real OS threads
 /// (the harness mixed workload), which is what the tsan/asan rows of the CI
@@ -16,6 +18,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "DifferentialHarness.h"
+#include "vm/Vm.h"
+#include "workloads/Workload.h"
 
 #include <set>
 
@@ -183,6 +187,25 @@ TEST(TierTest, TieredCutsPairChecksTenfoldOnRaceFreeWorkload) {
   EXPECT_GT(TS.TierFiltered, 0u);
 }
 
+TEST(TierTest, PaperKernelsRunRaceFreeWithoutEscalation) {
+  // The Table-1 kernels are race-free programs, so the precise engine
+  // reports nothing on them and tiered mode must match it. Tier 0 proves
+  // every access of these kernels ordered, so no variable escalates.
+  EngineConfig TC;
+  TC.Tier = TierMode::Tiered;
+  for (const Workload &W : standardSuite(WorkloadScale{1})) {
+    GoldilocksDetector D(TC);
+    VmConfig Cfg;
+    Cfg.Detector = &D;
+    Vm V(W.Prog, Cfg);
+    V.run();
+    EngineStats S = D.engine().stats();
+    EXPECT_TRUE(V.raceLog().empty()) << W.Name;
+    EXPECT_EQ(S.Escalations, 0u) << W.Name;
+    EXPECT_GT(S.TierFiltered, 0u) << W.Name;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Sampling tier: precision 1.0, deterministic, full-rate degenerates
 //===----------------------------------------------------------------------===//
@@ -190,7 +213,7 @@ TEST(TierTest, TieredCutsPairChecksTenfoldOnRaceFreeWorkload) {
 TEST(TierTest, SamplingNeverInventsRaces) {
   // Whatever the rate, a sampled run sees a legal sub-trace of the data
   // accesses over the full synchronization order — every report it emits
-  // must be a real race (precision 1.0). Recall is measured in bench_tiers.
+  // must be a real race (precision 1.0). Recall is what the rate trades.
   for (uint64_t Seed = 1; Seed <= 32; ++Seed) {
     Trace T = generateRandomTrace(sweepParams(Seed));
     std::set<VarId> Oracle = oracleVarSet(T);

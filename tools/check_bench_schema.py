@@ -4,7 +4,7 @@
 Understands every JSON document the binaries emit and checks real
 invariants, not just well-formedness:
 
-  gold-bench-v1        BENCH_*.json / perf-smoke artifacts (bench_* --json,
+  gold-bench-v1        perf-smoke artifacts (bench_table1 --json,
                        goldilocks-trace --stats-json)
   gold-metrics-v1      goldilocks-trace / goldilocks-serve --metrics-json
   gold-health-v1       goldilocks-serve --health-json (service + shards)
@@ -107,249 +107,10 @@ def check_metrics(doc, path):
     check_metrics_body(doc, path)
 
 
-def check_service_run(r, ctx):
-    """bench_service runs carry the service-soak headline numbers; check the
-    invariants that hold on any machine at any load."""
-    need(r, "scenario", str, ctx)
-    for key in ("sessions_per_sec", "lines_per_sec"):
-        if need(r, key, (int, float), ctx) < 0:
-            raise Bad(f"{ctx}: negative '{key}'")
-    shed = need(r, "shed_rate", (int, float), ctx)
-    if not 0 <= shed <= 1:
-        raise Bad(f"{ctx}: shed_rate {shed} outside [0, 1]")
-    opened = need(r, "sessions_opened", int, ctx)
-    if need(r, "sessions_shed", int, ctx) > opened:
-        raise Bad(f"{ctx}: sessions_shed exceeds sessions_opened")
-    if need(r, "verdict_loss_events", int, ctx) < 0:
-        raise Bad(f"{ctx}: negative verdict_loss_events")
-    p50 = need(r, "p50_ingest_latency_nanos", int, ctx)
-    p99 = need(r, "p99_ingest_latency_nanos", int, ctx)
-    lmax = need(r, "max_ingest_latency_nanos", int, ctx)
-    if not 0 <= p50 <= p99 <= lmax:
-        raise Bad(f"{ctx}: latency quantiles not ordered "
-                  f"(p50 {p50}, p99 {p99}, max {lmax})")
-
-
-def check_net_run(r, ctx):
-    """bench_net runs carry the transport A/B headline numbers; check the
-    invariants that hold on any machine at any load."""
-    scenario = need(r, "scenario", str, ctx)
-    transport = need(r, "transport", str, ctx)
-    if transport not in ("tcp", "shm"):
-        raise Bad(f"{ctx}: unknown transport {transport!r}")
-    for key in ("conns_per_sec", "frames_per_sec", "wire_frames_per_sec"):
-        if need(r, key, (int, float), ctx) < 0:
-            raise Bad(f"{ctx}: negative '{key}'")
-    for key in ("conns_accepted", "conns_rejected", "frames_in",
-                "backpressure_replies", "resync_replies", "fallout_frames",
-                "dup_frames", "replies_shed", "verdict_replies_dropped",
-                "partial_frames_dropped", "drain_dropped_frames",
-                "reconnects", "resumes", "races_delivered",
-                "verdict_loss_events"):
-        if need(r, key, int, ctx) < 0:
-            raise Bad(f"{ctx}: negative '{key}'")
-    p50 = need(r, "p50_frame_latency_nanos", int, ctx)
-    p99 = need(r, "p99_frame_latency_nanos", int, ctx)
-    lmax = need(r, "max_frame_latency_nanos", int, ctx)
-    if not 0 <= p50 <= p99 <= lmax:
-        raise Bad(f"{ctx}: frame latency quantiles not ordered "
-                  f"(p50 {p50}, p99 {p99}, max {lmax})")
-    # Client-stamped end-to-end latency (PR 10): emitted by every run, and
-    # the quantiles must be ordered just like the server-side frame series.
-    e2e_frames = need(r, "e2e_frames", int, ctx)
-    if e2e_frames < 0:
-        raise Bad(f"{ctx}: negative 'e2e_frames'")
-    ep50 = need(r, "p50_e2e_latency_nanos", int, ctx)
-    ep99 = need(r, "p99_e2e_latency_nanos", int, ctx)
-    emax = need(r, "max_e2e_latency_nanos", int, ctx)
-    if not 0 <= ep50 <= ep99 <= emax:
-        raise Bad(f"{ctx}: e2e latency quantiles not ordered "
-                  f"(p50 {ep50}, p99 {ep99}, max {emax})")
-    # The e2e series covers a frame's whole round trip, so its p99 can never
-    # undercut the server-side ingest-to-verdict p99 on the same run... but
-    # the two histograms sample different populations (client clock vs ring
-    # clock), so only the trivially safe bound is asserted: a run that
-    # recorded e2e samples must have accepted frames.
-    if e2e_frames and need(r, "frames_in", int, ctx) == 0:
-        raise Bad(f"{ctx}: e2e_frames {e2e_frames} without any frames_in")
-    compared = need(r, "clients_compared", int, ctx)
-    diverged = need(r, "verdict_divergence", int, ctx)
-    if diverged > compared:
-        raise Bad(f"{ctx}: verdict_divergence {diverged} exceeds "
-                  f"clients_compared {compared}")
-    if transport == "shm":
-        for key in ("slots_in", "producers_reaped", "producers_wedged",
-                    "rings_recycled", "decode_errors", "seq_violations",
-                    "verdicts_truncated", "doorbell_wakeups"):
-            if need(r, key, int, ctx) < 0:
-                raise Bad(f"{ctx}: negative '{key}'")
-        # Every frame occupies at least its header slot.
-        if r["slots_in"] < r["frames_in"]:
-            raise Bad(f"{ctx}: slots_in {r['slots_in']} below frames_in "
-                      f"{r['frames_in']}")
-    if scenario.endswith("steady"):
-        # The clean path must be provably exact on either transport: every
-        # client compared against the oracle, nothing dropped, nothing
-        # diverged — and nothing resynced: a steady-state resync storm is
-        # the pathology PR 9 fixed, so its counter is pinned to zero here.
-        for key in ("verdict_divergence", "clients_uncompared",
-                    "drain_dropped_frames", "verdict_loss_events",
-                    "resync_replies"):
-            if need(r, key, int, ctx) != 0:
-                raise Bad(f"{ctx}: steady scenario has nonzero '{key}'")
-        if transport == "shm":
-            for key in ("producers_reaped", "producers_wedged",
-                        "decode_errors", "seq_violations"):
-                if r[key] != 0:
-                    raise Bad(f"{ctx}: steady scenario has nonzero '{key}'")
-
-
-def check_net_ab(doc, runs, path):
-    """The TCP-vs-SHM A/B summary: the recorded speedup must be the ratio
-    of the recorded runs, and when the bench ran with --assert-shm-ab the
-    acceptance gate (>= 3x frames/s, p99 no worse) must hold in the
-    artifact, not just in the exit status."""
-    by_scenario = {r.get("scenario"): r for r in runs}
-    steady = by_scenario.get("steady")
-    shm_steady = by_scenario.get("shm-steady")
-    if "shm_speedup_vs_tcp" not in doc:
-        if shm_steady is not None:
-            raise Bad(f"{path}: shm-steady run present but "
-                      f"'shm_speedup_vs_tcp' missing")
-        return
-    speedup = need(doc, "shm_speedup_vs_tcp", (int, float), path)
-    shm_p99 = need(doc, "shm_steady_p99_nanos", int, path)
-    tcp_p99 = need(doc, "tcp_steady_p99_nanos", int, path)
-    asserted = need(doc, "asserted_speedup", bool, path)
-    if steady is None or shm_steady is None:
-        raise Bad(f"{path}: A/B summary present without both steady runs")
-    tcp_fps = steady["frames_per_sec"]
-    expect = shm_steady["frames_per_sec"] / tcp_fps if tcp_fps else 0.0
-    if abs(speedup - expect) > max(1e-3 * expect, 1e-9):
-        raise Bad(f"{path}: shm_speedup_vs_tcp {speedup} inconsistent with "
-                  f"run ratio {expect}")
-    if shm_p99 != shm_steady["p99_frame_latency_nanos"]:
-        raise Bad(f"{path}: shm_steady_p99_nanos disagrees with the "
-                  f"shm-steady run")
-    if tcp_p99 != steady["p99_frame_latency_nanos"]:
-        raise Bad(f"{path}: tcp_steady_p99_nanos disagrees with the "
-                  f"steady run")
-    if asserted:
-        if speedup < 3.0:
-            raise Bad(f"{path}: asserted speedup {speedup} below the 3x "
-                      f"acceptance gate")
-        if shm_p99 > tcp_p99:
-            raise Bad(f"{path}: asserted shm p99 {shm_p99} worse than TCP "
-                      f"p99 {tcp_p99}")
-
-
-def check_traced_ab(doc, path):
-    """bench_observability's traced-vs-untraced transport ablation (PR 10):
-    each rep pairs an untraced and a traced run of the same transport, the
-    recorded ratio must be the ratio of the recorded runs, and the per-
-    transport medians must match the rep population.  When the bench ran
-    with --assert-traced-ab the acceptance gate (median ratio >= 0.97,
-    i.e. tracing-on within noise of tracing-off) must hold in the artifact,
-    not just in the exit status."""
-    reps = need(doc, "traced_transport_ab", list, path)
-    if not reps:
-        raise Bad(f"{path}: empty 'traced_transport_ab' array")
-    ratios = {"tcp": [], "shm": []}
-    for i, r in enumerate(reps):
-        ctx = f"{path}.traced_transport_ab[{i}]"
-        transport = need(r, "transport", str, ctx)
-        if transport not in ratios:
-            raise Bad(f"{ctx}: unknown transport {transport!r}")
-        need(r, "rep", int, ctx)
-        off = need(r, "untraced_frames_per_sec", (int, float), ctx)
-        on = need(r, "traced_frames_per_sec", (int, float), ctx)
-        if off <= 0 or on <= 0:
-            raise Bad(f"{ctx}: non-positive frames/s (off {off}, on {on})")
-        ratio = need(r, "traced_over_untraced_ratio", (int, float), ctx)
-        expect = on / off
-        if abs(ratio - expect) > max(1e-3 * expect, 1e-9):
-            raise Bad(f"{ctx}: ratio {ratio} inconsistent with "
-                      f"{on}/{off} = {expect}")
-        ratios[transport].append(ratio)
-    for transport, key in (("tcp", "traced_ab_tcp_median_ratio"),
-                           ("shm", "traced_ab_shm_median_ratio")):
-        if not ratios[transport]:
-            raise Bad(f"{path}: no '{transport}' reps in traced_transport_ab")
-        med = need(doc, key, (int, float), path)
-        vals = sorted(ratios[transport])
-        mid = len(vals) // 2
-        expect = (vals[mid] if len(vals) % 2
-                  else (vals[mid - 1] + vals[mid]) / 2)
-        if abs(med - expect) > max(1e-3 * expect, 1e-9):
-            raise Bad(f"{path}: {key} {med} inconsistent with rep "
-                      f"median {expect}")
-        if need(doc, "asserted_traced_ab", bool, path) and med < 0.97:
-            raise Bad(f"{path}: asserted {transport} median ratio {med} "
-                      f"below the 0.97 within-noise gate")
-
-
-def check_tiers(doc, path):
-    """bench_tiers: the adaptive-precision pipeline artifact. The escalation
-    rows must show tiered mode at the same verdicts with no more pair checks
-    than precise; the sampling rows must show precision/recall that are
-    probabilities, with full rate degenerating to the precise verdicts."""
-    escalation = need(doc, "escalation", list, path)
-    if not escalation:
-        raise Bad(f"{path}: empty 'escalation' array")
-    for i, r in enumerate(escalation):
-        ctx = f"{path}.escalation[{i}]"
-        need(r, "workload", str, ctx)
-        precise = need(r, "precise_pair_checks", int, ctx)
-        tiered = need(r, "tiered_pair_checks", int, ctx)
-        if tiered > precise:
-            raise Bad(f"{ctx}: tiered pair checks {tiered} exceed "
-                      f"precise {precise}")
-        reduction = need(r, "reduction", (int, float), ctx)
-        expect = precise / (tiered if tiered else 1)
-        if abs(reduction - expect) > max(1e-6 * expect, 1e-9):
-            raise Bad(f"{ctx}: reduction {reduction} inconsistent with "
-                      f"{precise}/{tiered}")
-        if need(r, "precise_races", int, ctx) != need(r, "tiered_races", int,
-                                                      ctx):
-            raise Bad(f"{ctx}: tiered verdicts diverge from precise")
-        check_stats_block(need(r, "tiered_stats", dict, ctx),
-                          f"{ctx}.tiered_stats")
-    sampling = need(doc, "sampling", list, path)
-    if not sampling:
-        raise Bad(f"{path}: empty 'sampling' array")
-    for i, r in enumerate(sampling):
-        ctx = f"{path}.sampling[{i}]"
-        rate = need(r, "rate_ppm", int, ctx)
-        if not 0 <= rate <= 1000000:
-            raise Bad(f"{ctx}: rate_ppm {rate} outside [0, 1000000]")
-        tp = need(r, "true_positives", int, ctx)
-        fp = need(r, "false_positives", int, ctx)
-        fn = need(r, "false_negatives", int, ctx)
-        if min(tp, fp, fn) < 0:
-            raise Bad(f"{ctx}: negative confusion counts")
-        for key, num, den in (("precision", tp, tp + fp),
-                              ("recall", tp, tp + fn)):
-            val = need(r, key, (int, float), ctx)
-            if not 0 <= val <= 1:
-                raise Bad(f"{ctx}: {key} {val} outside [0, 1]")
-            expect = num / den if den else 1.0
-            if abs(val - expect) > 1e-6:
-                raise Bad(f"{ctx}: {key} {val} inconsistent with counts")
-        if rate == 1000000:
-            if fn != 0:
-                raise Bad(f"{ctx}: full-rate run missed {fn} races")
-            if need(r, "sampled_skips", int, ctx) != 0:
-                raise Bad(f"{ctx}: full-rate run skipped accesses")
-
-
 def check_bench(doc, path):
     need(doc, "bench", str, path)
     need(doc, "git_rev", str, path)
     need(doc, "utc", str, path)
-    if doc["bench"] == "bench_tiers":
-        check_tiers(doc, path)
-    if "traced_transport_ab" in doc:
-        check_traced_ab(doc, path)
     runs = doc.get("runs")
     if runs is not None:
         if not isinstance(runs, list) or not runs:
@@ -363,14 +124,6 @@ def check_bench(doc, path):
                 raise Bad(f"{ctx}: bad 'seconds' {r['seconds']!r}")
             if "stats" in r:
                 check_stats_block(r["stats"], f"{ctx}.stats")
-            if "telemetry" in r:
-                check_metrics_body(r["telemetry"], f"{ctx}.telemetry")
-            if doc["bench"] == "bench_service":
-                check_service_run(r, ctx)
-            if doc["bench"] == "bench_net":
-                check_net_run(r, ctx)
-        if doc["bench"] == "bench_net":
-            check_net_ab(doc, runs, path)
     if "stats" in doc:
         check_stats_block(doc["stats"], f"{path}.stats")
     if "health" in doc:
