@@ -62,13 +62,19 @@ struct VarId {
 /// Returns the lock variable (o, l) of object \p O.
 inline VarId lockVar(ObjectId O) { return VarId{O, LockField}; }
 
+/// The splitmix64 finalizer: every output bit depends on every input bit.
+/// The one integer mix of the system: variable hashing, the service's shard
+/// routing and the engine's variable index all use it.
+inline uint64_t mix64(uint64_t X) {
+  X += 0x9e3779b97f4a7c15ULL;
+  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
+  return X ^ (X >> 31);
+}
+
 struct VarIdHash {
   size_t operator()(const VarId &V) const {
-    // splitmix64-style finalizer over the packed key.
-    uint64_t X = V.key() + 0x9e3779b97f4a7c15ULL;
-    X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<size_t>(X ^ (X >> 31));
+    return static_cast<size_t>(mix64(V.key()));
   }
 };
 

@@ -177,13 +177,15 @@ struct GoldilocksEngine::QuarantineBatch {
   QuarantineBatch *Next = nullptr;
 };
 
-/// One shard of the variable-state index: an open-addressing flat table
-/// (linear probing, power-of-two size, null = empty) over slab-allocated
-/// VarStates, plus a per-object index realized as intrusive lists through
-/// VarState::NextInObject. VarStates are never deleted before engine
-/// teardown, so the table needs no tombstones and probe chains never
-/// break. The map hop of the old unordered_map cost one cache miss per
-/// node; a probe here usually resolves within one cache line of slots.
+/// One shard of the variable-state index. It holds every variable of the
+/// objects objectShard maps to it: an open-addressing flat table (linear
+/// probing, power-of-two size, null = empty, load factor at most 3/4) over
+/// slab-allocated VarStates, plus a per-object index realized as intrusive
+/// lists through VarState::NextInObject. VarStates are never deleted before
+/// engine teardown, so the table needs no tombstones and probe chains never
+/// break. The probe start is a full mix of the (object, field) key, so the
+/// fields of different objects scatter and a lookup costs an expected one
+/// or two slots.
 struct GoldilocksEngine::Shard {
   std::mutex Mu;
   std::vector<VarState *> Table; // open addressing; size is a power of two
@@ -191,12 +193,22 @@ struct GoldilocksEngine::Shard {
   std::unordered_map<ObjectId, VarState *> ByObjectHead; // intrusive heads
 };
 
+unsigned GoldilocksEngine::objectShard(ObjectId O) {
+  // The high bits of mix64. DetectionService::shardOf routes an object to a
+  // service shard by the *low* bits of the same mix; if the two overlapped,
+  // the objects one service shard's engine ever sees would share those bits
+  // and fill only a fraction of its index shards.
+  return static_cast<unsigned>(mix64(O) >> (64 - ShardBits));
+}
+
 namespace {
 
-/// Probe start for a packed var id: a multiplicative mix independent of the
-/// shard choice (which consumes the low bits of the same hash).
+/// Probe start for a packed (object, field) key: the low bits of its full
+/// mix. Every key bit reaches them, so an object's fields do not pile up
+/// on another object's same-numbered fields. Unrelated to objectShard,
+/// which mixes the object id alone.
 size_t varProbeStart(uint64_t Key, size_t Mask) {
-  return static_cast<size_t>((Key * 0xFF51AFD7ED558CCDull) >> 17) & Mask;
+  return static_cast<size_t>(mix64(Key)) & Mask;
 }
 
 } // namespace
@@ -632,7 +644,7 @@ GoldilocksEngine::~GoldilocksEngine() {
 //===----------------------------------------------------------------------===//
 
 GoldilocksEngine::VarState &GoldilocksEngine::varState(VarId V) {
-  Shard &Sh = Shards[VarIdHash()(V) % NumShards];
+  Shard &Sh = Shards[objectShard(V.Object)];
   uint64_t Key = V.key();
   std::lock_guard<std::mutex> L(Sh.Mu);
   if (!Sh.Table.empty()) {
@@ -703,7 +715,8 @@ GoldilocksEngine::findThreadState(ThreadId T) const {
 }
 
 std::mutex &GoldilocksEngine::klFor(VarId V) const {
-  // Mix the hash again so stripe choice is independent of shard choice.
+  // Mix the hash again so the stripe does not just repeat the index's
+  // probe start (the low bits of the same hash).
   uint64_t H = VarIdHash()(V) * 0x9E3779B97F4A7C15ull;
   return KlStripes[(H >> 32) % NumKlStripes].Mu;
 }
@@ -1168,28 +1181,28 @@ void GoldilocksEngine::deregisterThread(ThreadId T) {
 void GoldilocksEngine::onAlloc(ThreadId T, ObjectId O, uint32_t FieldCount) {
   (void)T;
   (void)FieldCount;
-  // Rule 8: every variable of the (re)allocated object becomes fresh. This
-  // hook is allocation-free (the per-object index is only read), so it
-  // cannot fail under memory pressure. It only drops retained positions
-  // (never dereferences unretained cells), so no epoch section is needed.
-  for (unsigned I = 0; I != NumShards; ++I) {
-    Shard &SI = Shards[I];
-    std::lock_guard<std::mutex> L(SI.Mu);
-    auto It = SI.ByObjectHead.find(O);
-    if (It == SI.ByObjectHead.end())
-      continue;
-    for (VarState *St = It->second; St; St = St->NextInObject) {
-      std::lock_guard<std::mutex> KL(klFor(St->V));
-      dropInfo(St->Write);
-      clearReads(*St);
-      St->Disabled = false;
-      St->Degraded = false;
-      // A reallocated variable is a new variable: it re-earns tier 0 and a
-      // fresh sampling budget along with its exactness.
-      St->resetTier();
-      St->TierEscalated = false;
-      St->SampleCount = 0;
-    }
+  // Rule 8: every variable of the (re)allocated object becomes fresh. All
+  // of them live in the object's one shard, so this is one mutex and one
+  // lookup, and nothing for an object never accessed. The hook is
+  // allocation-free (the per-object index is only read), so it cannot fail
+  // under memory pressure. It only drops retained positions (never
+  // dereferences unretained cells), so no epoch section is needed.
+  Shard &Sh = Shards[objectShard(O)];
+  std::lock_guard<std::mutex> L(Sh.Mu);
+  auto It = Sh.ByObjectHead.find(O);
+  if (It == Sh.ByObjectHead.end())
+    return;
+  for (VarState *St = It->second; St; St = St->NextInObject) {
+    std::lock_guard<std::mutex> KL(klFor(St->V));
+    dropInfo(St->Write);
+    clearReads(*St);
+    St->Disabled = false;
+    St->Degraded = false;
+    // A reallocated variable is a new variable: it re-earns tier 0 and a
+    // fresh sampling budget along with its exactness.
+    St->resetTier();
+    St->TierEscalated = false;
+    St->SampleCount = 0;
   }
 }
 

@@ -480,7 +480,10 @@ private:
   /// Destroys \p C and recycles its slot (or deletes it in passthrough
   /// mode). The only way cells die.
   void destroyCell(Cell *C);
+  /// Finds or creates \p V's state in its object's shard.
   VarState &varState(VarId V);
+  /// The variable-index shard of every variable of object \p O.
+  static unsigned objectShard(ObjectId O);
   ThreadState &threadState(ThreadId T);
   /// Lookup without creation (deregistration must not allocate).
   ThreadState *findThreadState(ThreadId T) const;
@@ -643,8 +646,10 @@ private:
   };
   mutable std::unique_ptr<KlStripe[]> KlStripes;
 
-  // Variable states, sharded to reduce map contention.
-  static constexpr unsigned NumShards = 64;
+  // Variable states, sharded by object (objectShard): all of an object's
+  // variables live in one shard, so rule 8 touches one shard mutex.
+  static constexpr unsigned ShardBits = 6;
+  static constexpr unsigned NumShards = 1u << ShardBits;
   std::unique_ptr<Shard[]> Shards;
 
   // Slab arenas for the three hot-path record types (DESIGN.md §12).

@@ -617,13 +617,12 @@ void DetectionService::bindSupervisor(ShardState &Sh) {
 uint64_t DetectionService::Now() const { return Cfg.NowNanos(); }
 
 unsigned DetectionService::shardOf(uint32_t Object) const {
-  // splitmix64 finalizer over the object id — the engine's stripe recipe at
-  // engine granularity.
-  uint64_t X = Object + 0x9e3779b97f4a7c15ULL;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-  X ^= X >> 31;
-  return static_cast<unsigned>(X % NumShards);
+  // mix64 modulo the shard count: for a power-of-two count, exactly its low
+  // bits. Each shard's engine picks its variable-index shard from the *high* bits
+  // of the same mix (GoldilocksEngine::objectShard); if the two overlapped,
+  // the objects routed to one service shard would share those bits and
+  // crowd a fraction of that engine's index shards.
+  return static_cast<unsigned>(mix64(Object) % NumShards);
 }
 
 uint64_t DetectionService::targetsOf(const Action &A) const {

@@ -10,9 +10,11 @@
 /// variables) must agree on every seeded run.
 ///
 /// Named regressions: an ownership-transfer interleaving (lock handoff must
-/// not race, real-time-only handoff must race) and a commit-anchor
+/// not race, real-time-only handoff must race), a commit-anchor
 /// interleaving (GC runs between commitPoint and finishCommit while other
-/// threads append — anchor clamping must keep transactional verdicts exact).
+/// threads append — anchor clamping must keep transactional verdicts exact)
+/// and reallocation under load (rule 8 runs while other threads keep
+/// inserting new variables into the same variable index).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,7 @@
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -230,6 +233,127 @@ TEST(ConcurrencyTest, CommitAnchorsSurviveConcurrentGc) {
   EXPECT_GT(St.GcRuns, 0u) << "workload never exercised GC";
   EXPECT_EQ(E.health().DegradationLevel, 0u) << "no caps were set";
   checkEngineConsistency(E);
+}
+
+//===----------------------------------------------------------------------===//
+// Named regression: reallocation under load
+//===----------------------------------------------------------------------===//
+
+// Workers keep creating and accessing fresh fields of shared objects while
+// main reallocates a quarter of the objects at a time, mid-run. There are
+// more objects than the engine has index shards, so alloc runs
+// concurrently with index inserts into its own shard, and into its own
+// object's variable list. Besides the fresh fields, each object has:
+//  - f0, written only by the object's owner for its current allocation
+//    (the owner rotates on every alloc): it races exactly when an alloc
+//    failed to make it fresh;
+//  - f1, written under the object's own modeled lock: never racy;
+//  - f2, accessed by anyone with no synchronization: racy between allocs
+//    unless the schedule happens to order the accesses through f1's locks.
+//
+// A fresh field is touched by one worker only, so its verdict (no race) is
+// the same whichever side of an alloc its accesses land on, and workers
+// access it with no real lock at all. For f0..f2 the side does matter:
+// there a per-object shared_mutex (not modeled) orders each access's ticket
+// and engine call against the alloc's, so the logged linearization applies
+// every alloc where the engine did.
+TEST(ConcurrencyTest, ReallocationUnderLoadMatchesOracle) {
+  constexpr unsigned NumWorkers = 4;
+  constexpr ObjectId NumObjects = 96;
+  constexpr ObjectId ObjBase = 300;
+  constexpr ObjectId LockBase = 500;
+  constexpr FieldId FirstFresh = 3;
+  constexpr unsigned Steps = 600;
+  constexpr unsigned Rounds = 8;
+
+  for (uint64_t Seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << Seed);
+    Harness H((EngineConfig()));
+    std::vector<Recorder> Recs(NumWorkers + 1);
+    Recorder &Main = Recs[0];
+    std::vector<std::shared_mutex> ObjMu(NumObjects);
+    std::vector<unsigned> Allocs(NumObjects, 0); // guarded by ObjMu[I]
+    std::vector<std::mutex> LockMu(NumObjects);
+    std::atomic<unsigned> Progress{0};
+
+    for (ObjectId I = 0; I != NumObjects; ++I) {
+      H.alloc(Main, 0, ObjBase + I, FirstFresh);
+      H.alloc(Main, 0, LockBase + I, 1);
+    }
+
+    auto Worker = [&](ThreadId Tid) {
+      Recorder &R = Recs[Tid];
+      Random Rng(Seed * 104729 + Tid);
+      for (unsigned Step = 0; Step != Steps; ++Step) {
+        ObjectId I = static_cast<ObjectId>(Rng.nextBelow(NumObjects));
+        ObjectId O = ObjBase + I;
+        switch (Rng.nextBelow(8)) {
+        default: { // a fresh field of a shared object, this worker's alone
+          VarId V{O, FirstFresh + Tid * Steps + Step};
+          H.write(R, Tid, V);
+          H.read(R, Tid, V);
+          break;
+        }
+        case 4:
+        case 5: { // f0: the current allocation's owner only
+          std::shared_lock<std::shared_mutex> G(ObjMu[I]);
+          if ((I + Allocs[I]) % NumWorkers == Tid - 1)
+            H.write(R, Tid, VarId{O, 0});
+          break;
+        }
+        case 6: { // f1 under the object's modeled lock
+          std::shared_lock<std::shared_mutex> G(ObjMu[I]);
+          std::lock_guard<std::mutex> L(LockMu[I]);
+          H.acq(R, Tid, LockBase + I);
+          H.write(R, Tid, VarId{O, 1});
+          H.rel(R, Tid, LockBase + I);
+          break;
+        }
+        case 7: { // f2 under nothing
+          std::shared_lock<std::shared_mutex> G(ObjMu[I]);
+          if (Rng.chance(1, 2))
+            H.write(R, Tid, VarId{O, 2});
+          else
+            H.read(R, Tid, VarId{O, 2});
+          break;
+        }
+        }
+        Progress.fetch_add(1, std::memory_order_relaxed);
+      }
+      H.terminate(R, Tid);
+    };
+
+    std::vector<std::thread> Threads;
+    for (ThreadId T = 1; T <= NumWorkers; ++T) {
+      H.fork(Main, 0, T);
+      Threads.emplace_back(Worker, T);
+    }
+    // Round r (from 0) reallocates the objects with I % 4 == r % 4 once the
+    // workers are (r+1)/(Rounds+1) of the way through: every object twice.
+    for (unsigned Round = 0; Round != Rounds; ++Round) {
+      unsigned Due = (Round + 1) * NumWorkers * Steps / (Rounds + 1);
+      while (Progress.load(std::memory_order_relaxed) < Due)
+        std::this_thread::yield();
+      for (ObjectId I = Round % 4; I < NumObjects; I += 4) {
+        std::unique_lock<std::shared_mutex> G(ObjMu[I]);
+        H.alloc(Main, 0, ObjBase + I, FirstFresh);
+        ++Allocs[I];
+      }
+    }
+    for (ThreadId T = 1; T <= NumWorkers; ++T) {
+      Threads[T - 1].join();
+      H.join(Main, 0, T);
+    }
+    H.terminate(Main, 0);
+
+    Trace Observed = mergeTrace(Recs);
+    std::set<VarId> Oracle = oracleVarSet(Observed);
+    for (VarId V : Oracle)
+      EXPECT_EQ(V.Field, 2u) << V.str();
+    EXPECT_PRED_FORMAT2(sameVerdicts, Oracle, engineVerdicts(Recs));
+    EXPECT_PRED_FORMAT2(sameVerdicts, Oracle, referenceVarSet(Observed));
+    checkEngineConsistency(H.Det.engine());
+  }
 }
 
 } // namespace

@@ -1,5 +1,6 @@
 //===- tests/EngineTest.cpp - optimized engine tests ----------------------===//
 
+#include "DifferentialHarness.h"
 #include "detectors/GoldilocksDetectors.h"
 #include "event/PaperTraces.h"
 #include "event/RandomTrace.h"
@@ -198,6 +199,71 @@ TEST(EngineTest, AllocResetsVariableState) {
   TraceBuilder B;
   B.write(1, 1, 0).alloc(2, 1, 1).write(2, 1, 0);
   EXPECT_TRUE(D.runTrace(B.take()).empty());
+}
+
+// Rule 8 over many objects: more objects than the engine has index shards,
+// all sharing field ids 0..3, plus one object with hundreds of fields.
+// alloc must make exactly the reallocated objects' variables fresh (and
+// re-enable one that was disabled after its race), while every other
+// object's same-numbered fields keep their state and still report.
+TEST(EngineTest, AllocResetsExactlyTheReallocatedObjects) {
+  constexpr ObjectId NumSmall = 100;
+  constexpr FieldId SmallFields = 4;
+  constexpr ObjectId Big = 1000;
+  constexpr FieldId BigFields = 256;
+  std::vector<VarId> All;
+  for (ObjectId O = 1; O <= NumSmall; ++O)
+    for (FieldId F = 0; F != SmallFields; ++F)
+      All.push_back(VarId{O, F});
+  for (FieldId F = 0; F != BigFields; ++F)
+    All.push_back(VarId{Big, F});
+  auto Reallocated = [&](ObjectId O) { return O == Big || O % 3 == 0; };
+  const VarId DisabledSmall{3, 0}, DisabledBig{Big, 7};
+
+  auto WriteAll = [&](ThreadId T) {
+    TraceBuilder B;
+    for (VarId V : All)
+      B.write(T, V.Object, V.Field);
+    return B.take();
+  };
+  std::set<VarId> Stale, Fresh;
+  for (VarId V : All)
+    (Reallocated(V.Object) ? Fresh : Stale).insert(V);
+
+  GoldilocksDetector D;
+  GoldilocksReferenceDetector Ref;
+  auto Run = [&](const Trace &T) {
+    auto ER = D.runTrace(T);
+    std::set<VarId> Got = difftest::racyVarSet(ER);
+    EXPECT_EQ(Got.size(), ER.size()) << "a variable reported twice";
+    EXPECT_PRED_FORMAT2(difftest::sameVerdicts,
+                        difftest::racyVarSet(Ref.runTrace(T)), Got);
+    return Got;
+  };
+
+  // Race on two variables of reallocated objects so both are disabled.
+  TraceBuilder Pre;
+  for (VarId V : {DisabledSmall, DisabledBig})
+    Pre.write(1, V.Object, V.Field).write(2, V.Object, V.Field);
+  EXPECT_PRED_FORMAT2(difftest::sameVerdicts,
+                      (std::set<VarId>{DisabledSmall, DisabledBig}),
+                      Run(Pre.take()));
+
+  // Thread 1 writes everything; thread 3 reallocates the subset; thread 2's
+  // unordered writes then race exactly on the objects left alone.
+  EXPECT_TRUE(Run(WriteAll(1)).empty());
+  TraceBuilder Alloc;
+  for (ObjectId O = 1; O <= NumSmall; ++O)
+    if (Reallocated(O))
+      Alloc.alloc(3, O, SmallFields);
+  Alloc.alloc(3, Big, BigFields);
+  EXPECT_TRUE(Run(Alloc.take()).empty());
+  EXPECT_PRED_FORMAT2(difftest::sameVerdicts, Stale, Run(WriteAll(2)));
+
+  // The reallocated variables, the two disabled ones included, are checked
+  // again: thread 4's writes race with thread 2's. The others were disabled
+  // by their race above and stay quiet.
+  EXPECT_PRED_FORMAT2(difftest::sameVerdicts, Fresh, Run(WriteAll(4)));
 }
 
 TEST(EngineTest, EnableVarReenablesChecking) {

@@ -20,6 +20,15 @@ TEST(VarIdTest, KeyPacksBothComponents) {
   EXPECT_EQ((VarId{3, 4}.key()), (VarId{3, 4}.key()));
 }
 
+TEST(VarIdTest, Mix64IsSplitmix64) {
+  // The first two outputs of splitmix64 seeded with 0. Variable hashing and
+  // the service's shard routing both go through mix64, so a drift here
+  // would silently move every object to another shard.
+  EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(mix64(0x9e3779b97f4a7c15ull), 0x6e789e6aa1b965f4ull);
+  EXPECT_EQ(VarIdHash()(VarId{3, 4}), mix64(VarId{3, 4}.key()));
+}
+
 TEST(VarIdTest, StrRendersLockField) {
   EXPECT_EQ((VarId{3, 1}).str(), "o3.f1");
   EXPECT_EQ(lockVar(3).str(), "o3.lock");
