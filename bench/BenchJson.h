@@ -83,8 +83,6 @@ inline void jsonEngineConfig(JsonWriter &J, const char *Key,
   J.kv("grace_deadline_micros", C.GraceDeadlineMicros);
   J.kv("epoch_slot_count", C.EpochSlotCount);
   J.kv("tier", tierModeName(C.Tier));
-  J.kv("sampling_rate_ppm", static_cast<uint64_t>(C.SamplingRatePpm));
-  J.kv("sampling_budget", static_cast<uint64_t>(C.SamplingBudget));
   J.endObject();
 }
 

@@ -50,6 +50,9 @@ constexpr size_t StatEveryFrames = 512;
 constexpr unsigned StatStallPolls = 3;
 /// Ceiling for any single backoff sleep.
 constexpr uint64_t MaxWaitNanos = 5ull * 1000000;
+/// Admission priority sent in the shm ring's Priority word and on the TCP
+/// `open <id> <priority>` line: the servers' default.
+constexpr unsigned SessionPriority = 1;
 
 } // namespace
 
@@ -520,7 +523,7 @@ bool GoldClient::shmReclaim(std::string &Err) {
     R->ClientId.store(Cfg.ClientId, std::memory_order_release);
     R->ClientPid.store(static_cast<uint32_t>(::getpid()),
                        std::memory_order_release);
-    R->Priority.store(Cfg.Priority, std::memory_order_release);
+    R->Priority.store(SessionPriority, std::memory_order_release);
     // Clock handshake: our monotonic now, read by the server at claim to
     // measure the producer->server clock offset for origin correction.
     R->ClockOrigin.store(nowNanos(), std::memory_order_release);
@@ -796,7 +799,7 @@ bool GoldClient::connectTcp(std::string &Err, bool Resuming) {
 
     char Req[64];
     int N = net::proto::fmtOpenPrio(Req, sizeof(Req), Cfg.ClientId,
-                                    Cfg.Priority);
+                                    SessionPriority);
     bool Retry = false;
     for (;;) {
       // The clock handshake stamp must be fresh per attempt: a backpressure
@@ -804,7 +807,7 @@ bool GoldClient::connectTcp(std::string &Err, bool Resuming) {
       // the whole sleep.
       if (Cfg.TraceFrames)
         N = net::proto::fmtOpenPrioClock(Req, sizeof(Req), Cfg.ClientId,
-                                         Cfg.Priority, nowNanos());
+                                         SessionPriority, nowNanos());
       if (::send(S->Fd, Req, size_t(N), MSG_NOSIGNAL) != N) {
         Retry = Transient("gold-client: open write failed: " +
                           std::string(std::strerror(errno)));

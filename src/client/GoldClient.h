@@ -60,7 +60,6 @@ namespace client {
 
 struct GoldClientConfig {
   uint64_t ClientId = 1;
-  unsigned Priority = 1;
 
   /// Shared-memory segment path; empty disables the shm fast path.
   std::string ShmPath;

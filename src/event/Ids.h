@@ -13,6 +13,8 @@
 #ifndef GOLD_EVENT_IDS_H
 #define GOLD_EVENT_IDS_H
 
+#include "support/Random.h"
+
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -62,16 +64,8 @@ struct VarId {
 /// Returns the lock variable (o, l) of object \p O.
 inline VarId lockVar(ObjectId O) { return VarId{O, LockField}; }
 
-/// The splitmix64 finalizer: every output bit depends on every input bit.
-/// The one integer mix of the system: variable hashing, the service's shard
-/// routing and the engine's variable index all use it.
-inline uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ULL;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-  return X ^ (X >> 31);
-}
-
+/// Hashes a variable with mix64 (support/Random.h), the system's one
+/// integer mix.
 struct VarIdHash {
   size_t operator()(const VarId &V) const {
     return static_cast<size_t>(mix64(V.key()));

@@ -20,15 +20,12 @@ const char *gold::tierModeName(TierMode M) {
     return "precise";
   case TierMode::Tiered:
     return "tiered";
-  case TierMode::Sampling:
-    return "sampling";
   }
   return "precise";
 }
 
 bool gold::parseTierMode(const char *S, TierMode &Out) {
-  for (TierMode M :
-       {TierMode::Precise, TierMode::Tiered, TierMode::Sampling}) {
+  for (TierMode M : {TierMode::Precise, TierMode::Tiered}) {
     if (S && !std::strcmp(S, tierModeName(M))) {
       Out = M;
       return true;
@@ -124,14 +121,10 @@ struct GoldilocksEngine::VarState {
   static constexpr unsigned TierLockCap = 4;
   ObjectId TierLocks[TierLockCap] = {};
   uint8_t TierLockCount = 0;
-  /// Sampling tier: accesses presented to this variable (budget + hash
-  /// position), counted even for the skipped ones.
-  uint64_t SampleCount = 0;
 
   /// Forgets the tier summaries (the records they summarize were dropped).
-  /// Escalation and the sample count survive: a variable that needed the
-  /// precise tier once stays escalated, and the sampling budget is a
-  /// lifetime budget. Requires the KL stripe, like any tier mutation.
+  /// Escalation survives: a variable that needed the precise tier once
+  /// stays escalated. Requires the KL stripe, like any tier mutation.
   void resetTier() {
     TierInit = false;
     TierMixed = false;
@@ -1198,11 +1191,10 @@ void GoldilocksEngine::onAlloc(ThreadId T, ObjectId O, uint32_t FieldCount) {
     clearReads(*St);
     St->Disabled = false;
     St->Degraded = false;
-    // A reallocated variable is a new variable: it re-earns tier 0 and a
-    // fresh sampling budget along with its exactness.
+    // A reallocated variable is a new variable: it re-earns tier 0 along
+    // with its exactness.
     St->resetTier();
     St->TierEscalated = false;
-    St->SampleCount = 0;
   }
 }
 
@@ -1377,27 +1369,6 @@ GoldilocksEngine::accessImpl(ThreadId T, VarId V, bool IsWrite, bool Xact,
   }
 }
 
-namespace {
-
-/// Sampling-tier selection: a pure hash of (seed, variable, per-variable
-/// access ordinal), so a seeded run reproduces its sample — and its
-/// verdicts — exactly.
-bool sampleSelected(uint64_t Seed, uint64_t VarKey, uint64_t Ordinal,
-                    uint32_t Ppm) {
-  if (Ppm >= 1000000u)
-    return true;
-  if (Ppm == 0)
-    return false;
-  uint64_t H = Seed ^ (VarKey * 0x9E3779B97F4A7C15ull) ^
-               (Ordinal * 0xFF51AFD7ED558CCDull);
-  H ^= H >> 33;
-  H *= 0xC4CEB9FE1A85EC53ull;
-  H ^= H >> 29;
-  return (H % 1000000u) < Ppm;
-}
-
-} // namespace
-
 std::optional<RaceReport>
 GoldilocksEngine::accessLocked(ThreadId T, ThreadState *TS, VarId V,
                                bool IsWrite, bool Xact, Cell *PosOverride,
@@ -1407,26 +1378,6 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState *TS, VarId V,
   if (St.Disabled || St.Degraded) {
     S->SkippedDisabled.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
-  }
-
-  // Sampling tier: past the per-variable burst budget, only the
-  // deterministic sample of data accesses is processed; the rest are
-  // skipped *entirely* — no pair checks and no record. The engine then
-  // sees a sub-trace of the data accesses over the full synchronization
-  // order, so any race it does report holds between two accesses that
-  // really executed, under the real happens-before relation: precision is
-  // preserved, only recall is traded. Transactional replays are never
-  // sampled (their commit event is already in the list; skipping the
-  // check half would be incoherent), and synchronization events never
-  // reach this path at all.
-  if (Cfg.Tier == TierMode::Sampling && !Xact && !PosOverride) {
-    uint64_t Ordinal = ++St.SampleCount;
-    if (Ordinal > Cfg.SamplingBudget &&
-        !sampleSelected(SamplingSeed, V.key(), Ordinal,
-                        Cfg.SamplingRatePpm)) {
-      S->SampledSkips.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
   }
 
   // Tier-0 prefilter (TierMode::Tiered, DESIGN.md §15): skip the pair
@@ -2224,15 +2175,14 @@ EngineHealth GoldilocksEngine::health() const {
   H.Tier = static_cast<unsigned>(Cfg.Tier);
   H.TierFiltered = S->TierFiltered.load(std::memory_order_relaxed);
   H.Escalations = S->Escalations.load(std::memory_order_relaxed);
-  H.SampledSkips = S->SampledSkips.load(std::memory_order_relaxed);
   return H;
 }
 
 TelemetrySnapshot GoldilocksEngine::telemetry() const {
-  // Start from the registry (histograms and any registered instruments),
-  // then add the counter table (the names jsonEngineStats emits too) and
-  // the health/arena gauges, so --metrics-json readers see one flat
-  // vocabulary regardless of which layer produced a number.
+  // Start from the registry (histograms), then add the counter table (the
+  // names jsonEngineStats emits too) and the health/arena gauges, so
+  // --metrics-json readers see one flat vocabulary regardless of which
+  // layer produced a number.
   TelemetrySnapshot Snap;
   if (Tel)
     Snap = Tel->snapshot();

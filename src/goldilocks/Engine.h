@@ -84,15 +84,9 @@ namespace gold {
 ///    the precise tier. Info records are always installed, so escalation
 ///    hands the precise tier exactly the state it would have had anyway —
 ///    verdicts are identical to Precise by construction.
-///  * Sampling — always-on production mode: each variable's first
-///    SamplingBudget accesses are processed in full, then accesses are
-///    processed at SamplingRatePpm (deterministic per (seed, var, count)),
-///    and skipped entirely otherwise. Skipping cannot fabricate a pair, so
-///    every report is still exact (precision 1.0); recall degrades with the
-///    rate. Synchronization events are never sampled.
-enum class TierMode : uint8_t { Precise, Tiered, Sampling };
+enum class TierMode : uint8_t { Precise, Tiered };
 
-/// Canonical lowercase name of a tier ("precise", "tiered", "sampling").
+/// Canonical lowercase name of a tier ("precise", "tiered").
 const char *tierModeName(TierMode M);
 
 /// Parses a tier name as printed by tierModeName. Returns false (leaving
@@ -121,8 +115,8 @@ struct EngineConfig {
   /// cache-line-aligned slab arena (src/support/Slab.h) with per-thread
   /// free caches, recycling retired cells through epoch/quarantine
   /// reclamation instead of returning them to the global heap. Disable for
-  /// the ablation benches and for allocation-debugging runs (every record
-  /// becomes an individual new/delete again, visible to heap tools).
+  /// allocation-debugging runs (every record becomes an individual
+  /// new/delete again, visible to heap tools); SlabTest covers both paths.
   bool EnableSlabPooling = true;
 
   /// Resource governor hard caps (0 = unlimited). When a cap is hit the
@@ -170,30 +164,14 @@ struct EngineConfig {
   size_t MaxProvenanceSteps = 4096;
 
   /// Precision tier (see TierMode). Tiered keeps verdicts bit-identical to
-  /// Precise while skipping the pair checks on provably-ordered accesses;
-  /// Sampling trades recall (never precision) for a hard per-access cost
-  /// bound. The tier-0 state lives on the variable under its KL stripe, so
-  /// every mode keeps the engine's thread-safety contract unchanged.
+  /// Precise while skipping the pair checks on provably-ordered accesses.
+  /// The tier-0 state lives on the variable under its KL stripe, so both
+  /// modes keep the engine's thread-safety contract unchanged.
   TierMode Tier = TierMode::Precise;
-
-  /// Sampling mode: probability, in parts per million, that an access past
-  /// the per-variable budget is processed (0 = none past the budget,
-  /// 1000000 = all). Selection is a deterministic hash of
-  /// (SamplingSeed, variable, per-variable access count), so a seeded run
-  /// reproduces exactly. Ignored outside TierMode::Sampling.
-  uint32_t SamplingRatePpm = 10000;
-
-  /// Sampling mode: number of leading accesses per variable that are always
-  /// processed before the rate applies (the O(1)-samples-style burst that
-  /// keeps short-lived variables fully covered).
-  uint32_t SamplingBudget = 32;
 };
 
 /// Per-stripe capacity of the flight recorder (Full level only).
 inline constexpr size_t FlightRingCapacity = 256;
-
-/// Seed for the deterministic sampling-tier hash.
-inline constexpr uint64_t SamplingSeed = 0x9E3779B97F4A7C15ull;
 
 /// The engine's monotonic event counters, one X(Field, "exported_name")
 /// row each (DESIGN.md §13). EngineStats, the atomic block behind it,
@@ -228,8 +206,7 @@ inline constexpr uint64_t SamplingSeed = 0x9E3779B97F4A7C15ull;
   X(ThreadsDeregistered, "threads_deregistered") /* live deregisterThread() */ \
   X(SlotFallbacks, "slot_fallbacks")             /* fallback-mutex sections */ \
   X(TierFiltered, "tier_filtered")               /* checks skipped: tier 0 */  \
-  X(Escalations, "escalations")                  /* vars escalated tier 0 */   \
-  X(SampledSkips, "sampled_skips")               /* skipped: sampling tier */
+  X(Escalations, "escalations")                  /* vars escalated tier 0 */
 
 /// Monotonic event counters, readable while the engine runs.
 struct EngineStats {

@@ -47,10 +47,9 @@ struct EngineHealth {
   uint64_t Stalls = 0;          ///< grace periods that hit their deadline
   size_t QuarantinedCells = 0;  ///< cells detached but deferred (stalled grace)
   uint64_t ReclaimedDeadSlots = 0; ///< epoch slots recycled from dead threads
-  unsigned Tier = 0;            ///< TierMode (0 precise, 1 tiered, 2 sampling)
+  unsigned Tier = 0;            ///< TierMode (0 precise, 1 tiered)
   uint64_t TierFiltered = 0;    ///< accesses whose pair checks tier 0 skipped
   uint64_t Escalations = 0;     ///< variables escalated to the precise tier
-  uint64_t SampledSkips = 0;    ///< accesses skipped by the sampling tier
 
   /// One-line render for logs and the CLI. Built incrementally: the field
   /// set grows with the engine and a fixed buffer would silently truncate.
@@ -91,13 +90,12 @@ struct EngineHealth {
     Zu("quarantined", QuarantinedCells);
     Llu("reclaimed-slots", ReclaimedDeadSlots);
     if (Tier != 0) {
-      static const char *TierNames[] = {"precise", "tiered", "sampling"};
+      static const char *TierNames[] = {"precise", "tiered"};
       std::snprintf(Buf, sizeof(Buf), " tier=%s",
-                    Tier < 3 ? TierNames[Tier] : "?");
+                    Tier < 2 ? TierNames[Tier] : "?");
       Out += Buf;
       Llu("tier-filtered", TierFiltered);
       Llu("escalations", Escalations);
-      Llu("sampled-skips", SampledSkips);
     }
     return Out;
   }
@@ -125,7 +123,6 @@ struct EngineHealth {
     J.kv("tier", Tier);
     J.kv("tier_filtered", TierFiltered);
     J.kv("escalations", Escalations);
-    J.kv("sampled_skips", SampledSkips);
   }
 
   /// Complete JSON object, e.g. for embedding under a "health" key.

@@ -11,19 +11,27 @@
 /// Session or across a TCP connection behind the NetServer.
 ///
 /// Attempt k waits roughly Base * 2^k, ±25% deterministic jitter derived
-/// from (seed, attempt), capped at Max. The jitter is a splitmix64
-/// finalizer — the same recipe as the failpoint framework — so replays of a
-/// seeded run see the same waits, while distinct producers (distinct seeds)
-/// decorrelate and do not stampede the ring in lockstep.
+/// from (seed, attempt), capped at Max. The jitter is mix64 of the pair —
+/// the system's one integer mix — so replays of a seeded run see the same
+/// waits, while distinct producers (distinct seeds) decorrelate and do not
+/// stampede the ring in lockstep. Every surface uses BackoffBaseNanos and
+/// BackoffMaxNanos.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GOLD_SERVICE_BACKOFF_H
 #define GOLD_SERVICE_BACKOFF_H
 
+#include "support/Random.h"
+
 #include <cstdint>
 
 namespace gold {
+
+/// First retry-after hint a producer gets (attempt 0), before jitter.
+inline constexpr uint64_t BackoffBaseNanos = 2000;
+/// Ceiling of the schedule (10 ms): a producer is never told to wait longer.
+inline constexpr uint64_t BackoffMaxNanos = 10000000;
 
 /// Jittered exponential backoff schedule for producers that received
 /// Backpressure: attempt k waits roughly Base * 2^k, ±25% deterministic
@@ -35,12 +43,7 @@ inline uint64_t backoffNanos(uint64_t BaseNanos, unsigned Attempt,
   uint64_t Wait = BaseNanos << Shift;
   if (!Wait || Wait > MaxNanos)
     Wait = MaxNanos;
-  // splitmix64 finalizer for the jitter; same recipe as the failpoint
-  // framework so replays are deterministic.
-  uint64_t X = Seed ^ (0x9e3779b97f4a7c15ULL * (Attempt + 1));
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-  X ^= X >> 31;
+  uint64_t X = mix64(Seed ^ (0x9e3779b97f4a7c15ULL * (Attempt + 1)));
   uint64_t Quarter = Wait / 4;
   if (Quarter)
     Wait = Wait - Quarter + (X % (2 * Quarter)); // Wait ± 25%

@@ -276,9 +276,8 @@ FeedResult Session::backpressuredLocked(FeedResult Res) {
   Svc.C.BackpressureRejects.fetch_add(1, std::memory_order_relaxed);
   Res.St = FeedResult::Status::Backpressure;
   Res.RetryAfterNanos = backoffNanos(
-      Svc.config().BackoffBaseNanos, BackoffAttempt++,
-      Client ^ (static_cast<uint64_t>(Index) << 32),
-      Svc.config().BackoffMaxNanos);
+      BackoffBaseNanos, BackoffAttempt++,
+      Client ^ (static_cast<uint64_t>(Index) << 32), BackoffMaxNanos);
   return Res;
 }
 
@@ -482,13 +481,12 @@ std::string ServiceHealth::str() const {
   Add("replayed", ReplayedActions);
   Add("races", RacesDelivered);
   Add("verdict-loss-events", VerdictLossEvents);
-  if (Tier != 0) { // non-precise: show what the tier pipeline skipped
+  if (Tier != 0) { // tiered: show what the tier pipeline skipped
     std::snprintf(Buf, sizeof(Buf), " tier=%s",
                   tierModeName(static_cast<TierMode>(Tier)));
     Out += Buf;
     Add("tier-filtered", TierFiltered);
     Add("escalations", Escalations);
-    Add("sampled-skips", SampledSkips);
   }
   std::snprintf(Buf, sizeof(Buf), " max-shard-level=%u%s",
                 MaxShardDegradation,
@@ -509,7 +507,6 @@ void ServiceHealth::jsonBody(JsonWriter &J) const {
   J.kv("tier", Tier);
   J.kv("tier_filtered", TierFiltered);
   J.kv("escalations", Escalations);
-  J.kv("sampled_skips", SampledSkips);
   J.kv("max_shard_degradation", MaxShardDegradation);
   J.kv("any_shard_globally_degraded", AnyShardGloballyDegraded);
   J.key("shard_health");
@@ -585,9 +582,10 @@ DetectionService::DetectionService(ServiceConfig CIn)
       HPipeApply = &Tel->histogram("pipe.apply");
       HPipeVerdict = &Tel->histogram("pipe.verdict");
     }
-    if (Cfg.Trace.SpanCapacity)
-      SpanSink.reset(new TraceEventSink(Cfg.Trace.SpanCapacity,
-                                        static_cast<uint32_t>(::getpid())));
+    // Bounded capacity of the span ring (Chrome trace events).
+    constexpr size_t SpanCapacity = 8192;
+    SpanSink.reset(
+        new TraceEventSink(SpanCapacity, static_cast<uint32_t>(::getpid())));
   }
   ShardsVec.reserve(NumShards);
   for (unsigned S = 0; S != NumShards; ++S) {
@@ -669,8 +667,8 @@ DetectionService::OpenResult DetectionService::open(uint64_t ClientId,
     R.Error = "admission paused (service overloaded)";
     // Same jittered schedule as ring producers and the wire: consecutive
     // refusals back off exponentially instead of re-knocking at a flat cap.
-    R.RetryAfterNanos = backoffNanos(Cfg.BackoffBaseNanos, AdmissionAttempt++,
-                                     ClientId, Cfg.BackoffMaxNanos);
+    R.RetryAfterNanos = backoffNanos(BackoffBaseNanos, AdmissionAttempt++,
+                                     ClientId, BackoffMaxNanos);
     return R;
   }
   uint32_t Idx;
@@ -685,8 +683,8 @@ DetectionService::OpenResult DetectionService::open(uint64_t ClientId,
     C.AdmissionRejects.fetch_add(1, std::memory_order_relaxed);
     R.Error = "session namespace exhausted (recycleNamespaces reclaims "
               "dead slots)";
-    R.RetryAfterNanos = backoffNanos(Cfg.BackoffBaseNanos, AdmissionAttempt++,
-                                     ClientId, Cfg.BackoffMaxNanos);
+    R.RetryAfterNanos = backoffNanos(BackoffBaseNanos, AdmissionAttempt++,
+                                     ClientId, BackoffMaxNanos);
     return R;
   }
   Sessions[Idx].reset(new Session(*this, Idx, ClientId, Priority));
@@ -1149,7 +1147,6 @@ ServiceHealth DetectionService::health() const {
     H.AnyShardGloballyDegraded |= EH.GloballyDegraded;
     H.TierFiltered += EH.TierFiltered;
     H.Escalations += EH.Escalations;
-    H.SampledSkips += EH.SampledSkips;
     H.ShardHealth.push_back(std::move(EH));
   }
   return H;
@@ -1164,7 +1161,6 @@ TelemetrySnapshot DetectionService::telemetry() const {
   Snap.addCounter("service.verdict_loss_events", H.VerdictLossEvents);
   Snap.addCounter("service.tier_filtered", H.TierFiltered);
   Snap.addCounter("service.escalations", H.Escalations);
-  Snap.addCounter("service.sampled_skips", H.SampledSkips);
   Snap.addGauge("service.ladder_state", H.LadderState);
   Snap.addGauge("service.active_sessions",
                 static_cast<int64_t>(H.ActiveSessions));

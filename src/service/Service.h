@@ -91,9 +91,6 @@ struct ServiceConfig {
   /// disjoint thread/object id range of NamespaceStride). Reincarnating
   /// every shard recycles the slots of dead sessions (recycleNamespaces).
   size_t MaxSessions = 512;
-  /// Producer retry-after schedule (jittered exponential; IngestRing.h).
-  uint64_t BackoffBaseNanos = 2000;
-  uint64_t BackoffMaxNanos = 10000000; // 10ms
   /// Rebuild reincarnated shards from session journals. When false, queued
   /// and historical state is discarded and the discard is counted as
   /// potential verdict loss in health (explicit, never silent).
@@ -371,7 +368,6 @@ struct ServiceHealth {
   unsigned Tier = 0;          ///< engine TierMode every shard runs (config)
   uint64_t TierFiltered = 0;  ///< sum of shard tier-0 pair-check skips
   uint64_t Escalations = 0;   ///< sum of shard variable escalations
-  uint64_t SampledSkips = 0;  ///< sum of shard sampling-tier access skips
   unsigned MaxShardDegradation = 0;
   bool AnyShardGloballyDegraded = false;
   std::vector<EngineHealth> ShardHealth;

@@ -8,9 +8,9 @@
 /// Sampling must be decidable independently on both sides of the process
 /// boundary: the client decides whether to emit its own span for frame N and
 /// the server decides whether to emit the pipeline spans for the same frame,
-/// with no coordination beyond sharing (seed, ppm). Hashing the
-/// (client-id, frame-ordinal) pair with the same splitmix/murmur finalizer
-/// the tier sampler uses makes the two decisions bit-identical, so a merged
+/// with no coordination beyond sharing (seed, ppm). Both sides hash the
+/// (client-id, frame-ordinal) pair with traceSampled's one murmur-style
+/// finalizer, which makes the two decisions bit-identical, so a merged
 /// cross-process trace always carries both halves of a sampled frame.
 ///
 //===----------------------------------------------------------------------===//
@@ -24,9 +24,9 @@
 namespace gold {
 
 /// Deterministic per-frame sampling: true when frame \p FrameSeq of client
-/// \p ClientId is selected at \p Ppm parts-per-million under \p Seed. The
-/// same (seed, key, ordinal) hash recipe as the tier sampler, so the
-/// decision is reproducible across processes and across runs.
+/// \p ClientId is selected at \p Ppm parts-per-million under \p Seed. A
+/// pure hash of (seed, client, ordinal), so the decision is reproducible
+/// across processes and across runs.
 inline bool traceSampled(uint64_t Seed, uint64_t ClientId, uint64_t FrameSeq,
                          uint32_t Ppm) {
   if (Ppm == 0)
@@ -55,8 +55,6 @@ struct PipeTraceConfig {
   /// and a zero-check at the server, which is what keeps tracing within
   /// noise even when enabled (the O(1)-samples discipline).
   uint32_t SampleRatePpm = 10000;
-  /// Bounded capacity of the span ring (Chrome trace events).
-  size_t SpanCapacity = 8192;
 };
 
 /// Per-frame trace context a transport threads into Session::feedLine /

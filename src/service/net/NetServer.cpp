@@ -606,9 +606,8 @@ size_t NetServer::deliverVerdicts(Conn &C, uint64_t Id, Session &S,
   // An incomplete set (a close that did not settle) is refused the same way.
   size_t Pending = C.Out.size() - C.OutPos;
   if (!Complete || Pending > Cfg.WriteQueueCapBytes / 2) {
-    uint64_t Wait = backoffNanos(Svc.config().BackoffBaseNanos,
-                                 C.VerdictAttempt++, Id ^ uint64_t(C.Fd),
-                                 Svc.config().BackoffMaxNanos);
+    uint64_t Wait = backoffNanos(BackoffBaseNanos, C.VerdictAttempt++,
+                                 Id ^ uint64_t(C.Fd), BackoffMaxNanos);
     St.BackpressureReplies.fetch_add(1, std::memory_order_relaxed);
     char Reply[96];
     proto::fmtErrVerdictsBackpressure(Reply, sizeof(Reply), Id, Wait);

@@ -35,10 +35,16 @@ ShmServer::~ShmServer() {
     ::close(Fd);
 }
 
+/// Slots in every client ring. The segment header records it, so clients
+/// read the geometry from the segment rather than assuming this value.
+static constexpr uint32_t SlotsPerRing = 1024;
+static_assert((SlotsPerRing & (SlotsPerRing - 1)) == 0 && SlotsPerRing >= 8,
+              "a ring index is a mask: SlotsPerRing must be a power of two "
+              "of at least 8 (SegView::valid)");
+
 bool ShmServer::start(std::string &Err) {
-  if ((Cfg.SlotsPerRing & (Cfg.SlotsPerRing - 1)) != 0 ||
-      Cfg.SlotsPerRing < 8 || Cfg.Rings == 0) {
-    Err = "shm: SlotsPerRing must be a power of two >= 8 and Rings > 0";
+  if (Cfg.Rings == 0) {
+    Err = "shm: Rings must be > 0";
     return false;
   }
   Fd = ::open(Cfg.Path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0600);
@@ -46,7 +52,7 @@ bool ShmServer::start(std::string &Err) {
     Err = "shm: open " + Cfg.Path + ": " + std::strerror(errno);
     return false;
   }
-  size_t Bytes = SegView::bytesFor(Cfg.Rings, Cfg.SlotsPerRing);
+  size_t Bytes = SegView::bytesFor(Cfg.Rings, SlotsPerRing);
   if (::ftruncate(Fd, static_cast<off_t>(Bytes)) != 0) {
     Err = "shm: ftruncate: " + std::string(std::strerror(errno));
     return false;
@@ -62,9 +68,9 @@ bool ShmServer::start(std::string &Err) {
   ShmSegHdr *H = Seg.hdr();
   H->Version = SegVersion;
   H->RingCount = Cfg.Rings;
-  H->SlotsPerRing = Cfg.SlotsPerRing;
+  H->SlotsPerRing = SlotsPerRing;
   H->SlotSize = SlotBytes;
-  H->RingStride = sizeof(ShmRingHdr) + size_t(Cfg.SlotsPerRing) * SlotBytes;
+  H->RingStride = sizeof(ShmRingHdr) + size_t(SlotsPerRing) * SlotBytes;
   H->HdrBytes = 4096;
   H->ServerPid = static_cast<uint32_t>(::getpid());
   H->Doorbell.store(0, std::memory_order_relaxed);
@@ -73,7 +79,7 @@ bool ShmServer::start(std::string &Err) {
     ShmRingHdr *R = Seg.ring(I);
     std::memset(reinterpret_cast<char *>(R), 0, sizeof(ShmRingHdr));
     ShmSlot *S = Seg.slots(I);
-    for (uint32_t K = 0; K != Cfg.SlotsPerRing; ++K)
+    for (uint32_t K = 0; K != SlotsPerRing; ++K)
       S[K].Seq.store(K, std::memory_order_relaxed);
   }
   // Publish last: clients acquire-load State before trusting any field.
@@ -275,6 +281,9 @@ void ShmServer::handleClaim(uint32_t I) {
                  std::memory_order_release);
 }
 
+/// Frames consumed from one ring before moving on (fairness bound).
+static constexpr uint32_t ConsumeBatch = 256;
+
 size_t ShmServer::consumeRing(uint32_t I, bool Draining) {
   ShmRingHdr *R = Seg.ring(I);
   ShmSlot *Slots = Seg.slots(I);
@@ -295,7 +304,7 @@ size_t ShmServer::consumeRing(uint32_t I, bool Draining) {
   size_t Frames = 0;
   uint64_t SlotsLocal = 0;
   uint64_t FrameT0 = 0;
-  while (Frames < Cfg.ConsumeBatch) {
+  while (Frames < ConsumeBatch) {
     if (!Draining && W.NotBefore != 0) {
       if (now() < W.NotBefore)
         break; // backpressure gate still closed

@@ -56,13 +56,10 @@ namespace shm {
 struct ShmConfig {
   std::string Path;        ///< segment file (tmpfs recommended)
   uint32_t Rings = 16;     ///< concurrent co-located producers
-  uint32_t SlotsPerRing = 1024; ///< power of two
   /// Heartbeat staleness after which a live-pid producer is reaped as
   /// wedged. Producers beat on every publish, so this only fires for a
   /// stalled or abandoned stream.
   uint64_t WedgeTimeoutNanos = 5ull * 1000000000;
-  /// Frames consumed from one ring before moving on (fairness bound).
-  uint32_t ConsumeBatch = 256;
 };
 
 /// The shm front end's monotonic counters, one X(Field, "exported_name")

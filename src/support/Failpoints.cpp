@@ -1,6 +1,7 @@
 //===- support/Failpoints.cpp ---------------------------------------------===//
 
 #include "support/Failpoints.h"
+#include "support/Random.h"
 
 #include <cassert>
 #include <chrono>
@@ -77,18 +78,6 @@ void Failpoints::resetCounters() {
   }
 }
 
-namespace {
-
-/// splitmix64 finalizer: decorrelates (seed, site, counter) triples.
-uint64_t mix(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ULL;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-  return X ^ (X >> 31);
-}
-
-} // namespace
-
 bool Failpoints::evaluate(Failpoint F) {
   unsigned I = static_cast<unsigned>(F);
   assert(I < NumFailpoints && "invalid failpoint");
@@ -97,7 +86,8 @@ bool Failpoints::evaluate(Failpoint F) {
   uint64_t N = S.Evals.fetch_add(1, std::memory_order_relaxed);
   if (Rate == 0)
     return false;
-  uint64_t H = mix(Cfg.Seed ^ (0x517cc1b727220a95ULL * (I + 1)) ^ N);
+  // mix64 decorrelates (seed, site, counter) triples.
+  uint64_t H = mix64(Cfg.Seed ^ (0x517cc1b727220a95ULL * (I + 1)) ^ N);
   if (H % 1000000u >= Rate)
     return false;
   S.Fires.fetch_add(1, std::memory_order_relaxed);

@@ -4,14 +4,6 @@
 
 using namespace gold;
 
-static uint64_t splitmix64(uint64_t &X) {
-  X += 0x9e3779b97f4a7c15ULL;
-  uint64_t Z = X;
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-  return Z ^ (Z >> 31);
-}
-
 void Random::reseed(uint64_t Seed) {
   for (auto &S : State)
     S = splitmix64(Seed);

@@ -5,6 +5,8 @@
 /// trace generators, property tests and workloads. std::mt19937 is avoided so
 /// that sequences are stable across standard library implementations.
 ///
+/// Also home to mix64, the one integer mixing function of the system.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GOLD_SUPPORT_RANDOM_H
@@ -14,6 +16,25 @@
 #include <cstdint>
 
 namespace gold {
+
+/// The splitmix64 finalizer: every output bit depends on every input bit.
+/// The one integer mix of the system: variable hashing, the service's shard
+/// routing, the engine's variable index, failpoint decisions, backoff
+/// jitter and Random's seeding all use it.
+inline uint64_t mix64(uint64_t X) {
+  X += 0x9e3779b97f4a7c15ULL;
+  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
+  return X ^ (X >> 31);
+}
+
+/// One step of the splitmix64 generator over \p State: returns mix64 of the
+/// current state and advances it by the golden-ratio increment.
+inline uint64_t splitmix64(uint64_t &State) {
+  uint64_t Out = mix64(State);
+  State += 0x9e3779b97f4a7c15ULL;
+  return Out;
+}
 
 /// Deterministic 64-bit PRNG with a tiny state.
 class Random {

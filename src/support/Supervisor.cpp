@@ -76,9 +76,11 @@ void Supervisor::poll() {
 
   if (DStalls > 0) {
     record(SupervisionCause::GraceStall, 0, DStalls, H);
-    // Capture the post-mortem before reacting: reclamation and escalation
-    // mutate the very state the dump is meant to explain.
-    if (Cfg.DumpOnStall && DumpArmed && Target.DumpTelemetry) {
+    // Capture a DumpTelemetry() post-mortem on the first grace stall of
+    // each stall episode (a clean sample re-arms it), before reacting:
+    // reclamation and escalation mutate the very state the dump is meant
+    // to explain.
+    if (DumpArmed && Target.DumpTelemetry) {
       std::string Dump = Target.DumpTelemetry();
       {
         std::lock_guard<std::mutex> DL(DumpMu);

@@ -94,10 +94,6 @@ struct SupervisorConfig {
   uint64_t AppendStormThreshold = 100000;
   /// Event ring capacity.
   size_t RingCapacity = 128;
-  /// Capture a DumpTelemetry() post-mortem on the first grace stall of each
-  /// stall episode (a clean sample re-arms it). Off only for tests that
-  /// need byte-stable event streams.
-  bool DumpOnStall = true;
 };
 
 /// Samples a SupervisedEngine and reacts: on grace stalls it reclaims dead

@@ -58,28 +58,6 @@ HistogramSnapshot Histogram::snapshot(std::string Name) const {
 // Registry
 //===----------------------------------------------------------------------===//
 
-Counter &Telemetry::counter(const std::string &Name) {
-  std::lock_guard<std::mutex> G(Mu);
-  for (auto &Slot : CounterSlots)
-    if (Slot.first == Name)
-      return Slot.second;
-  CounterSlots.emplace_back(std::piecewise_construct,
-                            std::forward_as_tuple(Name),
-                            std::forward_as_tuple());
-  return CounterSlots.back().second;
-}
-
-Gauge &Telemetry::gauge(const std::string &Name) {
-  std::lock_guard<std::mutex> G(Mu);
-  for (auto &Slot : GaugeSlots)
-    if (Slot.first == Name)
-      return Slot.second;
-  GaugeSlots.emplace_back(std::piecewise_construct,
-                          std::forward_as_tuple(Name),
-                          std::forward_as_tuple());
-  return GaugeSlots.back().second;
-}
-
 Histogram &Telemetry::histogram(const std::string &Name) {
   std::lock_guard<std::mutex> G(Mu);
   for (auto &Slot : HistSlots)
@@ -95,10 +73,6 @@ TelemetrySnapshot Telemetry::snapshot() const {
   TelemetrySnapshot S;
   S.Level = Level;
   std::lock_guard<std::mutex> G(Mu);
-  for (const auto &Slot : CounterSlots)
-    S.addCounter(Slot.first, Slot.second.get());
-  for (const auto &Slot : GaugeSlots)
-    S.addGauge(Slot.first, Slot.second.get());
   for (const auto &Slot : HistSlots)
     S.Histograms.push_back(Slot.second.snapshot(Slot.first));
   return S;

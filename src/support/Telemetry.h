@@ -1,8 +1,9 @@
 //===- support/Telemetry.h - Engine observability primitives ----*- C++ -*-===//
 ///
 /// \file
-/// The observability layer: a registry of relaxed-atomic counters/gauges and
-/// log2-bucketed histograms, a per-thread flight recorder (fixed rings of
+/// The observability layer: a registry of log2-bucketed histograms, the
+/// counter-table expansions every layer's relaxed-atomic counters come
+/// from, a per-thread flight recorder (fixed rings of
 /// recent engine events, the generalization of the supervision event ring),
 /// and a Chrome trace-event sink for engine phase spans. The design goal is
 /// near-zero cost when disabled: every hot-path instrumentation site in the
@@ -134,28 +135,8 @@ private:
 // Registry
 //===----------------------------------------------------------------------===//
 
-/// A relaxed monotonic counter registered by name.
-class Counter {
-public:
-  void add(uint64_t N = 1) { V.fetch_add(N, std::memory_order_relaxed); }
-  uint64_t get() const { return V.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<uint64_t> V{0};
-};
-
-/// A relaxed last-write-wins gauge registered by name.
-class Gauge {
-public:
-  void set(int64_t N) { V.store(N, std::memory_order_relaxed); }
-  int64_t get() const { return V.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<int64_t> V{0};
-};
-
-/// Point-in-time snapshot of a whole registry plus whatever counters/gauges
-/// the owner merged in (the engine mirrors EngineStats and health gauges so
+/// Point-in-time snapshot of a histogram registry plus the counters/gauges
+/// its owner merged in (the engine mirrors EngineStats and health gauges so
 /// one document carries everything). Rendered as human text or as a
 /// "gold-metrics-v1" JSON document.
 struct TelemetrySnapshot {
@@ -233,11 +214,12 @@ void addCounters(TelemetrySnapshot &Snap, const char *Prefix,
   });
 }
 
-/// Named registry of counters, gauges and histograms. Registration is
+/// Named registry of histograms, plus the telemetry level. Registration is
 /// mutex-guarded and deque-backed so returned references stay valid for the
-/// registry's lifetime; the instruments themselves are lock-free. The level
-/// is fixed at construction — callers cache it (or instrument pointers) and
-/// gate hot-path recording on that.
+/// registry's lifetime; the histograms themselves are lock-free. The level
+/// is fixed at construction — callers cache it (or histogram pointers) and
+/// gate hot-path recording on that. Counters and gauges are not registered
+/// here: each owner adds its own to the snapshot (addCounter/addGauge).
 class Telemetry {
 public:
   explicit Telemetry(TelemetryLevel L = TelemetryLevel::Counters)
@@ -247,13 +229,11 @@ public:
   bool countersEnabled() const { return Level >= TelemetryLevel::Counters; }
   bool fullEnabled() const { return Level >= TelemetryLevel::Full; }
 
-  /// Finds or creates the named instrument. Never fails; names are
+  /// Finds or creates the named histogram. Never fails; names are
   /// case-sensitive and shared across snapshots.
-  Counter &counter(const std::string &Name);
-  Gauge &gauge(const std::string &Name);
   Histogram &histogram(const std::string &Name);
 
-  /// Snapshot of everything registered so far, in registration order.
+  /// Snapshot of every histogram registered so far, in registration order.
   TelemetrySnapshot snapshot() const;
 
 private:
@@ -261,8 +241,6 @@ private:
   mutable std::mutex Mu;
   // deques: growth never moves existing elements, so handed-out references
   // survive later registrations.
-  std::deque<std::pair<std::string, Counter>> CounterSlots;
-  std::deque<std::pair<std::string, Gauge>> GaugeSlots;
   std::deque<std::pair<std::string, Histogram>> HistSlots;
 };
 

@@ -448,9 +448,8 @@ TEST(NetServerTest, BackpressureReplyCarriesSharedJitteredSchedule) {
   // Every surface derives its hint from backoffNanos, so the reply must sit
   // inside the envelope of SOME attempt of the shared schedule.
   uint64_t Lo0, Hi0, LoMax, HiMax;
-  backoffBoundsNanos(SC.BackoffBaseNanos, 0, SC.BackoffMaxNanos, Lo0, Hi0);
-  backoffBoundsNanos(SC.BackoffBaseNanos, 16, SC.BackoffMaxNanos, LoMax,
-                     HiMax);
+  backoffBoundsNanos(BackoffBaseNanos, 0, BackoffMaxNanos, Lo0, Hi0);
+  backoffBoundsNanos(BackoffBaseNanos, 16, BackoffMaxNanos, LoMax, HiMax);
   EXPECT_GE(Ns, Lo0);
   EXPECT_LE(Ns, HiMax);
   EXPECT_GE(FX.Net->stats().BackpressureReplies, 1u);

@@ -190,7 +190,6 @@ void forkedProducersDifferential(bool Threaded) {
   ShmConfig C;
   C.Path = P.Path;
   C.Rings = Clients + 1;
-  C.SlotsPerRing = 256;
   ShmServer Shm(Svc, C);
   std::string Err;
   ASSERT_TRUE(Shm.start(Err)) << Err;
@@ -289,7 +288,6 @@ TEST(ShmTest, ProducerCrashMidFrameIsInvisibleAndSuccessorResumes) {
   ShmConfig C;
   C.Path = P.Path;
   C.Rings = 2;
-  C.SlotsPerRing = 64;
   // Reaping in this test is pid-death-driven; keep the wedge timer out of
   // the way so a slow CI box cannot turn it into a different reap path.
   C.WedgeTimeoutNanos = 60ull * 1000000000;
@@ -443,15 +441,18 @@ TEST(ShmTest, FullRingNeverBlocksProducerAndShedsAtBufferCap) {
   ShmConfig C;
   C.Path = P.Path;
   C.Rings = 1;
-  C.SlotsPerRing = 8; // smallest legal ring
   ShmServer Shm(Svc, C);
   std::string Err;
   ASSERT_TRUE(Shm.start(Err)) << Err;
+  MappedSeg M;
+  ASSERT_TRUE(M.map(P.Path));
+  const uint32_t Slots = M.Seg.hdr()->SlotsPerRing;
 
+  // A replay buffer twice the ring: the ring fills first, then the buffer.
   client::GoldClientConfig CC;
   CC.ClientId = 1;
   CC.ShmPath = P.Path;
-  CC.BufferCapActions = 16;
+  CC.BufferCapActions = 2 * Slots;
   client::GoldClient GC(CC);
 
   // Serve exactly the claim, then stop consuming: the producer now faces a
@@ -472,8 +473,9 @@ TEST(ShmTest, FullRingNeverBlocksProducerAndShedsAtBufferCap) {
   W.Kind = ActionKind::Write;
   W.Thread = 0;
   W.Var = VarId{1, 0};
+  const unsigned Publishes = 4 * Slots;
   unsigned Accepted = 0, Shed = 0;
-  for (unsigned I = 0; I != 64; ++I)
+  for (unsigned I = 0; I != Publishes; ++I)
     (GC.publish(W) ? Accepted : Shed)++;
 
   // publish() returned every time (no blocking poll loop to starve), the
@@ -483,8 +485,8 @@ TEST(ShmTest, FullRingNeverBlocksProducerAndShedsAtBufferCap) {
   EXPECT_GT(Shed, 0u);
   EXPECT_EQ(St.Shed, Shed);
   EXPECT_EQ(St.Published, Accepted);
-  EXPECT_LE(St.FramesOut, C.SlotsPerRing);
-  EXPECT_EQ(St.Published, 64u - Shed);
+  EXPECT_LE(St.FramesOut, Slots);
+  EXPECT_EQ(St.Published, Publishes - Shed);
 
   // Resume serving: everything admitted must drain and close cleanly.
   std::atomic<bool> Stop{false};
@@ -514,7 +516,6 @@ TEST(ShmTest, ServiceRefusalPublishesControlWordInsideBackoffEnvelope) {
   ShmConfig C;
   C.Path = P.Path;
   C.Rings = 1;
-  C.SlotsPerRing = 64;
   ShmServer Shm(Svc, C);
   std::string Err;
   ASSERT_TRUE(Shm.start(Err)) << Err;
@@ -562,9 +563,8 @@ TEST(ShmTest, ServiceRefusalPublishesControlWordInsideBackoffEnvelope) {
   // inside the envelope of SOME attempt of the shared schedule (the same
   // assertion NetTest makes about `retry-after-ns=` replies).
   uint64_t Lo0, Hi0, LoMax, HiMax;
-  backoffBoundsNanos(SC.BackoffBaseNanos, 0, SC.BackoffMaxNanos, Lo0, Hi0);
-  backoffBoundsNanos(SC.BackoffBaseNanos, 16, SC.BackoffMaxNanos, LoMax,
-                     HiMax);
+  backoffBoundsNanos(BackoffBaseNanos, 0, BackoffMaxNanos, Lo0, Hi0);
+  backoffBoundsNanos(BackoffBaseNanos, 16, BackoffMaxNanos, LoMax, HiMax);
   EXPECT_GE(Hint, Lo0);
   EXPECT_LE(Hint, HiMax);
 
@@ -589,7 +589,6 @@ TEST(ShmTest, CloseAnswersWithTheCompleteVerdictSetOverThreadedService) {
   ShmConfig C;
   C.Path = P.Path;
   C.Rings = 2;
-  C.SlotsPerRing = 256;
   ShmServer Shm(Svc, C);
   std::string Err;
   ASSERT_TRUE(Shm.start(Err)) << Err;
@@ -630,7 +629,6 @@ TEST(ShmTest, StalledProducerIsWedgeReapedAndResumesWithoutDivergence) {
   ShmConfig C;
   C.Path = P.Path;
   C.Rings = 4;
-  C.SlotsPerRing = 256;
   C.WedgeTimeoutNanos = 5ull * 1000000; // 5ms: stalls become wedge reaps
   ShmServer Shm(Svc, C);
   std::string Err;
@@ -679,7 +677,6 @@ TEST(ShmTest, LiveClientRingsAreNotRecycledOnStaleness) {
   ShmConfig C;
   C.Path = P.Path;
   C.Rings = 1;
-  C.SlotsPerRing = 64;
   C.WedgeTimeoutNanos = 5ull * 1000000;
   ShmServer Shm(Svc, C);
   std::string Err;
@@ -748,7 +745,6 @@ TEST(ShmTest, CorruptSlotKillsSessionCrashOnlyAndIsCounted) {
   ShmConfig C;
   C.Path = P.Path;
   C.Rings = 1;
-  C.SlotsPerRing = 64;
   ShmServer Shm(Svc, C);
   std::string Err;
   ASSERT_TRUE(Shm.start(Err)) << Err;

@@ -236,7 +236,7 @@ const NameSet EngineCounters = {
     "forced_gcs",        "append_retries",     "grace_waits",
     "grace_timeouts",    "cells_quarantined",  "reclaimed_dead_slots",
     "threads_registered", "threads_deregistered", "slot_fallbacks",
-    "tier_filtered",     "escalations",        "sampled_skips",
+    "tier_filtered",     "escalations",
 };
 
 const NameSet ServiceCounters = {
@@ -274,8 +274,7 @@ const NameSet ShmCounters = {
 
 /// Derived service values published next to the table counters.
 const NameSet ServiceDerivedCounters = {"verdict_loss_events",
-                                        "tier_filtered", "escalations",
-                                        "sampled_skips"};
+                                        "tier_filtered", "escalations"};
 
 } // namespace
 

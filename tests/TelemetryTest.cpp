@@ -111,36 +111,35 @@ TEST(HistogramTest, ConcurrentRecordIsExactOnceQuiescent) {
 
 TEST(TelemetryRegistryTest, SameNameYieldsSameInstrument) {
   Telemetry Tel(TelemetryLevel::Full);
-  Counter &C1 = Tel.counter("appends");
-  Counter &C2 = Tel.counter("appends");
-  EXPECT_EQ(&C1, &C2);
-  C1.add(3);
-  C2.add();
-  EXPECT_EQ(C1.get(), 4u);
-
-  Histogram &H = Tel.histogram("walk");
-  EXPECT_EQ(&H, &Tel.histogram("walk"));
-  H.record(5);
-  Tel.gauge("cells").set(-12);
+  Histogram &H1 = Tel.histogram("walk");
+  Histogram &H2 = Tel.histogram("walk");
+  EXPECT_EQ(&H1, &H2);
+  H1.record(5);
+  H2.record(3);
+  Tel.histogram("append").record(1);
 
   TelemetrySnapshot S = Tel.snapshot();
   EXPECT_EQ(S.Level, TelemetryLevel::Full);
-  ASSERT_EQ(S.Counters.size(), 1u);
-  EXPECT_EQ(S.Counters[0].first, "appends");
-  EXPECT_EQ(S.Counters[0].second, 4u);
-  ASSERT_EQ(S.Gauges.size(), 1u);
-  EXPECT_EQ(S.Gauges[0].second, -12);
-  ASSERT_EQ(S.Histograms.size(), 1u);
-  EXPECT_EQ(S.Histograms[0].Count, 1u);
+  // The registry holds histograms only; counters and gauges are added by
+  // each snapshot's owner.
+  EXPECT_TRUE(S.Counters.empty());
+  EXPECT_TRUE(S.Gauges.empty());
+  ASSERT_EQ(S.Histograms.size(), 2u);
+  EXPECT_EQ(S.Histograms[0].Name, "walk");
+  EXPECT_EQ(S.Histograms[0].Count, 2u);
+  EXPECT_EQ(S.Histograms[0].Sum, 8u);
+  EXPECT_EQ(S.Histograms[1].Name, "append");
+  EXPECT_EQ(S.Histograms[1].Count, 1u);
 }
 
 TEST(TelemetryRegistryTest, ReferencesSurviveLaterRegistrations) {
   Telemetry Tel;
-  Counter &First = Tel.counter("c0");
+  Histogram &First = Tel.histogram("h0");
   for (int I = 1; I != 200; ++I)
-    Tel.counter("c" + std::to_string(I));
-  First.add(7);
-  EXPECT_EQ(Tel.counter("c0").get(), 7u);
+    Tel.histogram("h" + std::to_string(I));
+  First.record(7);
+  EXPECT_EQ(Tel.histogram("h0").count(), 1u);
+  EXPECT_EQ(Tel.histogram("h0").max(), 7u);
 }
 
 TEST(TelemetryLevelTest, ParseRoundTrips) {
@@ -162,9 +161,10 @@ TEST(TelemetryLevelTest, ParseRoundTrips) {
 
 TEST(TelemetrySnapshotTest, JsonCarriesTheSchemaAndInstruments) {
   Telemetry Tel(TelemetryLevel::Full);
-  Tel.counter("races").add(2);
   Tel.histogram("walk").record(9);
-  std::string J = Tel.snapshot().json("unit-test");
+  TelemetrySnapshot S = Tel.snapshot();
+  S.addCounter("races", 2);
+  std::string J = S.json("unit-test");
   EXPECT_NE(J.find("\"schema\":\"gold-metrics-v1\""), std::string::npos) << J;
   EXPECT_NE(J.find("\"source\":\"unit-test\""), std::string::npos) << J;
   EXPECT_NE(J.find("\"races\":2"), std::string::npos) << J;

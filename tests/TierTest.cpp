@@ -6,10 +6,7 @@
 /// Goldilocks — same racy-variable sets, same report sequences — across a
 /// wide seeded sweep of trace shapes, thread counts, and engine
 /// configurations. Every paper kernel (the Table-1 suite through the VM)
-/// runs race-free in tiered mode with no escalation. The sampling tier is
-/// held to the soundness half only (precision 1.0: it never invents a race;
-/// recall is traded for cost), to exact verdicts and no skips at full rate,
-/// and to determinism so sampled runs replay.
+/// runs race-free in tiered mode with no escalation.
 ///
 /// A true-concurrency run drives the tiered engine through real OS threads
 /// (the harness mixed workload), which is what the tsan/asan rows of the CI
@@ -204,66 +201,6 @@ TEST(TierTest, PaperKernelsRunRaceFreeWithoutEscalation) {
     EXPECT_EQ(S.Escalations, 0u) << W.Name;
     EXPECT_GT(S.TierFiltered, 0u) << W.Name;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Sampling tier: precision 1.0, deterministic, full-rate degenerates
-//===----------------------------------------------------------------------===//
-
-TEST(TierTest, SamplingNeverInventsRaces) {
-  // Whatever the rate, a sampled run sees a legal sub-trace of the data
-  // accesses over the full synchronization order — every report it emits
-  // must be a real race (precision 1.0). Recall is what the rate trades.
-  for (uint64_t Seed = 1; Seed <= 32; ++Seed) {
-    Trace T = generateRandomTrace(sweepParams(Seed));
-    std::set<VarId> Oracle = oracleVarSet(T);
-    for (uint32_t Ppm : {0u, 50000u, 250000u, 600000u}) {
-      EngineConfig C;
-      C.Tier = TierMode::Sampling;
-      C.SamplingRatePpm = Ppm;
-      C.SamplingBudget = 8;
-      for (const RaceReport &R : run(T, C))
-        EXPECT_TRUE(Oracle.count(R.Var))
-            << "sampling invented a race on " << R.Var.str() << " at seed "
-            << Seed << " rate " << Ppm;
-    }
-  }
-}
-
-TEST(TierTest, SamplingAtFullRateMatchesPrecise) {
-  for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
-    Trace T = generateRandomTrace(sweepParams(Seed));
-    EngineConfig Precise;
-    EngineConfig Full;
-    Full.Tier = TierMode::Sampling;
-    Full.SamplingRatePpm = 1000000; // keep everything
-    EngineStats FS;
-    std::vector<RaceReport> PR = run(T, Precise);
-    std::vector<RaceReport> FR = run(T, Full, &FS);
-    EXPECT_PRED_FORMAT2(sameVerdicts, racyVarSet(PR), racyVarSet(FR))
-        << "full-rate sampling vs precise, seed " << Seed;
-    expectSameReports(PR, FR, Seed);
-    EXPECT_EQ(FS.SampledSkips, 0u);
-  }
-}
-
-TEST(TierTest, SamplingIsDeterministic) {
-  Trace T = generateRandomTrace(sweepParams(7));
-  EngineConfig C;
-  C.Tier = TierMode::Sampling;
-  C.SamplingRatePpm = 100000;
-  C.SamplingBudget = 0; // every access rolls the hash: guaranteed skips
-
-  EngineStats S1, S2;
-  std::vector<RaceReport> R1 = run(T, C, &S1);
-  std::vector<RaceReport> R2 = run(T, C, &S2);
-  ASSERT_EQ(R1.size(), R2.size());
-  for (size_t I = 0; I != R1.size(); ++I) {
-    EXPECT_EQ(R1[I].Var, R2[I].Var);
-    EXPECT_EQ(R1[I].Thread, R2[I].Thread);
-  }
-  EXPECT_EQ(S1.SampledSkips, S2.SampledSkips);
-  EXPECT_GT(S1.SampledSkips, 0u) << "rate never skipped anything";
 }
 
 //===----------------------------------------------------------------------===//

@@ -279,23 +279,27 @@ TEST(PipeTraceTest, DisabledTracingRegistersNothing) {
 
 TEST(SnapshotProducerTest, FirstSamplePrimesAndDeltasIsolateTheInterval) {
   Telemetry Tel(TelemetryLevel::Full);
-  Counter &C = Tel.counter("frames");
+  uint64_t Frames = 0;
   Histogram &H = Tel.histogram("lat");
   SnapshotProducer::Config PC;
   PC.Source = "unit";
   PC.HistoryCapacity = 3;
-  SnapshotProducer P(PC, [&] { return Tel.snapshot(); });
+  SnapshotProducer P(PC, [&] {
+    TelemetrySnapshot S = Tel.snapshot();
+    S.addCounter("frames", Frames);
+    return S;
+  });
 
   // History before the interval: large values that a *cumulative* quantile
   // would leak into the next window.
-  C.add(50);
+  Frames += 50;
   for (int I = 0; I != 100; ++I)
     H.record(1u << 20); // ~1ms
   P.sample(1000000000ull); // primes the baseline only
   EXPECT_EQ(P.historySize(), 0u);
 
   // The interval under test: 100 counts in 2s, latencies around 1us.
-  C.add(100);
+  Frames += 100;
   for (int I = 0; I != 1000; ++I)
     H.record(1000);
   P.sample(3000000000ull);
@@ -319,12 +323,16 @@ TEST(SnapshotProducerTest, FirstSamplePrimesAndDeltasIsolateTheInterval) {
 
 TEST(SnapshotProducerTest, RingForgetsOldestAndCountsIt) {
   Telemetry Tel(TelemetryLevel::Full);
-  Counter &C = Tel.counter("n");
+  uint64_t N = 0;
   SnapshotProducer::Config PC;
   PC.HistoryCapacity = 3;
-  SnapshotProducer P(PC, [&] { return Tel.snapshot(); });
+  SnapshotProducer P(PC, [&] {
+    TelemetrySnapshot S = Tel.snapshot();
+    S.addCounter("n", N);
+    return S;
+  });
   for (uint64_t T = 1; T != 8; ++T) {
-    C.add(T);
+    N += T;
     P.sample(T * 1000000000ull);
   }
   // 7 samples: 1 primes, 6 deltas, ring keeps 3, forgets 3.

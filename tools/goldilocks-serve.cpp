@@ -118,8 +118,6 @@ enum class Opt {
   NoReplay,
   Threads,
   Tier,
-  SamplingPpm,
-  SamplingBudget,
   Telemetry,
   MetricsJson,
   HealthJson,
@@ -169,13 +167,9 @@ constexpr OptSpec Options[] = {
     {Opt::Threads, "--threads", nullptr,
      "run real per-shard consumer threads + watchdog (default: inline "
      "pumping, fully deterministic)"},
-    {Opt::Tier, "--tier", "precise|tiered|sampling",
+    {Opt::Tier, "--tier", "precise|tiered",
      "engine precision tier for every shard (default precise); tier "
      "counters surface in health and metrics JSON"},
-    {Opt::SamplingPpm, "--sampling-ppm", "<0..1000000>",
-     "sampling tier: parts-per-million of past-budget accesses processed"},
-    {Opt::SamplingBudget, "--sampling-budget", "<n>",
-     "sampling tier: per-variable leading accesses always processed"},
     {Opt::Telemetry, "--telemetry", "off|counters|full",
      "service telemetry level; 'full' adds the ingest-latency histogram"},
     {Opt::MetricsJson, "--metrics-json", "<path>",
@@ -370,7 +364,7 @@ void runProtocol(DetectionService &Svc) {
       } else { // not settled within the bound: the client re-sends close
         std::printf("err verdicts %llu backpressure retry-after-ns=%llu\n",
                     (unsigned long long)Id,
-                    (unsigned long long)Svc.config().BackoffMaxNanos);
+                    (unsigned long long)BackoffMaxNanos);
       }
       std::fflush(stdout);
     } else if (Cmd == "verdicts") {
@@ -595,21 +589,9 @@ int main(int Argc, char **Argv) {
     case Opt::Tier:
       if (!parseTierMode(V, SC.Engine.Tier)) {
         std::fprintf(stderr,
-                     "--tier wants precise|tiered|sampling, got '%s'\n", V);
+                     "--tier wants precise|tiered, got '%s'\n", V);
         return 126;
       }
-      break;
-    case Opt::SamplingPpm: {
-      uint64_t N = ParseUnsigned(true);
-      if (N > 1000000) {
-        std::fprintf(stderr, "--sampling-ppm wants 0..1000000, got '%s'\n", V);
-        return 126;
-      }
-      SC.Engine.SamplingRatePpm = static_cast<uint32_t>(N);
-      break;
-    }
-    case Opt::SamplingBudget:
-      SC.Engine.SamplingBudget = static_cast<uint32_t>(ParseUnsigned(true));
       break;
     case Opt::Telemetry:
       if (!parseTelemetryLevel(V, SC.Telemetry)) {

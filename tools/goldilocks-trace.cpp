@@ -64,8 +64,6 @@ enum class Opt {
   MaxInfos,
   MaxBytes,
   Tier,
-  SamplingPpm,
-  SamplingBudget,
   Oracle,
   ResumeOnError,
   ErrorBudget,
@@ -99,13 +97,9 @@ constexpr OptSpec Options[] = {
     {Opt::MaxCells, "--max-cells", "<n>", "cap the synchronization event list"},
     {Opt::MaxInfos, "--max-infos", "<n>", "cap the live Info records"},
     {Opt::MaxBytes, "--max-bytes", "<n>", "coarse detector byte budget"},
-    {Opt::Tier, "--tier", "precise|tiered|sampling",
-     "precision tier: tiered adds the lossless prefilter, sampling bounds "
-     "per-access cost (goldilocks only, default: precise)"},
-    {Opt::SamplingPpm, "--sampling-ppm", "<0..1000000>",
-     "sampling tier: parts-per-million of past-budget accesses processed"},
-    {Opt::SamplingBudget, "--sampling-budget", "<n>",
-     "sampling tier: per-variable leading accesses always processed"},
+    {Opt::Tier, "--tier", "precise|tiered",
+     "precision tier: tiered adds the lossless prefilter (goldilocks only, "
+     "default: precise)"},
     {Opt::Oracle, "--oracle", nullptr,
      "also print the happens-before oracle verdict"},
     {Opt::ResumeOnError, "--resume-on-error", nullptr,
@@ -214,7 +208,6 @@ int main(int Argc, char **Argv) {
   uint64_t Seed = 1;
   size_t MaxCells = 0, MaxInfos = 0, MaxBytes = 0;
   TierMode Tier = TierMode::Precise;
-  uint32_t SamplingPpm = 10000, SamplingBudget = 32;
   TelemetryLevel TelLevel = TelemetryLevel::Counters;
   std::string File, StatsJsonPath, MetricsJsonPath, RaceReportPath,
       TraceOutPath;
@@ -284,22 +277,9 @@ int main(int Argc, char **Argv) {
     case Opt::Tier:
       if (!parseTierMode(V, Tier)) {
         std::fprintf(stderr,
-                     "--tier wants precise|tiered|sampling, got '%s'\n", V);
+                     "--tier wants precise|tiered, got '%s'\n", V);
         return 126;
       }
-      break;
-    case Opt::SamplingPpm: {
-      size_t N = ParseUnsigned(/*AllowZero=*/true);
-      if (N > 1000000) {
-        std::fprintf(stderr, "--sampling-ppm wants 0..1000000, got '%s'\n", V);
-        return 126;
-      }
-      SamplingPpm = static_cast<uint32_t>(N);
-      break;
-    }
-    case Opt::SamplingBudget:
-      SamplingBudget =
-          static_cast<uint32_t>(ParseUnsigned(/*AllowZero=*/true));
       break;
     case Opt::Oracle:
       WantOracle = true;
@@ -402,8 +382,6 @@ int main(int Argc, char **Argv) {
       C.MaxInfoRecords = MaxInfos;
       C.MaxBytes = MaxBytes;
       C.Tier = Tier;
-      C.SamplingRatePpm = SamplingPpm;
-      C.SamplingBudget = SamplingBudget;
       C.Telemetry = TelLevel;
       GoldilocksDetector D(C);
       TraceEventSink Sink;

@@ -30,6 +30,7 @@
 #include "hb/HbOracle.h"
 #include "service/net/Protocol.h"
 #include "support/Failpoints.h"
+#include "support/Random.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -89,14 +90,6 @@ uint64_t chaosNowNanos() {
   return uint64_t(Ts.tv_sec) * 1000000000ull + uint64_t(Ts.tv_nsec);
 }
 
-uint64_t mix64(uint64_t &S) {
-  S += 0x9e3779b97f4a7c15ULL;
-  uint64_t X = S;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-  return X ^ (X >> 31);
-}
-
 struct Result {
   bool Compared = false;
   bool Killed = false;   ///< session torn down by server-side chaos
@@ -144,7 +137,7 @@ public:
     while (Off < Data.size()) {
       size_t N = Data.size() - Off;
       if (Rng)
-        N = std::min<size_t>(N, 1 + mix64(*Rng) % 7);
+        N = std::min<size_t>(N, 1 + splitmix64(*Rng) % 7);
       ssize_t W = ::send(Fd, Data.data() + Off, N, MSG_NOSIGNAL);
       if (W < 0) {
         if (errno == EINTR)
@@ -157,7 +150,7 @@ public:
         return false;
       }
       Off += static_cast<size_t>(W);
-      if (Rng && mix64(*Rng) % 16 == 0)
+      if (Rng && splitmix64(*Rng) % 16 == 0)
         std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     return true;
@@ -446,7 +439,7 @@ void runClient(const Params &P, uint64_t Id, Result &R) {
     if (P.ReconnectEvery && SentSinceConn >= P.ReconnectEvery) {
       // Forced mid-stream reconnect — sometimes mid-frame, so the server
       // must drop a partial frame and resume us exactly at its expect.
-      if (mix64(Rng) % 2) {
+      if (splitmix64(Rng) % 2) {
         std::snprintf(Buf, sizeof(Buf), "line %llu %llu half-a-",
                       (unsigned long long)Id, (unsigned long long)Next);
         W.sendAll(Buf, nullptr); // no newline: dangling partial frame
@@ -461,7 +454,7 @@ void runClient(const Params &P, uint64_t Id, Result &R) {
       // Optimistic pipelining: a burst of sequenced lines with no waiting
       // for acks. Backpressure/resync replies rewind Next when needed.
       size_t Batch =
-          std::min<size_t>(Lines.size() - Next, 1 + mix64(Rng) % 12);
+          std::min<size_t>(Lines.size() - Next, 1 + splitmix64(Rng) % 12);
       std::string Out;
       for (size_t I = 0; I != Batch; ++I) {
         // Traced runs stamp the send time, not the (long past) generation
