@@ -42,6 +42,10 @@ int main(int Argc, char **Argv) {
 
   bool WrongVerdict = false;
   for (const Workload &W : standardSuite(WorkloadScale{Scale})) {
+    // One progress line per kernel, flushed before and after its runs, so a
+    // run killed by a timeout names the kernel it was on.
+    std::printf("%s:", W.Name.c_str());
+    std::fflush(stdout);
     ProgramVariants Var = makeVariants(W);
     RunResult Un = runBest(W.Prog, /*Instrument=*/false, Reps);
     RunResult Plain = runBest(Var.Plain, /*Instrument=*/true, Reps);
@@ -50,6 +54,9 @@ int main(int Argc, char **Argv) {
     EngineConfig TieredCfg;
     TieredCfg.Tier = TierMode::Tiered;
     RunResult Tiered = runBest(Var.Plain, /*Instrument=*/true, Reps, TieredCfg);
+    std::printf(" done (nostatic %.3fs, tiered %.3fs)\n", Plain.Seconds,
+                Tiered.Seconds);
+    std::fflush(stdout);
 
     auto Slow = [&](const RunResult &R) {
       return Un.Seconds > 0 ? R.Seconds / Un.Seconds : 0.0;

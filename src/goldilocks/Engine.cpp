@@ -159,6 +159,17 @@ struct GoldilocksEngine::ThreadState {
   /// Set by the parent's fork hook after it deposits a fork clock in
   /// TierForkClocks: the owner folds it in at its next sync op or access.
   std::atomic<bool> TierPendingFork{false};
+  /// Volatile-read elision: for the thread's recently *recorded* volatile
+  /// reads, the variable and the write generation its stripe showed just
+  /// before the read's cell was appended. Direct-mapped by variable; a
+  /// miss only means the next read is recorded. Owner-only.
+  struct VolReadMemo {
+    uint64_t Key = 0;
+    uint64_t Gen = 0;
+    bool Valid = false;
+  };
+  static constexpr unsigned VolMemoBits = 4;
+  VolReadMemo VolReads[1u << VolMemoBits];
 };
 
 /// One quarantine batch: \p Count cells starting at \p First whose Next
@@ -187,10 +198,8 @@ struct GoldilocksEngine::Shard {
 };
 
 unsigned GoldilocksEngine::objectShard(ObjectId O) {
-  // The high bits of mix64. DetectionService::shardOf routes an object to a
-  // service shard by the *low* bits of the same mix; if the two overlapped,
-  // the objects one service shard's engine ever sees would share those bits
-  // and fill only a fraction of its index shards.
+  // The high bits of mix64: every object bit reaches them, so an engine's
+  // objects spread over all its index shards.
   return static_cast<unsigned>(mix64(O) >> (64 - ShardBits));
 }
 
@@ -553,7 +562,9 @@ GoldilocksEngine::GoldilocksEngine(EngineConfig C)
       NumEpochSlots(std::max(1u, C.EpochSlotCount)),
       EpochSlots(new EpochSlot[NumEpochSlots]),
       SlotInFree(new uint8_t[NumEpochSlots]()),
-      KlStripes(new KlStripe[NumKlStripes]), Shards(new Shard[NumShards]),
+      KlStripes(new KlStripe[NumKlStripes]),
+      VolWriteGens(new std::atomic<uint64_t>[1u << VolGenBits]()),
+      Shards(new Shard[NumShards]),
       CellArena(new SlabArena(sizeof(Cell), C.EnableSlabPooling)),
       VarArena(new SlabArena(sizeof(VarState), C.EnableSlabPooling)),
       ReadArena(new SlabArena(sizeof(ReadRec), C.EnableSlabPooling)),
@@ -714,6 +725,10 @@ std::mutex &GoldilocksEngine::klFor(VarId V) const {
   return KlStripes[(H >> 32) % NumKlStripes].Mu;
 }
 
+std::atomic<uint64_t> &GoldilocksEngine::volWriteGen(VarId V) const {
+  return VolWriteGens[mix64(V.key()) >> (64 - VolGenBits)];
+}
+
 void GoldilocksEngine::retainCell(Cell *C) {
   // Relaxed is enough: a retain always happens inside an epoch section (or
   // under GcRunMu), and the collector's grace period orders the section's
@@ -827,13 +842,13 @@ bool GoldilocksEngine::recordingStopped() const {
          GlobalDegraded.load(std::memory_order_relaxed);
 }
 
-void GoldilocksEngine::enqueue(SyncEvent E, std::unique_ptr<CommitSets> Owned) {
+bool GoldilocksEngine::enqueue(SyncEvent E, std::unique_ptr<CommitSets> Owned) {
   // Once the engine is stopped or globally degraded every verdict is
   // suppressed, so recording more synchronization is pure growth; dropping
   // events here is what bounds memory when degradation was the governor's
   // last answer (e.g. quarantine pinned by a permanently stuck reader).
   if (recordingStopped())
-    return;
+    return false;
   // Hard cap: climb the degradation ladder *before* appending, so the list
   // never grows past the budget (concurrent appenders can overshoot by at
   // most one cell each). Callers are outside any epoch section here, so
@@ -860,7 +875,7 @@ void GoldilocksEngine::enqueue(SyncEvent E, std::unique_ptr<CommitSets> Owned) {
     // any further verdict could be a false alarm. Disable checking
     // engine-wide rather than report garbage.
     markGloballyDegraded();
-    return;
+    return false;
   }
 
   if (Flight)
@@ -882,6 +897,7 @@ void GoldilocksEngine::enqueue(SyncEvent E, std::unique_ptr<CommitSets> Owned) {
   }
   S->SyncEvents.fetch_add(1, std::memory_order_relaxed);
   S->CellsAllocated.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void GoldilocksEngine::maybeCollect() {
@@ -1090,11 +1106,27 @@ void GoldilocksEngine::onRelease(ThreadId T, ObjectId O) {
 void GoldilocksEngine::onVolatileRead(ThreadId T, VarId V) {
   bumpSyncEpoch(T);
   tierSyncAcquire(T, V.key()); // merge before our own cell
+  // Elision (DESIGN.md §6.2): if no write of V was published since this
+  // thread's last recorded read of V, that read's cell already applied
+  // rule 2 for every write this one can synchronize with, so this cell
+  // would be a no-op in every lockset. The load comes after the caller's
+  // load of the value and before our own append.
+  uint64_t WriteGen = volWriteGen(V).load(std::memory_order_seq_cst);
+  ThreadState::VolReadMemo *Memo = nullptr;
+  try {
+    Memo = &threadState(T).VolReads[mix64(V.key()) >>
+                                    (64 - ThreadState::VolMemoBits)];
+  } catch (const std::bad_alloc &) {
+    // No memo: record the read, as every read was before elision.
+  }
+  if (Memo && Memo->Valid && Memo->Key == V.key() && Memo->Gen == WriteGen)
+    return;
   SyncEvent E;
   E.Kind = ActionKind::VolatileRead;
   E.Thread = T;
   E.Var = V;
-  enqueue(E);
+  if (enqueue(E) && Memo)
+    *Memo = {V.key(), WriteGen, true};
   maybeCollect();
 }
 
@@ -1105,6 +1137,10 @@ void GoldilocksEngine::onVolatileWrite(ThreadId T, VarId V) {
   E.Thread = T;
   E.Var = V;
   enqueue(E);
+  // Bump after our cell is linked and before the caller stores the value:
+  // a reader that sees the value sees the bump, and a reader whose last
+  // recorded read saw the bump was appended after our cell.
+  volWriteGen(V).fetch_add(1, std::memory_order_seq_cst);
   tierSyncRelease(T, V.key()); // publish after our cell is live
   maybeCollect();
 }

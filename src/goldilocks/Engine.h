@@ -447,7 +447,9 @@ private:
   void tierMergePendingLocked(ThreadState &TS, ThreadId T);
   /// Shared by enqueue (drop when stopped/degraded) and accessImpl.
   bool recordingStopped() const;
-  void enqueue(SyncEvent E, std::unique_ptr<CommitSets> Owned = nullptr);
+  /// Appends \p E's cell; false when it was dropped (recording stopped, or
+  /// no memory even after a forced collection).
+  bool enqueue(SyncEvent E, std::unique_ptr<CommitSets> Owned = nullptr);
   /// Lock-free tail append: derives the cell's Seq from its predecessor,
   /// publishes it with the linking CAS and swings the monotone Last hint.
   void appendCell(Cell *C);
@@ -465,6 +467,8 @@ private:
   /// Lookup without creation (deregistration must not allocate).
   ThreadState *findThreadState(ThreadId T) const;
   std::mutex &klFor(VarId V) const;
+  /// The write-generation stripe of volatile \p V (volatile-read elision).
+  std::atomic<uint64_t> &volWriteGen(VarId V) const;
   void retainCell(Cell *C);
   void releaseCell(Cell *C);
   void dropInfo(Info &I);
@@ -623,6 +627,14 @@ private:
   };
   mutable std::unique_ptr<KlStripe[]> KlStripes;
 
+  // Volatile-read elision (DESIGN.md §6.2): a striped count of the
+  // volatile writes published per variable. A write bumps its stripe after
+  // its cell is linked; a read whose stripe has not moved since the same
+  // thread's last recorded read of that variable appends no cell. Two
+  // variables sharing a stripe only cost extra recorded reads.
+  static constexpr unsigned VolGenBits = 10;
+  mutable std::unique_ptr<std::atomic<uint64_t>[]> VolWriteGens;
+
   // Variable states, sharded by object (objectShard): all of an object's
   // variables live in one shard, so rule 8 touches one shard mutex.
   static constexpr unsigned ShardBits = 6;
@@ -689,6 +701,8 @@ private:
   //    recording past the latch), relaxed loads elsewhere.
   //  * ThreadState::PendingAnchor / Registered / Exited: acquire/release
   //    (anchor handoff between commitPoint and finishCommit).
+  //  * VolWriteGens: seq_cst bump and load, ordered against the VM's
+  //    seq_cst volatile store and load (the elision argument, §6.2).
   struct AtomicStats;
   std::unique_ptr<AtomicStats> S;
 

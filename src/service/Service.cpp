@@ -125,7 +125,7 @@ uint64_t steadyNanos() {
 Session::Session(DetectionService &Svc, uint32_t Index, uint64_t Client,
                  unsigned Priority)
     : Svc(Svc), Index(Index), Base((Index + 1) * NamespaceStride),
-      Client(Client), Priority(Priority) {
+      Shard(Index % Svc.shards()), Client(Client), Priority(Priority) {
   LastFeedNanos.store(Svc.nowNanos(), std::memory_order_relaxed);
 }
 
@@ -183,10 +183,9 @@ void Session::closeLocked(CloseReason R) {
   if (State == SessionState::Open)
     Svc.C.SessionsClosed.fetch_add(1, std::memory_order_relaxed);
   if (HasPending) {
-    // A parsed action that never reached all its shards dies with the
-    // session: explicit, counted loss — never a silent one.
+    // A parsed action that never reached its shard dies with the session:
+    // explicit, counted loss — never a silent one.
     HasPending = false;
-    PendingTargets = 0;
     Svc.C.DroppedPendingActions.fetch_add(1, std::memory_order_relaxed);
   }
   if (R == CloseReason::ClientClose) {
@@ -257,16 +256,9 @@ void Session::deliverLocked(const RaceReport &R) {
 }
 
 bool Session::pushPendingLocked() {
-  for (unsigned S = 0; PendingTargets; ++S) {
-    uint64_t Bit = 1ull << S;
-    if (!(PendingTargets & Bit))
-      continue;
-    PushResult R = Svc.pushItem(S, Pending);
-    if (R != PushResult::Ok)
-      return false; // Full and Closed both mean: retry this same line later
-    QueuedItems.fetch_add(1, std::memory_order_relaxed);
-    PendingTargets &= ~Bit;
-  }
+  if (Svc.pushItem(Shard, Pending) != PushResult::Ok)
+    return false; // Full and Closed both mean: retry this same line later
+  QueuedItems.fetch_add(1, std::memory_order_relaxed);
   HasPending = false;
   BackoffAttempt = 0;
   return true;
@@ -306,19 +298,10 @@ bool Session::feedGateLocked(FeedResult &Res) {
   failpointStall(Failpoint::ServiceClientHang);
 
   // A backpressured line was not consumed: the retry presents the same line
-  // again, and we resume admitting the remembered action into the shards
-  // that have not acked it yet — without re-parsing, so no shard ever sees
-  // the action twice.
+  // again, and we push the remembered action without re-parsing it.
   if (HasPending) {
     Res = pushPendingLocked() ? acceptedLocked(std::move(Res))
                                : backpressuredLocked(std::move(Res));
-    return true;
-  }
-  if (RetryAlreadyApplied) {
-    // The retried line's action was already replayed into its last
-    // outstanding shard by a reincarnation; this call is only the ack.
-    RetryAlreadyApplied = false;
-    Res = acceptedLocked(std::move(Res));
     return true;
   }
   return false;
@@ -384,7 +367,6 @@ FeedResult Session::admitNewestLocked(FeedResult Res, size_t Before,
 
   Pending = ShardItem();
   Pending.SessionIdx = Index;
-  Pending.Seq = NextSeq++;
   Pending.Bytes = Bytes ? Bytes : 1;
   Pending.EnqueueNanos = Svc.wantsLatencySamples() ? Svc.nowNanos() : 0;
   if (FT && FT->OriginNanos && Svc.TraceOn) {
@@ -401,7 +383,6 @@ FeedResult Session::admitNewestLocked(FeedResult Res, size_t Before,
   }
   Pending.A = mapAction(Raw);
   Pending.CS = std::move(CS);
-  PendingTargets = Svc.targetsOf(Pending.A);
   HasPending = true;
 
   // Journal cap: beyond it the journal is dropped (the pending copy above
@@ -545,7 +526,7 @@ struct DetectionService::ShardState {
 };
 
 static unsigned clampShards(unsigned N) {
-  // <= 64 so a broadcast target set fits one mask word.
+  // <= 64: each shard is an engine plus a consumer thread in threaded mode.
   return N < 1 ? 1 : (N > 64 ? 64 : N);
 }
 
@@ -613,33 +594,6 @@ void DetectionService::bindSupervisor(ShardState &Sh) {
 }
 
 uint64_t DetectionService::Now() const { return Cfg.NowNanos(); }
-
-unsigned DetectionService::shardOf(uint32_t Object) const {
-  // mix64 modulo the shard count: for a power-of-two count, exactly its low
-  // bits. Each shard's engine picks its variable-index shard from the *high* bits
-  // of the same mix (GoldilocksEngine::objectShard); if the two overlapped,
-  // the objects routed to one service shard would share those bits and
-  // crowd a fraction of that engine's index shards.
-  return static_cast<unsigned>(mix64(Object) % NumShards);
-}
-
-uint64_t DetectionService::targetsOf(const Action &A) const {
-  switch (A.Kind) {
-  case ActionKind::Read:
-  case ActionKind::Write:
-  case ActionKind::Alloc:
-    // Data accesses (and the alloc freshness reset) go to the owner shard
-    // only. Non-owner shards meet a variable solely through commit sets,
-    // and commit-vs-commit pairs are ordered by the both-transactional
-    // short circuit — so skipping alloc elsewhere cannot change a verdict.
-    return 1ull << shardOf(A.Var.Object);
-  default:
-    // Every synchronization event broadcasts: each shard must observe the
-    // complete synchronization order for its verdicts to be exact
-    // (DESIGN.md §14).
-    return NumShards == 64 ? ~0ull : ((1ull << NumShards) - 1);
-  }
-}
 
 GoldilocksEngine &DetectionService::shardEngine(unsigned Shard) {
   return *ShardsVec[Shard]->Engine;
@@ -727,23 +681,16 @@ void DetectionService::applyItem(ShardState &Sh, const ShardItem &It) {
   Session *Se = sessionAt(It.SessionIdx);
   assert(Se && "queued item for a session that was never opened");
   applyAction(*Sh.Engine, It.A, It.CS.get(), [&](const RaceReport &R) {
-    // Races for a variable can only arise at its owner shard (non-owner
-    // shards see it through commits alone, and commit pairs short-circuit
-    // as ordered). The filter makes duplication structurally impossible
-    // rather than merely argued.
-    if (shardOf(R.Var.Object) == Sh.Index) {
-      Se->deliver(R);
-      if (It.TraceOrigin) {
-        uint64_t NowN = Now();
-        uint64_t Dur = NowN > It.TraceOrigin ? NowN - It.TraceOrigin : 0;
-        if (HPipeVerdict)
-          HPipeVerdict->record(Dur);
-        if (It.TraceSpan && SpanSink)
-          SpanSink->spanTagged("verdict", "pipe", It.SessionIdx,
-                               It.TraceOrigin, Dur, Se->clientId(),
-                               It.TraceSeq,
-                               static_cast<int32_t>(Sh.Index));
-      }
+    Se->deliver(R);
+    if (It.TraceOrigin) {
+      uint64_t NowN = Now();
+      uint64_t Dur = NowN > It.TraceOrigin ? NowN - It.TraceOrigin : 0;
+      if (HPipeVerdict)
+        HPipeVerdict->record(Dur);
+      if (It.TraceSpan && SpanSink)
+        SpanSink->spanTagged("verdict", "pipe", It.SessionIdx, It.TraceOrigin,
+                             Dur, Se->clientId(), It.TraceSeq,
+                             static_cast<int32_t>(Sh.Index));
     }
   });
 }
@@ -803,9 +750,8 @@ size_t DetectionService::pumpShard(unsigned Shard) {
         if (HPipeApply)
           HPipeApply->record(E - P);
         if (It.TraceSpan && SpanSink) {
-          // One wire frame fans out into one ShardItem per routed shard;
-          // the shard arg keeps each copy's stage chain separable in the
-          // merged trace (same client/seq, different shard lane).
+          // One wire frame is one ShardItem, so it emits one stage chain;
+          // the shard arg names the lane that applied it.
           uint64_t Client = Se->clientId();
           int32_t ShIdx = static_cast<int32_t>(Shard);
           SpanSink->spanTagged("wire", "pipe", It.SessionIdx, O, A - O,
@@ -847,8 +793,7 @@ void DetectionService::replayAction(ShardState &Sh, Session &Se,
                                     const Action &A, const CommitSets *CS) {
   C.ReplayedActions.fetch_add(1, std::memory_order_relaxed);
   applyAction(*Sh.Engine, A, CS, [&](const RaceReport &R) {
-    if (shardOf(R.Var.Object) == Sh.Index)
-      Se.deliverLocked(R); // the replay loop already holds Se.Mu
+    Se.deliverLocked(R); // the replay loop already holds Se.Mu
   });
 }
 
@@ -876,8 +821,6 @@ void DetectionService::reincarnateLocked(unsigned S, ShardState &Sh) {
   }
   It = ShardItem();
   C.ItemsDiscarded.fetch_add(Disc, std::memory_order_relaxed);
-  if (!Cfg.ReplayOnReincarnation)
-    C.ReplayDiscardLoss.fetch_add(Disc, std::memory_order_relaxed);
 
   // 3. Crash-only quiesce of the old engine, then the fresh swap.
   Sh.Engine->shutdown();
@@ -885,16 +828,19 @@ void DetectionService::reincarnateLocked(unsigned S, ShardState &Sh) {
   Sh.Engine.reset(new GoldilocksEngine(Cfg.Engine));
   bindSupervisor(Sh);
 
-  // 4. Rebuild from the journals of every live session. Sessions are
-  //    ID-disjoint, so replaying them one after another (rather than in the
-  //    original arrival interleaving) is sound: no lockset rule can couple
-  //    two sessions' identifiers. Verdicts regenerate and dedup in the
-  //    session; truncated journals cannot replay, so those sessions are
-  //    killed with the loss counted.
+  // 4. Rebuild from the journals of the live sessions on this shard.
+  //    Sessions are ID-disjoint, so replaying them one after another
+  //    (rather than in the original arrival interleaving) is sound: no
+  //    lockset rule can couple two sessions' identifiers. Verdicts
+  //    regenerate and dedup in the session; truncated journals cannot
+  //    replay, so those sessions are killed with the loss counted. A
+  //    pending action is the newest journal entry and never reached the
+  //    ring: the replay stops before it, and the producer's retry pushes it
+  //    into the reopened ring.
   uint32_t N = SessionCount.load(std::memory_order_acquire);
   for (uint32_t Idx = 0; Idx != N; ++Idx) {
     Session *Se = sessionAt(Idx);
-    if (!Se)
+    if (!Se || Se->Shard != S)
       continue;
     std::lock_guard<std::mutex> SG(Se->Mu);
     if (Se->State == SessionState::Dead)
@@ -903,41 +849,22 @@ void DetectionService::reincarnateLocked(unsigned S, ShardState &Sh) {
       Se->closeLocked(CloseReason::ShardLost);
       continue;
     }
-    if (Cfg.ReplayOnReincarnation) {
-      const Trace &J = Se->Parser.peek();
-      for (const Action &Raw : J.Actions) {
-        Action A = Se->mapAction(Raw);
-        if (!((targetsOf(A) >> S) & 1))
-          continue;
-        if (Raw.Kind == ActionKind::Commit) {
-          const CommitSets &RawCS = J.commitSets(Raw);
-          CommitSets MS;
-          for (const VarId &V : RawCS.Reads)
-            MS.Reads.push_back(VarId{Se->mapId(V.Object), V.Field});
-          for (const VarId &V : RawCS.Writes)
-            MS.Writes.push_back(VarId{Se->mapId(V.Object), V.Field});
-          MS.prepareSorted();
-          replayAction(Sh, *Se, A, &MS);
-        } else {
-          replayAction(Sh, *Se, A, nullptr);
-        }
-      }
-    }
-    // The journal includes any pending (parsed, partially admitted) action
-    // — it is always the newest entry — and the replay above just applied
-    // it to this shard. Mark the shard acked so the resumed flush cannot
-    // duplicate it. Without replay the action is simply gone from this
-    // shard, like everything else that was discarded — that drop never
-    // went through the ring, so it gets its own loss count here.
-    if (Se->HasPending) {
-      if (!Cfg.ReplayOnReincarnation && (Se->PendingTargets & (1ull << S)))
-        C.ReplayDiscardLoss.fetch_add(1, std::memory_order_relaxed);
-      Se->PendingTargets &= ~(1ull << S);
-      if (!Se->PendingTargets) {
-        Se->HasPending = false;
-        // The producer last saw Backpressure and will present the same
-        // line again; that retry must be an ack, not a second parse.
-        Se->RetryAlreadyApplied = true;
+    const Trace &J = Se->Parser.peek();
+    size_t Applied = J.Actions.size() - (Se->HasPending ? 1 : 0);
+    for (size_t I = 0; I != Applied; ++I) {
+      const Action &Raw = J.Actions[I];
+      Action A = Se->mapAction(Raw);
+      if (Raw.Kind == ActionKind::Commit) {
+        const CommitSets &RawCS = J.commitSets(Raw);
+        CommitSets MS;
+        for (const VarId &V : RawCS.Reads)
+          MS.Reads.push_back(VarId{Se->mapId(V.Object), V.Field});
+        for (const VarId &V : RawCS.Writes)
+          MS.Writes.push_back(VarId{Se->mapId(V.Object), V.Field});
+        MS.prepareSorted();
+        replayAction(Sh, *Se, A, &MS);
+      } else {
+        replayAction(Sh, *Se, A, nullptr);
       }
     }
   }
@@ -954,15 +881,26 @@ size_t DetectionService::recycleNamespaces() {
   // Reincarnating every shard leaves fresh engines holding only the live
   // sessions' state — dead namespaces vanish, so their id ranges can be
   // reissued without any cross-session aliasing in lock stacks or Infos.
+  // Only sessions already Dead before the swap qualify: one that dies
+  // during it (a Draining session whose discarded items retire after its
+  // replay) still has state in the fresh engine.
+  std::vector<std::pair<uint32_t, Session *>> Dead;
+  {
+    std::lock_guard<std::mutex> G(SessionsMu);
+    uint32_t Count = SessionCount.load(std::memory_order_relaxed);
+    for (uint32_t Idx = 0; Idx != Count; ++Idx) {
+      Session *Se = Sessions[Idx].get();
+      if (Se && Se->state() == SessionState::Dead)
+        Dead.emplace_back(Idx, Se);
+    }
+  }
   for (unsigned S = 0; S != NumShards; ++S)
     reincarnateShard(S);
   std::lock_guard<std::mutex> G(SessionsMu);
   size_t N = 0;
-  uint32_t Count = SessionCount.load(std::memory_order_relaxed);
-  for (uint32_t Idx = 0; Idx != Count; ++Idx) {
-    Session *Se = Sessions[Idx].get();
-    if (!Se || Se->state() != SessionState::Dead)
-      continue;
+  for (auto [Idx, Se] : Dead) {
+    if (Sessions[Idx].get() != Se)
+      continue; // a concurrent recycle already took the slot
     FreeSlots.push_back(Idx);
     // SessionSlots[Idx] keeps pointing at the retired session (still alive
     // in Retired, permanently Dead) until open() republishes the slot.
@@ -1127,9 +1065,8 @@ ServiceHealth DetectionService::health() const {
   H.QueuedBytesHighWater =
       QueuedBytesHighWater.load(std::memory_order_relaxed);
   C.loadInto(H);
-  H.VerdictLossEvents = H.LostSessions + H.VerdictsDroppedDead +
-                        H.DroppedPendingActions +
-                        C.ReplayDiscardLoss.load(std::memory_order_relaxed);
+  H.VerdictLossEvents =
+      H.LostSessions + H.VerdictsDroppedDead + H.DroppedPendingActions;
   uint32_t N = SessionCount.load(std::memory_order_acquire);
   for (uint32_t Idx = 0; Idx != N; ++Idx) {
     Session *Se = sessionAt(Idx);

@@ -14,12 +14,11 @@
 ///
 ///  * ShardState / routing — N independent GoldilocksEngine shards, each
 ///    with its own resource-governor budget, supervisor and bounded
-///    IngestRing. Data accesses (and allocs) hash by object to exactly one
-///    shard; synchronization events broadcast to every shard. Each shard
-///    therefore observes the *complete* synchronization order of every
-///    client interleaved with the data accesses it owns, which is what
-///    makes per-variable verdicts exact without any cross-shard
-///    communication (soundness argument in DESIGN.md §14).
+///    IngestRing. Each session is routed whole to one shard, fixed by its
+///    namespace slot. Sessions share no identifiers, so a shard sees every
+///    action of its sessions in order and computes exactly the verdicts a
+///    lone engine gives for each session's trace, with no cross-shard
+///    communication (DESIGN.md §14).
 ///
 ///  * The degradation ladder — backpressure first (bounded rings, producers
 ///    get retry-after), then admission pause and priority shedding when the
@@ -68,9 +67,8 @@ class DetectionService;
 //===----------------------------------------------------------------------===//
 
 struct ServiceConfig {
-  /// Number of engine shards (clamped to [1, 64]; 64 so the pending-
-  /// admission mask fits one word). The hash reuses the engine's stripe
-  /// recipe at engine granularity.
+  /// Number of engine shards (clamped to [1, 64]). Session slot i runs on
+  /// shard i % Shards.
   unsigned Shards = 4;
   /// Slots per shard ingestion ring (rounded up to a power of two).
   size_t RingCapacity = 1024;
@@ -91,10 +89,6 @@ struct ServiceConfig {
   /// disjoint thread/object id range of NamespaceStride). Reincarnating
   /// every shard recycles the slots of dead sessions (recycleNamespaces).
   size_t MaxSessions = 512;
-  /// Rebuild reincarnated shards from session journals. When false, queued
-  /// and historical state is discarded and the discard is counted as
-  /// potential verdict loss in health (explicit, never silent).
-  bool ReplayOnReincarnation = true;
   /// Template for every shard engine (each instance gets its own governor
   /// budget from these caps). Provenance defaults off in the service: the
   /// reports cross a session-remapping boundary where the rendered
@@ -158,7 +152,7 @@ const char *closeReasonName(CloseReason R);
 /// What one feedLine() attempt produced.
 struct FeedResult {
   enum class Status : uint8_t {
-    Accepted = 0, ///< parsed and admitted to every target shard
+    Accepted = 0, ///< parsed and admitted to the session's shard
     Rejected,     ///< malformed; counted against the error budget
     Backpressure, ///< not admitted; retry the SAME line after RetryAfter
     Closed,       ///< session is no longer accepting (see Error)
@@ -168,11 +162,10 @@ struct FeedResult {
   std::string Error;            ///< Rejected / Closed diagnostic
 };
 
-/// One queued, routed action. CommitSets are shared across the broadcast
-/// copies (immutable after publication).
+/// One queued action on its session's shard ring. CommitSets are immutable
+/// after publication.
 struct ShardItem {
   uint32_t SessionIdx = 0;
-  uint64_t Seq = 0;           ///< session-local action number (diagnostics)
   uint64_t EnqueueNanos = 0;  ///< latency histogram sample (Full telemetry)
   uint32_t Bytes = 0;         ///< byte-budget accounting share
   /// Pipeline-trace context (0/false when the frame is untraced): the
@@ -194,9 +187,7 @@ struct ShardItem {
 /// Backpressure contract: when feedLine returns Backpressure, the line was
 /// NOT consumed — the caller must present the *same* line again (after the
 /// jittered backoff in RetryAfterNanos). The session remembers the parsed,
-/// partially-admitted action and finishes admitting it on the retry without
-/// re-parsing, so a broadcast that got into 3 of 4 shard rings is never
-/// duplicated into the 3.
+/// not-yet-admitted action and pushes it on the retry without re-parsing.
 class Session {
 public:
   Session(const Session &) = delete;
@@ -260,8 +251,8 @@ private:
   Action mapAction(const Action &A) const;
   RaceReport unmapReport(RaceReport R) const;
 
-  /// Pushes the pending action into every not-yet-acked target ring.
-  /// Returns true when fully admitted. Requires Mu.
+  /// Pushes the pending action into the session's shard ring. Returns true
+  /// when admitted. Requires Mu.
   bool pushPendingLocked();
   // feedLine/feedAction share everything but the parse step; the split
   // keeps the two entry points byte-for-byte equivalent in semantics.
@@ -270,8 +261,8 @@ private:
   bool feedGateLocked(FeedResult &Res);
   /// Counts a parser rejection against the error budget. Requires Mu.
   FeedResult rejectParseLocked(FeedResult Res);
-  /// Admits the newest journal action (appended by the parse step) into its
-  /// target shards: namespace mapping, commit-set remap, journal cap, and
+  /// Admits the newest journal action (appended by the parse step) into the
+  /// session's shard: namespace mapping, commit-set remap, journal cap, and
   /// the first flush attempt. \p Before is the journal size pre-parse (a
   /// no-op parse, e.g. a comment line, is accepted outright). Requires Mu.
   FeedResult admitNewestLocked(FeedResult Res, size_t Before, uint32_t Bytes,
@@ -289,7 +280,8 @@ private:
 
   DetectionService &Svc;
   const uint32_t Index;
-  const uint32_t Base; ///< (Index + 1) * NamespaceStride
+  const uint32_t Base;  ///< (Index + 1) * NamespaceStride
+  const unsigned Shard; ///< Index % shards(): the one ring and engine
   const uint64_t Client;
   const unsigned Priority;
 
@@ -297,21 +289,13 @@ private:
   SessionState State = SessionState::Open;
   CloseReason Reason = CloseReason::None;
   TraceParser Parser;
-  size_t JournalBaseActions = 0; ///< actions dropped from the journal so far
-  uint64_t NextSeq = 0;
   size_t ErrorsSeen = 0;
   unsigned BackoffAttempt = 0;
 
-  // The partially-admitted action (backpressure retry state).
+  // The parsed action a full ring refused (backpressure retry state). It
+  // is always the newest journal entry while HasPending.
   bool HasPending = false;
   ShardItem Pending;
-  uint64_t PendingTargets = 0; ///< shard bitmask still to admit
-  /// A reincarnation replay acked the pending's last outstanding shard, so
-  /// the backpressured line is fully applied — but the producer, which last
-  /// saw Backpressure, is still contractually going to present that same
-  /// line again. The flag makes the retry an ack-only no-op; re-parsing it
-  /// would journal and route the action twice.
-  bool RetryAlreadyApplied = false;
 
   std::vector<RaceReport> Verdicts;            ///< delivered, not yet taken
   std::unordered_set<uint64_t> RacyVarKeys;    ///< dedup across replays
@@ -362,8 +346,8 @@ struct ServiceHealth {
   size_t QueuedBytesHighWater = 0;
   GOLD_COUNTER_FIELDS(GOLD_SERVICE_COUNTERS)
   /// Total accounted possible-verdict-loss events: lost sessions, dead
-  /// drops, abandoned pendings, and (only when replay is disabled)
-  /// reincarnation discards. Zero means the service is provably exact.
+  /// drops and abandoned pendings. Zero means the service is provably
+  /// exact.
   uint64_t VerdictLossEvents = 0;
   unsigned Tier = 0;          ///< engine TierMode every shard runs (config)
   uint64_t TierFiltered = 0;  ///< sum of shard tier-0 pair-check skips
@@ -457,8 +441,6 @@ public:
 
   unsigned shards() const { return NumShards; }
   GoldilocksEngine &shardEngine(unsigned Shard);
-  /// Shard that owns data variable checks for (remapped) object \p O.
-  unsigned shardOf(uint32_t Object) const;
 
   const ServiceConfig &config() const { return Cfg; }
   uint64_t nowNanos() const { return Now(); }
@@ -479,8 +461,6 @@ private:
   /// Producer-side admission of one item into shard \p S's ring, enforcing
   /// the global byte budget. Called by sessions.
   PushResult pushItem(unsigned S, const ShardItem &It);
-  /// Target shard bitmask for a (remapped) action.
-  uint64_t targetsOf(const Action &A) const;
 
   /// Applies one queued item to a shard engine, delivering any verdicts.
   void applyItem(ShardState &Sh, const ShardItem &It);
@@ -531,9 +511,6 @@ private:
   // Service counters (source of truth; health and telemetry mirror them).
   struct Counters {
     GOLD_COUNTER_ATOMICS(GOLD_SERVICE_COUNTERS)
-    /// Reincarnation discards with replay off; exported only as part of
-    /// the derived VerdictLossEvents.
-    std::atomic<uint64_t> ReplayDiscardLoss{0};
   };
   Counters C;
 

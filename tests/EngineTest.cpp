@@ -292,6 +292,36 @@ TEST(EngineTest, StatsCountAccessesAndSyncEvents) {
   EXPECT_EQ(S.Commits, 1u);
 }
 
+TEST(EngineTest, VolatileReadsWithNoNewWriteAppendNoCell) {
+  GoldilocksDetector D;
+  TraceBuilder B;
+  B.write(1, 1, 0).volWrite(1, 5, 0);
+  for (int I = 0; I != 50; ++I)
+    B.volRead(2, 5, 0); // a spin: only the first read is recorded
+  B.read(2, 1, 0);      // ordered after T1's write through v
+  B.write(2, 2, 0);
+  B.volWrite(1, 5, 0);
+  B.volRead(2, 5, 0);   // a new write: recorded again
+  B.read(3, 2, 0);      // T3 never read v: races with T2's write
+  auto Races = D.runTrace(B.take());
+  ASSERT_EQ(Races.size(), 1u);
+  EXPECT_EQ(Races[0].Var, (VarId{2, 0}));
+  EXPECT_EQ(Races[0].Thread, 3u);
+  EXPECT_EQ(D.engine().stats().SyncEvents, 4u); // 2 writes, 2 reads
+}
+
+TEST(EngineTest, VolatileReadAfterAnInterveningWriteIsRecorded) {
+  // T2's first read of v precedes both T1's write of x and T1's write of
+  // v, so only a second recorded read can order T2 after T1.
+  GoldilocksDetector D;
+  TraceBuilder B;
+  B.volRead(2, 5, 0);
+  B.write(1, 1, 0).volWrite(1, 5, 0);
+  B.volRead(2, 5, 0).read(2, 1, 0);
+  EXPECT_TRUE(D.runTrace(B.take()).empty());
+  EXPECT_EQ(D.engine().stats().SyncEvents, 3u);
+}
+
 TEST(EngineTest, ConcurrentHammeringIsSafeAndSound) {
   // Many real threads hammer the engine: per-thread-private variables plus
   // a properly locked shared variable must stay race-free; an unprotected

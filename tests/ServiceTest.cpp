@@ -2,12 +2,13 @@
 ///
 /// Covers the sharded detection service end to end: the bounded MPSC ring
 /// and its backoff schedule, per-session isolation (error budget, idle
-/// reaping, namespace validation), the backpressure contract (bounded
-/// queues, retry-the-same-line exactness), the overload ladder (admission
-/// pause, priority shedding), crash-only shard reincarnation with journal
-/// replay (zero lost, zero duplicated verdicts — or counted loss when
-/// replay is off), namespace recycling, and multi-client differential
-/// soaks — threaded and chaos-injected — against the happens-before oracle.
+/// reaping, namespace validation), per-session shard routing, the
+/// backpressure contract (bounded queues, retry-the-same-line exactness),
+/// the overload ladder (admission pause, priority shedding), crash-only
+/// shard reincarnation with journal replay (zero lost, zero duplicated
+/// verdicts — or counted loss when a journal cannot replay), namespace
+/// recycling, and multi-client differential soaks — threaded and
+/// chaos-injected — against the happens-before oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -254,6 +255,9 @@ TEST(ServiceTest, SingleClientMatchesOracleAndSingleEngine) {
     EXPECT_EQ(Got, varKeys(D.runTrace(T))) << "seed " << Seed;
     EXPECT_EQ(R.S->state(), SessionState::Dead);
     EXPECT_EQ(R.S->closeReason(), CloseReason::ClientClose);
+    // The whole session runs on one shard: each line is routed once.
+    ServiceHealth H = Svc.health();
+    EXPECT_EQ(H.ActionsRouted, H.LinesAccepted) << "seed " << Seed;
   }
 }
 
@@ -391,6 +395,49 @@ TEST(ServiceTest, BackpressureBoundsQueuedBytesAndStaysExact) {
   EXPECT_EQ(H.VerdictLossEvents, 0u);
 }
 
+TEST(ServiceTest, StalledShardBackpressuresOnlyItsOwnSessions) {
+  // A fills shard 0's ring, which nobody pumps. B runs on shard 1: none of
+  // its actions, sync included, may need room in shard 0's ring.
+  ServiceConfig SC;
+  SC.Shards = 2;
+  SC.RingCapacity = 8;
+  DetectionService Svc(SC);
+  auto A = Svc.open(1), B = Svc.open(2);
+  ASSERT_NE(A.S, nullptr);
+  ASSERT_NE(B.S, nullptr);
+  ASSERT_EQ(A.S->index(), 0u); // slot i runs on shard i % Shards
+  ASSERT_EQ(B.S->index(), 1u);
+
+  for (unsigned Obj = 0;; ++Obj) {
+    ASSERT_LT(Obj, 2 * SC.RingCapacity) << "shard 0's ring never filled";
+    FeedResult F = A.S->feedLine("write 0 " + std::to_string(Obj) + " 0");
+    if (F.St == FeedResult::Status::Backpressure)
+      break;
+    ASSERT_EQ(F.St, FeedResult::Status::Accepted) << F.Error;
+  }
+
+  RandomTraceParams P;
+  P.Seed = 41;
+  P.NumThreads = 4;
+  P.StepsPerThread = 40;
+  P.WRead = 3; // sync-heavy: acquire/release/volatile outweigh data 10:6
+  P.WWrite = 3;
+  Trace T = generateRandomTrace(P);
+  std::vector<std::string> Lines = traceLines(T);
+  ASSERT_GE(Lines.size(), 4 * SC.RingCapacity);
+  for (const std::string &L : Lines) {
+    FeedResult F = B.S->feedLine(L);
+    ASSERT_EQ(F.St, FeedResult::Status::Accepted) << L << ": " << F.Error;
+    Svc.pumpShard(1);
+  }
+  B.S->close();
+  while (Svc.pumpShard(1))
+    ;
+  EXPECT_EQ(B.S->state(), SessionState::Dead);
+  EXPECT_EQ(varKeys(B.S->takeVerdicts()), oracleKeys(T, SC.Engine.Semantics));
+  EXPECT_EQ(A.S->state(), SessionState::Open);
+}
+
 TEST(ServiceTest, LadderPausesAdmissionThenShedsLowestPriority) {
   ServiceConfig SC;
   SC.Shards = 1;
@@ -478,12 +525,12 @@ TEST(ServiceTest, ReincarnationReplaysJournalsZeroLossZeroDup) {
 }
 
 TEST(ServiceTest, ReincarnationMidBackpressureDoesNotReparseTheRetry) {
-  // A line that bounced with Backpressure sits parsed in the journal with a
-  // pending shard bitmask. If a reincarnation replays the journal (pending
-  // included) and acks the pending's last shard, the producer's mandatory
-  // retry of that same line must be an ack-only no-op: re-parsing it would
-  // journal and route the action twice (and a retried fork line would be
-  // rejected as "already forked", poisoning an innocent client).
+  // A line that bounced with Backpressure sits parsed in the journal as the
+  // session's pending action. After a reincarnation, the producer's
+  // mandatory retry of that same line must push the pending action, not
+  // re-parse the line: that would journal the action twice (and a retried
+  // fork line would be rejected as "already forked", poisoning an innocent
+  // client).
   ServiceConfig SC;
   SC.Shards = 1;
   SC.RingCapacity = 4;
@@ -498,11 +545,11 @@ TEST(ServiceTest, ReincarnationMidBackpressureDoesNotReparseTheRetry) {
   FeedResult BP = R.S->feedLine("fork 0 2");
   ASSERT_EQ(BP.St, FeedResult::Status::Backpressure);
 
-  // Crash-only swap discards the queue, replays the journal — which already
-  // holds the parsed "fork 0 2" — and acks the pending's only shard.
+  // Crash-only swap discards the queue and replays the journal up to, not
+  // including, the parsed "fork 0 2".
   Svc.reincarnateShard(0);
 
-  // The contractual retry of the bounced line: must ack, not re-parse.
+  // The contractual retry of the bounced line: must push, not re-parse.
   FeedResult Retry = R.S->feedLine("fork 0 2");
   EXPECT_EQ(Retry.St, FeedResult::Status::Accepted) << Retry.Error;
   ASSERT_EQ(feedInline(Svc, *R.S, "write 2 5 0").St,
@@ -524,6 +571,41 @@ TEST(ServiceTest, ReincarnationMidBackpressureDoesNotReparseTheRetry) {
                          "write 1 5 0\nfork 0 2\nwrite 2 5 0\nwrite 0 5 0\n",
                          T, Err))
       << Err;
+  EXPECT_EQ(varKeys(R.S->takeVerdicts()), oracleKeys(T, SC.Engine.Semantics));
+}
+
+TEST(ServiceTest, BackpressuredLineSurvivesReincarnationExactlyOnce) {
+  // The replay stops before the pending action; the retry routes it once.
+  ServiceConfig SC;
+  SC.Shards = 1;
+  SC.RingCapacity = 4;
+  DetectionService Svc(SC);
+  auto R = Svc.open(1);
+  ASSERT_NE(R.S, nullptr);
+  const std::vector<std::string> Lines = {"fork 0 1", "write 1 5 0",
+                                          "write 1 5 0", "write 1 5 0",
+                                          "write 0 5 0"};
+  for (size_t I = 0; I != 4; ++I)
+    ASSERT_EQ(R.S->feedLine(Lines[I]).St, FeedResult::Status::Accepted);
+  ASSERT_EQ(R.S->feedLine(Lines[4]).St, FeedResult::Status::Backpressure);
+
+  Svc.reincarnateShard(0);
+  EXPECT_EQ(Svc.health().ReplayedActions, 4u);
+  EXPECT_EQ(R.S->feedLine(Lines[4]).St, FeedResult::Status::Accepted);
+  R.S->close();
+  Svc.drain();
+  Svc.poll();
+
+  ServiceHealth H = Svc.health();
+  EXPECT_EQ(H.ActionsRouted, 5u);
+  EXPECT_EQ(H.VerdictLossEvents, 0u);
+  EXPECT_EQ(R.S->state(), SessionState::Dead);
+  Trace T;
+  std::string Err;
+  std::string Text;
+  for (const std::string &L : Lines)
+    Text += L + "\n";
+  ASSERT_TRUE(parseTrace(Text, T, Err)) << Err;
   EXPECT_EQ(varKeys(R.S->takeVerdicts()), oracleKeys(T, SC.Engine.Semantics));
 }
 
@@ -580,55 +662,6 @@ TEST(ServiceTest, TruncatedJournalKillsSessionWithCountedLoss) {
   ServiceHealth H = Svc.health();
   EXPECT_EQ(H.LostSessions, 1u);
   EXPECT_GE(H.VerdictLossEvents, 1u);
-}
-
-TEST(ServiceTest, ReplayDisabledCountsDiscardsAsLoss) {
-  ServiceConfig SC;
-  SC.Shards = 1;
-  SC.ReplayOnReincarnation = false;
-  DetectionService Svc(SC);
-  auto R = Svc.open(1);
-  ASSERT_NE(R.S, nullptr);
-  for (int I = 0; I != 8; ++I)
-    ASSERT_EQ(R.S->feedLine("write 0 " + std::to_string(I) + " 0").St,
-              FeedResult::Status::Accepted);
-  // Items are still queued; the reincarnation throws them away, and with
-  // replay off that is real (but accounted) verdict loss.
-  Svc.reincarnateShard(0);
-  ServiceHealth H = Svc.health();
-  EXPECT_GT(H.ItemsDiscarded, 0u);
-  EXPECT_GE(H.VerdictLossEvents, H.ItemsDiscarded);
-  EXPECT_EQ(H.ReplayedActions, 0u);
-  EXPECT_EQ(R.S->state(), SessionState::Open) << "the session survives";
-}
-
-TEST(ServiceTest, ReplayDisabledCountsDroppedPendingAsLoss) {
-  // A backpressured line leaves a parsed action pending against the full
-  // shard. With replay off, a reincarnation clears that shard's pending bit
-  // without ever applying the action — a real drop that must be counted in
-  // VerdictLossEvents alongside the ring discards, never silent.
-  ServiceConfig SC;
-  SC.Shards = 1;
-  SC.RingCapacity = 4;
-  SC.ReplayOnReincarnation = false;
-  DetectionService Svc(SC);
-  auto R = Svc.open(1);
-  ASSERT_NE(R.S, nullptr);
-  for (int I = 0; I != 4; ++I)
-    ASSERT_EQ(R.S->feedLine("write 0 " + std::to_string(I) + " 0").St,
-              FeedResult::Status::Accepted);
-  FeedResult BP = R.S->feedLine("write 0 9 0");
-  ASSERT_EQ(BP.St, FeedResult::Status::Backpressure);
-
-  Svc.reincarnateShard(0);
-  ServiceHealth H = Svc.health();
-  EXPECT_EQ(H.ItemsDiscarded, 4u);
-  EXPECT_GE(H.VerdictLossEvents, H.ItemsDiscarded + 1)
-      << "the dropped pending action must be accounted too";
-  // The producer's mandatory retry of the bounced line is an ack-only
-  // no-op: the action is gone (and counted), not re-parsed into the shard.
-  EXPECT_EQ(R.S->feedLine("write 0 9 0").St, FeedResult::Status::Accepted);
-  EXPECT_EQ(Svc.health().VerdictLossEvents, H.VerdictLossEvents);
 }
 
 TEST(ServiceTest, RecycledSlotPublicationIsRaceFree) {
@@ -704,6 +737,33 @@ TEST(ServiceTest, WedgeLostItemFinalizesOnlyAfterTheReplay) {
   EXPECT_EQ(R.S->state(), SessionState::Dead);
   EXPECT_EQ(R.S->takeVerdicts().size(), 1u);
   EXPECT_EQ(Svc.health().VerdictLossEvents, 0u);
+}
+
+TEST(ServiceTest, RecyclingSkipsSessionsThatDieDuringIt) {
+  // A closes with an item still queued, so recycleNamespaces' reincarnation
+  // replays A's journal into the fresh engine and only then retires the
+  // item, which finalizes A. A's slot must wait for the next recycle: B
+  // would otherwise reuse A's ids and race A's write on o1.
+  ServiceConfig SC;
+  SC.Shards = 1;
+  SC.MaxSessions = 1;
+  DetectionService Svc(SC);
+  auto A = Svc.open(1);
+  ASSERT_NE(A.S, nullptr);
+  ASSERT_EQ(A.S->feedLine("fork 0 1").St, FeedResult::Status::Accepted);
+  ASSERT_EQ(A.S->feedLine("write 1 1 0").St, FeedResult::Status::Accepted);
+  A.S->close();
+  ASSERT_EQ(A.S->state(), SessionState::Draining);
+  EXPECT_EQ(Svc.recycleNamespaces(), 0u);
+  EXPECT_EQ(A.S->state(), SessionState::Dead);
+  EXPECT_EQ(Svc.open(2).S, nullptr) << "A's slot is not free yet";
+
+  EXPECT_EQ(Svc.recycleNamespaces(), 1u);
+  auto B = Svc.open(2);
+  ASSERT_NE(B.S, nullptr) << B.Error;
+  ASSERT_EQ(B.S->feedLine("write 0 1 0").St, FeedResult::Status::Accepted);
+  Svc.drain();
+  EXPECT_TRUE(B.S->takeVerdicts().empty());
 }
 
 TEST(ServiceTest, NamespaceRecyclingReclaimsDeadSlots) {

@@ -152,12 +152,12 @@ def check_service_health(doc, path):
             {k: v for k, v in sh.items() if not isinstance(v, bool)}, ctx)
         for key in ("cells", "degradation_level"):
             need(sh, key, int, ctx)
-    # Loss is accounted, never silent: the total must cover its parts.
+    # Loss is accounted, never silent: the total is exactly its parts.
     loss = need(doc, "verdict_loss_events", int, path)
     parts = (doc.get("lost_sessions", 0) + doc.get("verdicts_dropped_dead", 0)
              + doc.get("dropped_pending_actions", 0))
-    if loss < parts:
-        raise Bad(f"{path}: verdict_loss_events {loss} below the sum of its "
+    if loss != parts:
+        raise Bad(f"{path}: verdict_loss_events {loss} is not the sum of its "
                   f"components {parts}")
 
 
@@ -194,9 +194,9 @@ def check_pipe_trace(doc, path):
     built around: for every sampled frame the three pipeline stages tile the
     end-to-end span exactly, so wire + ring_wait + apply <= e2e (with a tiny
     float tolerance — ts/dur are microseconds with ns precision).  Spans are
-    grouped by (pid, tid, client, seq, shard): a frame routed to multiple
-    shards fans out into one chain per shard copy, and args.shard is what
-    keeps those copies from being mixed into one bogus group."""
+    grouped by (pid, tid, client, seq, shard): a frame goes to its session's
+    one shard, so each frame has one chain, and a second stage span under the
+    same key is an attribution bug."""
     if need(doc, "displayTimeUnit", str, path) != "ns":
         raise Bad(f"{path}: displayTimeUnit is not 'ns'")
     if need(doc, "ts_origin_nanos", int, path) < 0:
@@ -237,8 +237,8 @@ def check_pipe_trace(doc, path):
                need(args, "seq", int, f"{ctx}.args"), args.get("shard", -1))
         chain = stages.setdefault(key, {})
         if name in ("wire", "ring_wait", "apply", "e2e"):
-            # A frame's stage chain is emitted exactly once per shard copy;
-            # a second copy under the same key is an attribution bug.  Other
+            # A frame's stage chain is emitted exactly once; a second copy
+            # under the same key is an attribution bug.  Other
             # pipe spans (verdict, client_e2e) legitimately repeat: one
             # frame can deliver many race verdicts.
             if name in chain:

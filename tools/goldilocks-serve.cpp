@@ -115,7 +115,6 @@ enum class Opt {
   ErrorBudget,
   IdleTimeoutMs,
   JournalCap,
-  NoReplay,
   Threads,
   Tier,
   Telemetry,
@@ -161,9 +160,6 @@ constexpr OptSpec Options[] = {
      "reap sessions idle longer than this (0 disables)"},
     {Opt::JournalCap, "--journal-cap", "<n>",
      "journaled actions per session before replay is forfeited"},
-    {Opt::NoReplay, "--no-replay", nullptr,
-     "discard state on reincarnation instead of replaying journals "
-     "(the loss is counted in health, never silent)"},
     {Opt::Threads, "--threads", nullptr,
      "run real per-shard consumer threads + watchdog (default: inline "
      "pumping, fully deterministic)"},
@@ -579,9 +575,6 @@ int main(int Argc, char **Argv) {
       break;
     case Opt::JournalCap:
       SC.JournalCapActions = ParseUnsigned(false);
-      break;
-    case Opt::NoReplay:
-      SC.ReplayOnReincarnation = false;
       break;
     case Opt::Threads:
       Threaded = true;
