@@ -270,7 +270,8 @@ TraceBuilder &TraceBuilder::commit(ThreadId T, std::vector<VarId> Reads,
   A.Kind = ActionKind::Commit;
   A.Thread = T;
   A.CommitId = static_cast<uint32_t>(Built.Commits.size());
-  Built.Commits.push_back(CommitSets{std::move(Reads), std::move(Writes)});
+  Built.Commits.push_back(
+      CommitSets{std::move(Reads), std::move(Writes), {}, {}});
   Built.Commits.back().prepareSorted();
   return append(A);
 }

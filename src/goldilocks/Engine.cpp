@@ -170,7 +170,29 @@ struct GoldilocksEngine::ThreadState {
   };
   static constexpr unsigned VolMemoBits = 4;
   VolReadMemo VolReads[1u << VolMemoBits];
+  /// Thread-pair walk memo (DESIGN.md §6.3): for a prior owner A, a cell
+  /// Seq at which a filtered (A, this thread) walk gained ownership, and
+  /// the walk's lockset L just before that cell. A later filtered (A, this
+  /// thread) walk whose lockset contains L before Seq, with Seq inside its
+  /// window, is ordered. Direct-mapped by A; Seq 0 never applies, so a
+  /// zeroed entry is empty. Holds no cell pointers. Owner-only.
+  struct WalkProof {
+    uint64_t Seq = 0;
+    ThreadId A = NoThread;
+    uint8_t N = 0; ///< |L|
+    LocksetElem L[Lockset::InlineElems];
+  };
+  static constexpr unsigned WalkMemoBits = 3;
+  WalkProof WalkMemo[1u << WalkMemoBits];
+  /// Direct-mapped VarId -> VarState cache for accessLocked (a hit skips
+  /// the index shard's mutex). An entry is checked against its VarState's
+  /// own immutable V. Owner-only.
+  static constexpr unsigned VarCacheBits = 8;
+  VarState *VarCache[1u << VarCacheBits] = {};
 };
+
+thread_local GoldilocksEngine::ThreadCacheEntry
+    GoldilocksEngine::ThreadCache[1u << ThreadCacheBits];
 
 /// One quarantine batch: \p Count cells starting at \p First whose Next
 /// links are intact (they flow through any younger batches into the live
@@ -694,28 +716,42 @@ GoldilocksEngine::VarState &GoldilocksEngine::varState(VarId V) {
   return *St;
 }
 
+GoldilocksEngine::VarState &
+GoldilocksEngine::cachedVarState(ThreadState &TS, VarId V) {
+  VarState *&Entry =
+      TS.VarCache[mix64(V.key()) >> (64 - ThreadState::VarCacheBits)];
+  if (!Entry || Entry->V != V)
+    Entry = &varState(V);
+  return *Entry;
+}
+
+GoldilocksEngine::ThreadCacheEntry &
+GoldilocksEngine::threadCacheEntry(ThreadId T) const {
+  return ThreadCache[(T + Gen) & ((1u << ThreadCacheBits) - 1)];
+}
+
 GoldilocksEngine::ThreadState &GoldilocksEngine::threadState(ThreadId T) {
-  {
-    std::shared_lock<std::shared_mutex> L(ThreadsMu);
-    auto It = Threads.find(T);
-    if (It != Threads.end())
-      return *It->second;
-  }
+  if (ThreadState *TS = findThreadState(T))
+    return *TS;
   std::unique_lock<std::shared_mutex> L(ThreadsMu);
   auto It = Threads.find(T);
-  if (It != Threads.end())
-    return *It->second;
-  auto St = std::make_unique<ThreadState>();
-  ThreadState *Raw = St.get();
-  Threads.emplace(T, std::move(St));
-  return *Raw;
+  if (It == Threads.end())
+    It = Threads.emplace(T, std::make_unique<ThreadState>()).first;
+  threadCacheEntry(T) = {Gen, T, It->second.get()};
+  return *It->second;
 }
 
 GoldilocksEngine::ThreadState *
 GoldilocksEngine::findThreadState(ThreadId T) const {
+  ThreadCacheEntry &E = threadCacheEntry(T);
+  if (E.EngineGen == Gen && E.Tid == T)
+    return E.State;
   std::shared_lock<std::shared_mutex> L(ThreadsMu);
   auto It = Threads.find(T);
-  return It != Threads.end() ? It->second.get() : nullptr;
+  if (It == Threads.end())
+    return nullptr;
+  E = {Gen, T, It->second.get()};
+  return E.State;
 }
 
 std::mutex &GoldilocksEngine::klFor(VarId V) const {
@@ -763,7 +799,20 @@ void GoldilocksEngine::clearReads(VarState &St) {
 
 void GoldilocksEngine::installInfo(Info &Slot, Info &&NI) {
   assert(NI.Valid && "installing an invalid Info");
-  dropInfo(Slot);
+  // Takes the new position's reference. Replacing a valid record keeps the
+  // record count (and so the high water) where it is, and replacing one at
+  // the same position keeps its reference as well.
+  Cell *NewPos = NI.Pos.load(std::memory_order_relaxed);
+  if (Slot.Valid) {
+    Cell *OldPos = Slot.Pos.load(std::memory_order_relaxed);
+    if (OldPos != NewPos) {
+      retainCell(NewPos);
+      releaseCell(OldPos);
+    }
+    Slot = std::move(NI);
+    return;
+  }
+  retainCell(NewPos);
   Slot = std::move(NI);
   size_t N = InfoCount.fetch_add(1, std::memory_order_relaxed) + 1;
   size_t HW = InfoHighWater.load(std::memory_order_relaxed);
@@ -1242,9 +1291,30 @@ bool GoldilocksEngine::walkWindow(Lockset LS, const Cell *From, uint64_t ToSeq,
                                   ThreadId T, bool Xact, VarId V,
                                   bool Filtered, ThreadId FilterA,
                                   const CommitSets *SelfCommit,
+                                  ThreadState *Proofs,
                                   RaceProvenance *Capture) {
   auto Owned = [&]() {
     return LS.containsThread(T) || (Xact && LS.containsTxnLock());
+  };
+  // Thread-pair walk memo (DESIGN.md §6.3), filtered walks only. A proof
+  // for FilterA whose cell lies inside the window ends the walk as soon as
+  // the walk's lockset contains the proof's L before that cell: the rules
+  // only insert, and only when an element is present, so that lockset
+  // reaches T at the cell just as L did.
+  ThreadState::WalkProof *Memo =
+      Filtered && Proofs && !Capture
+          ? &Proofs->WalkMemo[FilterA &
+                              ((1u << ThreadState::WalkMemoBits) - 1)]
+          : nullptr;
+  const ThreadState::WalkProof *Proof =
+      Memo && Memo->A == FilterA && Memo->Seq <= ToSeq ? Memo : nullptr;
+  auto ProofApplies = [&](uint64_t At) {
+    if (!Proof || At >= Proof->Seq)
+      return false;
+    for (uint8_t I = 0; I != Proof->N; ++I)
+      if (!LS.contains(Proof->L[I]))
+        return false;
+    return true;
   };
   // Walk-length accounting: accumulate locally, publish once per walk (the
   // histogram needs the per-walk length anyway, and one fetch_add beats one
@@ -1273,9 +1343,16 @@ bool GoldilocksEngine::walkWindow(Lockset LS, const Cell *From, uint64_t ToSeq,
     Capture->InitialLockset = LS.str();
   if (Owned())
     return Done(true);
+  auto MemoHit = [&] {
+    S->WalkMemoHits.fetch_add(1, std::memory_order_relaxed);
+    return Done(true);
+  };
+  if (ProofApplies(From->Seq))
+    return MemoHit();
   const Cell *C = From->Next.load(std::memory_order_acquire);
   while (C && C->Seq <= ToSeq) {
     if (!Filtered || C->Event.Thread == T || C->Event.Thread == FilterA) {
+      size_t Before = LS.size();
       if (!Capture) {
         applyLocksetRule(LS, C->Event, V, Cfg.Semantics);
       } else if (Cfg.MaxProvenanceSteps &&
@@ -1299,8 +1376,20 @@ bool GoldilocksEngine::walkWindow(Lockset LS, const Cell *From, uint64_t ToSeq,
         Capture->Steps.push_back(std::move(PS));
       }
       ++Walked;
-      if (Owned())
+      if (Owned()) {
+        // Remember where T gained ownership (by the thread element, not
+        // TL, which only a transactional walk may use) for the next
+        // filtered walk against FilterA.
+        if (Memo && LS.containsThread(T) && Before <= Lockset::InlineElems) {
+          Memo->Seq = C->Seq;
+          Memo->A = FilterA;
+          Memo->N = static_cast<uint8_t>(Before);
+          std::copy(LS.begin(), LS.begin() + Before, Memo->L);
+        }
         return Done(true);
+      }
+      if (LS.size() != Before && ProofApplies(C->Seq))
+        return MemoHit();
     }
     C = C->Next.load(std::memory_order_acquire);
   }
@@ -1326,7 +1415,7 @@ GoldilocksEngine::captureProvenance(const Lockset &PrevLS, const Cell *From,
     // epoch section, under the variable's KL stripe) and the rules are
     // pure, so this replays exactly the walk that failed.
     walkWindow(PrevLS, From, ToSeq, T, Xact, V, /*Filtered=*/false, NoThread,
-               SelfCommit, P.get());
+               SelfCommit, /*Proofs=*/nullptr, P.get());
     return P;
   } catch (const std::bad_alloc &) {
     return nullptr; // provenance is best-effort; the verdict stands
@@ -1334,7 +1423,7 @@ GoldilocksEngine::captureProvenance(const Lockset &PrevLS, const Cell *From,
 }
 
 bool GoldilocksEngine::orderedBefore(const Info &Prev, ThreadId T, bool Xact,
-                                     ThreadState *&TS) {
+                                     const ThreadState &TS) {
   // Each resolution records (1 << path) into the check-path histogram so
   // every path owns a log2 bucket (see CheckPath in Engine.h).
   // Short circuit 1: both accesses transactional (Figure 8 line 1).
@@ -1353,9 +1442,7 @@ bool GoldilocksEngine::orderedBefore(const Info &Prev, ThreadId T, bool Xact,
   }
   // Short circuit 3: a lock held at the previous access is held now.
   if (Cfg.EnableALockShortCircuit && Prev.HasALock) {
-    if (!TS)
-      TS = &threadState(T);
-    const auto &Held = TS->HeldLocks;
+    const auto &Held = TS.HeldLocks;
     if (std::find(Held.begin(), Held.end(), Prev.ALock) != Held.end()) {
       S->Sc3ALock.fetch_add(1, std::memory_order_relaxed);
       if (HCheckPath)
@@ -1374,11 +1461,6 @@ GoldilocksEngine::accessImpl(ThreadId T, VarId V, bool IsWrite, bool Xact,
     S->SkippedDisabled.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  // The thread-state lookup's result is threaded through the whole check
-  // (short circuit 3, Info install) so ThreadsMu is taken at most once per
-  // access; thread states are never erased, so the pointer stays valid
-  // without the lock.
-  ThreadState *TS = findThreadState(T);
   // The whole check — position acquisition, window walks, Info install —
   // runs inside one epoch section, so the collector cannot free any cell
   // the check can reach.
@@ -1395,7 +1477,11 @@ GoldilocksEngine::accessImpl(ThreadId T, VarId V, bool IsWrite, bool Xact,
   try {
     if (failpoint(Failpoint::EngineInfoAlloc))
       throw std::bad_alloc();
-    return accessLocked(T, TS, V, IsWrite, Xact, PosOverride, SelfCommit);
+    // The thread state is threaded through the whole check (variable
+    // lookup, short circuit 3, walk memo, Info install); thread states are
+    // never erased, so the pointer stays valid without ThreadsMu.
+    return accessLocked(T, threadState(T), V, IsWrite, Xact, PosOverride,
+                        SelfCommit);
   } catch (const std::bad_alloc &) {
     // The access could not be recorded; without its Info record the
     // variable's later verdicts could silently miss races, so degrade it
@@ -1406,10 +1492,10 @@ GoldilocksEngine::accessImpl(ThreadId T, VarId V, bool IsWrite, bool Xact,
 }
 
 std::optional<RaceReport>
-GoldilocksEngine::accessLocked(ThreadId T, ThreadState *TS, VarId V,
+GoldilocksEngine::accessLocked(ThreadId T, ThreadState &TS, VarId V,
                                bool IsWrite, bool Xact, Cell *PosOverride,
                                const CommitSets *SelfCommit) {
-  VarState &St = varState(V);
+  VarState &St = cachedVarState(TS, V);
   std::lock_guard<std::mutex> KL(klFor(V));
   if (St.Disabled || St.Degraded) {
     S->SkippedDisabled.fetch_add(1, std::memory_order_relaxed);
@@ -1446,23 +1532,21 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState *TS, VarId V,
   // precise tier exactly the records it would have had from the start.
   bool SkipChecks = false;
   if (Cfg.Tier == TierMode::Tiered && !Xact && !PosOverride) {
-    uint64_t Epoch = TS ? TS->SyncEpoch : 0;
+    uint64_t Epoch = TS.SyncEpoch;
     bool Memo = Cfg.DisableVarAfterRace && !IsWrite && St.TierInit &&
                 St.TierLastThread == T && St.TierLastEpoch == Epoch;
     // Proof E, evaluated lazily (it walks the live records). The pending
     // fork clock is folded in first so a child's very first access — the
     // init-then-fork handoff — can already prove its ordering.
     auto EpochOrdered = [&] {
-      if (!TS)
-        return false;
-      if (TS->TierPendingFork.load(std::memory_order_acquire)) {
+      if (TS.TierPendingFork.load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> TL(TierMu);
-        tierMergePendingLocked(*TS, T);
+        tierMergePendingLocked(TS, T);
       }
       auto Covered = [&](const Info &I) {
         return !I.Valid || I.Owner == T ||
-               (I.TierEpoch && I.Owner < TS->TierVC.size() &&
-                TS->TierVC[I.Owner] >= I.TierEpoch);
+               (I.TierEpoch && I.Owner < TS.TierVC.size() &&
+                TS.TierVC[I.Owner] >= I.TierEpoch);
       };
       if (!Covered(St.Write))
         return false;
@@ -1478,16 +1562,15 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState *TS, VarId V,
       // seeded, including accesses decided by another proof.
       if (!St.TierInit) {
         St.TierLockCount = 0;
-        if (TS)
-          for (size_t I = TS->HeldLocks.size();
-               I != 0 && St.TierLockCount != VarState::TierLockCap; --I)
-            St.TierLocks[St.TierLockCount++] = TS->HeldLocks[I - 1];
+        for (size_t I = TS.HeldLocks.size();
+             I != 0 && St.TierLockCount != VarState::TierLockCap; --I)
+          St.TierLocks[St.TierLockCount++] = TS.HeldLocks[I - 1];
       } else if (St.TierLockCount != 0) {
         uint8_t Kept = 0;
         for (uint8_t I = 0; I != St.TierLockCount; ++I) {
           ObjectId L = St.TierLocks[I];
-          if (TS && std::find(TS->HeldLocks.begin(), TS->HeldLocks.end(),
-                              L) != TS->HeldLocks.end())
+          if (std::find(TS.HeldLocks.begin(), TS.HeldLocks.end(), L) !=
+              TS.HeldLocks.end())
             St.TierLocks[Kept++] = L;
         }
         St.TierLockCount = Kept;
@@ -1536,7 +1619,7 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState *TS, VarId V,
     // Thread-filtered fast walk, then the full lockset computation.
     if (Cfg.EnableFilteredWalk &&
         walkWindow(Prev.LS, PrevPos, ToSeq, T, Xact, V, /*Filtered=*/true,
-                   Prev.Owner, SelfCommit)) {
+                   Prev.Owner, SelfCommit, &TS)) {
       S->FilteredWalks.fetch_add(1, std::memory_order_relaxed);
       if (HCheckPath)
         HCheckPath->record(1u << unsigned(CheckPath::FilteredWalk));
@@ -1544,7 +1627,7 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState *TS, VarId V,
     }
     S->FullWalks.fetch_add(1, std::memory_order_relaxed);
     if (walkWindow(Prev.LS, PrevPos, ToSeq, T, Xact, V, /*Filtered=*/false,
-                   Prev.Owner, SelfCommit)) {
+                   Prev.Owner, SelfCommit, /*Proofs=*/nullptr)) {
       if (HCheckPath)
         HCheckPath->record(1u << unsigned(CheckPath::FullWalk));
       return;
@@ -1591,28 +1674,23 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState *TS, VarId V,
 
   // Install the new Info (Figure 8 lines 4-9 / 12-23): after the access the
   // variable's lockset is {t} (plus TL inside a transaction). Everything
-  // that can throw — the lockset reset, the thread-state lookup, the slot
-  // reservation — happens before retainCell, so the handoff below cannot
-  // leak a cell reference under memory pressure.
+  // that can throw — the lockset reset, the slot reservation — happens
+  // before installInfo takes the cell reference, so the handoff cannot
+  // leak one under memory pressure.
   Info NI;
   NI.Owner = T;
   NI.Xact = Xact;
   NI.LS.resetToOwner(T, Xact);
-  {
-    if (!TS)
-      TS = &threadState(T);
-    const auto &Held = TS->HeldLocks;
-    if (!Held.empty()) {
-      NI.ALock = Held.back();
-      NI.HasALock = true;
-    }
+  if (!TS.HeldLocks.empty()) {
+    NI.ALock = TS.HeldLocks.back();
+    NI.HasALock = true;
   }
   // Proof E stamp: the owner's own clock component at install. For a
   // commit replay (PosOverride) the install point is the commit, which is
   // at or after the buffered access — a later epoch only makes the proof
   // fail more often, never wrongly succeed.
   if (Cfg.Tier == TierMode::Tiered)
-    NI.TierEpoch = vcSelf(TS->TierVC, T); // 0 past TierVcCap: unprovable
+    NI.TierEpoch = vcSelf(TS.TierVC, T); // 0 past TierVcCap: unprovable
   Info *Slot = &St.Write;
   if (IsWrite) {
     clearReads(St);
@@ -1633,7 +1711,6 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState *TS, VarId V,
   }
   NI.Pos.store(PosC, std::memory_order_relaxed);
   NI.Valid = true;
-  retainCell(PosC);
   installInfo(*Slot, std::move(NI));
 
   // Tier bookkeeping, maintained on *every* install (including the
@@ -1651,7 +1728,7 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState *TS, VarId V,
       St.TierLockCount = 0;
     St.TierInit = true;
     St.TierLastThread = T;
-    St.TierLastEpoch = TS->SyncEpoch;
+    St.TierLastEpoch = TS.SyncEpoch;
   }
   return std::nullopt;
 }

@@ -185,7 +185,7 @@ inline constexpr size_t FlightRingCapacity = 256;
   X(Sc3ALock, "sc3_alock")                       /* sc: common lock held */    \
   X(FilteredWalks, "filtered_walks")             /* thread-filtered walks */   \
   X(FullWalks, "full_walks")                     /* full lockset walks */      \
-  X(CellsWalked, "cells_walked")                 /* cells visited by walks */  \
+  X(CellsWalked, "cells_walked")                 /* cells applied by walks */  \
   X(CellsAllocated, "cells_allocated")                                         \
   X(CellsFreed, "cells_freed")                                                 \
   X(GcRuns, "gc_runs")                                                         \
@@ -206,7 +206,8 @@ inline constexpr size_t FlightRingCapacity = 256;
   X(ThreadsDeregistered, "threads_deregistered") /* live deregisterThread() */ \
   X(SlotFallbacks, "slot_fallbacks")             /* fallback-mutex sections */ \
   X(TierFiltered, "tier_filtered")               /* checks skipped: tier 0 */  \
-  X(Escalations, "escalations")                  /* vars escalated tier 0 */
+  X(Escalations, "escalations")                  /* vars escalated tier 0 */   \
+  X(WalkMemoHits, "walk_memo_hits")              /* walks ended by memo */
 
 /// Monotonic event counters, readable while the engine runs.
 struct EngineStats {
@@ -385,22 +386,22 @@ private:
                                        const CommitSets *SelfCommit = nullptr);
   /// The throwing core of accessImpl; runs under the variable's KL stripe
   /// inside the caller's epoch section. accessImpl catches bad_alloc.
-  /// \p TS is the access's thread-state cache (may enter null for a
-  /// first-seen thread); every thread-state read in the check goes through
-  /// it so the ThreadsMu lookup is paid at most once per access.
-  std::optional<RaceReport> accessLocked(ThreadId T, ThreadState *TS, VarId V,
+  /// \p TS is T's state; every thread-state read in the check goes through
+  /// it.
+  std::optional<RaceReport> accessLocked(ThreadId T, ThreadState &TS, VarId V,
                                          bool IsWrite, bool Xact,
                                          Cell *PosOverride,
                                          const CommitSets *SelfCommit);
   /// Constant-time short circuits of Check-Happens-Before (Figure 8):
   /// returns true when they prove Prev happens-before the current access.
-  /// \p TS caches the executing thread's state across calls (filled on
-  /// first use; may allocate, hence may throw).
+  /// \p TS is the executing thread's state.
   bool orderedBefore(const Info &Prev, ThreadId T, bool Xact,
-                     ThreadState *&TS);
+                     const ThreadState &TS);
   /// Walks the event-list window (From, ToSeq] applying the Figure 5 rules.
   /// When Filtered is set, only events of threads T and FilterA are applied
-  /// (the sound fast pass of Section 5.1). For transactional accesses,
+  /// (the sound fast pass of Section 5.1); a filtered walk given T's state
+  /// in \p Proofs also consults and refreshes T's thread-pair walk memo
+  /// (DESIGN.md §6.3). For transactional accesses,
   /// \p SelfCommit is the current commit's (R, W): rule 9's "if
   /// LS ∩ (R∪W) ≠ ∅ add t" clause is applied after the window, before the
   /// ownership check — the commit itself is not in the window.
@@ -409,7 +410,7 @@ private:
   /// replay, used only on the already-decided race path.
   bool walkWindow(Lockset LS, const Cell *From, uint64_t ToSeq, ThreadId T,
                   bool Xact, VarId V, bool Filtered, ThreadId FilterA,
-                  const CommitSets *SelfCommit,
+                  const CommitSets *SelfCommit, ThreadState *Proofs,
                   RaceProvenance *Capture = nullptr);
   /// Replays the losing full walk with capture enabled and packages the
   /// result. Runs under the variable's KL stripe inside the caller's epoch
@@ -461,10 +462,14 @@ private:
   void destroyCell(Cell *C);
   /// Finds or creates \p V's state in its object's shard.
   VarState &varState(VarId V);
+  /// varState through \p TS's direct-mapped variable cache: a hit takes no
+  /// lock (VarStates are never freed before teardown).
+  VarState &cachedVarState(ThreadState &TS, VarId V);
   /// The variable-index shard of every variable of object \p O.
   static unsigned objectShard(ObjectId O);
   ThreadState &threadState(ThreadId T);
-  /// Lookup without creation (deregistration must not allocate).
+  /// Lookup without creation (deregistration must not allocate). A hit in
+  /// the calling OS thread's cache (ThreadCache) takes no lock.
   ThreadState *findThreadState(ThreadId T) const;
   std::mutex &klFor(VarId V) const;
   /// The write-generation stripe of volatile \p V (volatile-read elision).
@@ -649,9 +654,22 @@ private:
   std::unique_ptr<SlabArena> ReadArena; // ReadRec
 
   // Per-thread lock stacks for the alock short circuit. Lookups are
-  // shared; only a first-seen thread takes the exclusive path.
+  // shared; only a first-seen thread takes the exclusive path. Entries are
+  // never erased, so a ThreadState outlives every pointer to it.
   mutable std::shared_mutex ThreadsMu;
   std::unordered_map<ThreadId, std::unique_ptr<ThreadState>> Threads;
+
+  /// Per-OS-thread cache of (engine Gen, ThreadId) -> ThreadState, filled
+  /// by every locked lookup. Gen is never reused and ThreadStates are never
+  /// erased, so a matching entry is always live; a miss takes ThreadsMu.
+  struct ThreadCacheEntry {
+    uint64_t EngineGen = 0;
+    ThreadId Tid = NoThread;
+    ThreadState *State = nullptr;
+  };
+  static constexpr unsigned ThreadCacheBits = 4;
+  static thread_local ThreadCacheEntry ThreadCache[1u << ThreadCacheBits];
+  ThreadCacheEntry &threadCacheEntry(ThreadId T) const;
 
   // Tier-0 epoch-order proof state (Tiered mode only, DESIGN.md §15):
   // per-channel clocks (locks and volatiles share the map — their packed

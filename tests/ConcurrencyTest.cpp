@@ -12,9 +12,10 @@
 /// Named regressions: an ownership-transfer interleaving (lock handoff must
 /// not race, real-time-only handoff must race), a commit-anchor
 /// interleaving (GC runs between commitPoint and finishCommit while other
-/// threads append — anchor clamping must keep transactional verdicts exact)
-/// and reallocation under load (rule 8 runs while other threads keep
-/// inserting new variables into the same variable index).
+/// threads append — anchor clamping must keep transactional verdicts exact),
+/// reallocation under load (rule 8 runs while other threads keep
+/// inserting new variables into the same variable index) and a task queue
+/// whose walks reuse their thread-pair ownership proofs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -205,6 +206,7 @@ TEST(ConcurrencyTest, CommitAnchorsSurviveConcurrentGc) {
   };
 
   std::vector<std::thread> Threads;
+  Threads.reserve(4);
   H.fork(Main, 0, 1);
   Threads.emplace_back(Committer, 1);
   H.fork(Main, 0, 2);
@@ -354,6 +356,90 @@ TEST(ConcurrencyTest, ReallocationUnderLoadMatchesOracle) {
     EXPECT_PRED_FORMAT2(sameVerdicts, Oracle, referenceVarSet(Observed));
     checkEngineConsistency(H.Det.engine());
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Named regression: a task queue that reuses walk proofs
+//===----------------------------------------------------------------------===//
+
+// A hedc-shaped task queue on real threads. The producer writes each task's
+// payload unlocked and enqueues it under lock Q. Once every task is queued,
+// it writes the last payload again, which races with whichever consumer
+// reads it. Two consumers then dequeue under Q, read the payload and write
+// a result; main joins everyone and reads every result. Each consumer's
+// payload walks after its first reuse the proof its first walk left in its
+// thread-pair walk memo (DESIGN.md §6.3), and main's result walks reuse
+// theirs, all while the other consumer appends to the same list.
+TEST(ConcurrencyTest, TaskQueueReusesWalkProofsAndMatchesOracle) {
+  constexpr unsigned NumTasks = 64;
+  constexpr ObjectId Q = 10;
+  constexpr ObjectId TaskBase = 100;
+  constexpr ObjectId ResultBase = 1000;
+
+  Harness H((EngineConfig()));
+  std::vector<Recorder> Recs(4);
+  Recorder &Main = Recs[0];
+  std::mutex M;
+  unsigned Queued = 0, Taken = 0; // guarded by M
+  std::atomic<bool> AllQueued{false};
+
+  auto Producer = [&] {
+    Recorder &R = Recs[1];
+    for (unsigned I = 0; I != NumTasks; ++I) {
+      H.write(R, 1, VarId{TaskBase + I, 0});
+      std::lock_guard<std::mutex> G(M);
+      H.acq(R, 1, Q);
+      H.write(R, 1, VarId{Q, 0});
+      ++Queued;
+      H.rel(R, 1, Q);
+    }
+    H.write(R, 1, VarId{TaskBase + NumTasks - 1, 0});
+    AllQueued.store(true, std::memory_order_release);
+    H.terminate(R, 1);
+  };
+  auto Consumer = [&](ThreadId Tid) {
+    Recorder &R = Recs[Tid];
+    while (!AllQueued.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    while (true) {
+      unsigned Task;
+      {
+        std::lock_guard<std::mutex> G(M);
+        H.acq(R, Tid, Q);
+        H.write(R, Tid, VarId{Q, 0});
+        Task = Taken < Queued ? Taken++ : NumTasks;
+        H.rel(R, Tid, Q);
+      }
+      if (Task == NumTasks)
+        break;
+      H.read(R, Tid, VarId{TaskBase + Task, 0});
+      H.write(R, Tid, VarId{ResultBase + Task, 0});
+    }
+    H.terminate(R, Tid);
+  };
+
+  std::vector<std::thread> Threads;
+  H.fork(Main, 0, 1);
+  Threads.emplace_back(Producer);
+  for (ThreadId T = 2; T <= 3; ++T) {
+    H.fork(Main, 0, T);
+    Threads.emplace_back(Consumer, T);
+  }
+  for (ThreadId T = 1; T <= 3; ++T) {
+    Threads[T - 1].join();
+    H.join(Main, 0, T);
+  }
+  for (unsigned I = 0; I != NumTasks; ++I)
+    H.read(Main, 0, VarId{ResultBase + I, 0});
+  H.terminate(Main, 0);
+
+  Trace Observed = mergeTrace(Recs);
+  std::set<VarId> Expected{VarId{TaskBase + NumTasks - 1, 0}};
+  EXPECT_PRED_FORMAT2(sameVerdicts, Expected, oracleVarSet(Observed));
+  EXPECT_PRED_FORMAT2(sameVerdicts, Expected, engineVerdicts(Recs));
+  EXPECT_PRED_FORMAT2(sameVerdicts, Expected, referenceVarSet(Observed));
+  EXPECT_GT(H.Det.engine().stats().WalkMemoHits, 0u);
+  checkEngineConsistency(H.Det.engine());
 }
 
 } // namespace

@@ -498,3 +498,170 @@ TEST(EngineTest, GcHighWaterAndHealthAgree) {
   EXPECT_EQ(H.DegradationLevel, 0u);
   EXPECT_EQ(H.ForcedGcs, 0u);
 }
+
+//===----------------------------------------------------------------------===//
+// Reused work: the thread-pair walk memo, the per-thread lookup caches and
+// net-zero record replacement (DESIGN.md §6.1, §6.3)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr ObjectId QueueLock = 1;
+constexpr ObjectId TaskBase = 100;
+constexpr ObjectId ResultBase = 1000;
+
+/// A hedc-shaped task queue: T1 forks worker T2, then writes K task
+/// payloads, enqueueing each under lock Q. Only then does T2 dequeue each
+/// under Q, read its payload and write a result. T1 joins T2 and reads
+/// every result. Every payload read walks from the producer's write to
+/// T2's first acquire, past the producer's later acq(Q)/rel(Q) pairs, and
+/// every result read walks past T2's later pairs to the join. When
+/// \p RewriteLast is set, T1 writes the last payload again after its last
+/// release, which races with T2's read of it.
+Trace hedcShapedTrace(unsigned K, bool RewriteLast = false) {
+  TraceBuilder B;
+  B.fork(1, 2);
+  for (unsigned I = 0; I != K; ++I) {
+    B.write(1, TaskBase + I, 0); // payload, written unlocked
+    B.acq(1, QueueLock).write(1, QueueLock, 0).rel(1, QueueLock);
+  }
+  if (RewriteLast)
+    B.write(1, TaskBase + K - 1, 0);
+  for (unsigned I = 0; I != K; ++I) {
+    B.acq(2, QueueLock).write(2, QueueLock, 0).rel(2, QueueLock);
+    B.read(2, TaskBase + I, 0);
+    B.write(2, ResultBase + I, 0);
+  }
+  B.terminate(2);
+  B.join(1, 2);
+  for (unsigned I = 0; I != K; ++I)
+    B.read(1, ResultBase + I, 0);
+  return B.take();
+}
+
+} // namespace
+
+TEST(EngineTest, HedcShapedWalksReuseTheirOwnershipProofs) {
+  // The walks re-apply the same stretch of the other thread's no-op
+  // acq(Q)/rel(Q) cells, so without the memo the cells applied grow
+  // quadratically in K: without it the engine applies 2,146 cells at
+  // K = 32 and 8,386 at K = 64. With it each pair's first walk runs to the
+  // ownership cell and every later one stops at its first lockset growth:
+  // 6 cells per task.
+  auto CellsWalked = [](unsigned K) {
+    EngineConfig C;
+    C.EnableALockShortCircuit = false; // the queue's own fields walk too
+    GoldilocksDetector D(C);
+    EXPECT_TRUE(D.runTrace(hedcShapedTrace(K)).empty()) << "K = " << K;
+    EngineStats S = D.engine().stats();
+    EXPECT_EQ(S.FullWalks, 0u);
+    EXPECT_EQ(S.WalkMemoHits, 2u * (K - 1)) << "K = " << K;
+    return S.CellsWalked;
+  };
+  uint64_t At32 = CellsWalked(32);
+  uint64_t At64 = CellsWalked(64);
+  EXPECT_EQ(At32, 6u * 32);
+  EXPECT_EQ(At64, 6u * 64);
+}
+
+TEST(EngineTest, WalkMemoNeedsItsLocksetBeforeTheProofCell) {
+  // T2's first payload reads leave a proof for T1 at T2's first acquire
+  // with L = {T1, Q}. The last payload was written again after T1's last
+  // release, so its walk never holds Q: the proof must not apply.
+  for (bool DisableVar : {true, false}) {
+    EngineConfig C;
+    C.DisableVarAfterRace = DisableVar;
+    GoldilocksDetector D(C);
+    GoldilocksReferenceDetector Ref;
+    Trace T = hedcShapedTrace(8, /*RewriteLast=*/true);
+    auto Races = D.runTrace(T);
+    ASSERT_EQ(Races.size(), 1u);
+    EXPECT_EQ(Races[0].Var, (VarId{TaskBase + 7, 0}));
+    EXPECT_EQ(Races[0].Thread, 2u);
+    EXPECT_EQ(Ref.runTrace(T).size(), 1u);
+    EXPECT_GT(D.engine().stats().WalkMemoHits, 0u);
+  }
+}
+
+TEST(EngineTest, WalkMemoNeedsItsProofCellInsideTheWindow) {
+  // T2's commit is placed in the synchronization order before T2 acquires
+  // lock 9, so it is not ordered after T1's write of X. Between the two
+  // commit phases T2 reads Y through the lock, which leaves a proof for T1
+  // at T2's acquire, after the commit's anchor. The commit replay's window
+  // ends at the anchor, so the proof must not apply.
+  GoldilocksEngine E;
+  const VarId X{7, 0}, Y{8, 0};
+  E.onWrite(1, Y);
+  E.onWrite(1, X);
+  E.onAcquire(1, 9);
+  E.onRelease(1, 9);
+  CommitSets CS;
+  CS.Writes = {X};
+  E.commitPoint(2, CS);
+  E.onAcquire(2, 9);
+  EXPECT_FALSE(E.onRead(2, Y).has_value());
+  EXPECT_EQ(E.stats().FilteredWalks, 1u);
+  auto Races = E.finishCommit(2, CS);
+  ASSERT_EQ(Races.size(), 1u);
+  EXPECT_EQ(Races[0].Var, X);
+  EXPECT_EQ(E.stats().WalkMemoHits, 0u);
+  E.onRelease(2, 9);
+}
+
+TEST(EngineTest, EnginesOnOneOsThreadKeepSeparateThreadStates) {
+  // In E1, T1 holds lock 9. In E2 it holds nothing, so its read of X,
+  // written by T2 under lock 9, races there. Reading E1's T1 state in E2
+  // would let the alock short circuit order the pair.
+  const VarId X{5, 0}, Z{6, 0};
+  GoldilocksEngine E1, E2;
+  E1.onAcquire(1, 9);
+  EXPECT_FALSE(E1.onWrite(1, Z).has_value());
+  E2.onAcquire(2, 9);
+  EXPECT_FALSE(E2.onWrite(2, X).has_value());
+  E2.onRelease(2, 9);
+  EXPECT_FALSE(E1.onRead(1, Z).has_value());
+  auto R = E2.onRead(1, X);
+  ASSERT_TRUE(R.has_value());
+  EXPECT_EQ(R->PriorThread, 2u);
+  EXPECT_EQ(E2.stats().Sc3ALock, 0u);
+  E1.onRelease(1, 9);
+
+  // The per-OS-thread cache is indexed by ThreadId plus engine generation
+  // modulo 16, so engines built 16 apart put T1 in the same cache slot.
+  // Only the generation in the entry tells them apart there.
+  std::vector<std::unique_ptr<GoldilocksEngine>> Es;
+  for (int I = 0; I != 17; ++I)
+    Es.push_back(std::make_unique<GoldilocksEngine>());
+  Es[0]->onAcquire(1, 9); // left held: T1's stack is {9} in Es[0] only
+  Es[16]->onAcquire(2, 9);
+  EXPECT_FALSE(Es[16]->onWrite(2, X).has_value());
+  Es[16]->onRelease(2, 9);
+  EXPECT_TRUE(Es[16]->onRead(1, X).has_value());
+}
+
+TEST(EngineTest, SameCellRecordReplacementKeepsCountsExact) {
+  EngineConfig C;
+  C.GcThreshold = 0; // manual collection only
+  GoldilocksEngine E(C);
+  const VarId X{1, 0};
+  // 10^5 replacements at one position: a write leaves one record, a read
+  // by the same thread adds its read record, the next write drops it.
+  for (int I = 0; I != 100000; ++I) {
+    EXPECT_FALSE(E.onWrite(1, X).has_value());
+    EXPECT_FALSE(E.onRead(1, X).has_value());
+    if (I % 1000 == 999) { // move the position now and then
+      E.onAcquire(1, 9);
+      E.onRelease(1, 9);
+    }
+  }
+  EXPECT_EQ(E.infoRecordCount(), 2u);
+  EXPECT_EQ(E.health().InfoHighWater, 2u);
+  EXPECT_FALSE(E.onWrite(1, X).has_value()); // at the tail: drops the read
+  EXPECT_EQ(E.infoRecordCount(), 1u);
+  EXPECT_EQ(E.eventListLength(), 201u); // the sentinel and 100 acq/rel pairs
+  // Every replaced record released its old position: only the tail is
+  // still referenced, so a collection frees the whole prefix before it.
+  E.collectGarbage();
+  EXPECT_EQ(E.eventListLength(), 1u);
+  EXPECT_EQ(E.infoRecordCount(), 1u);
+}

@@ -236,7 +236,7 @@ const NameSet EngineCounters = {
     "forced_gcs",        "append_retries",     "grace_waits",
     "grace_timeouts",    "cells_quarantined",  "reclaimed_dead_slots",
     "threads_registered", "threads_deregistered", "slot_fallbacks",
-    "tier_filtered",     "escalations",
+    "tier_filtered",     "escalations",        "walk_memo_hits",
 };
 
 const NameSet ServiceCounters = {

@@ -173,9 +173,11 @@ TEST(TraceSamplerTest, RateConvergesAndKeysDecorrelate) {
 TEST(TraceSamplerTest, RatePpmIsMonotonicInSelection) {
   // A frame sampled at ppm P must also be sampled at every P' > P: the
   // decision is hash % 1e6 < ppm, so raising the rate only adds frames.
-  for (uint64_t Seq = 0; Seq != 2000; ++Seq)
-    if (traceSampled(9, 4, Seq, 50000))
+  for (uint64_t Seq = 0; Seq != 2000; ++Seq) {
+    if (traceSampled(9, 4, Seq, 50000)) {
       EXPECT_TRUE(traceSampled(9, 4, Seq, 400000)) << Seq;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -259,9 +261,11 @@ TEST(PipeTraceTest, UntracedFramesLeaveNoResidue) {
   R.S->close();
   Svc.drain();
   Svc.poll();
-  for (const auto &HS : Svc.telemetry().Histograms)
-    if (HS.Name.rfind("pipe.", 0) == 0)
+  for (const auto &HS : Svc.telemetry().Histograms) {
+    if (HS.Name.rfind("pipe.", 0) == 0) {
       EXPECT_EQ(HS.Count, 0u) << HS.Name;
+    }
+  }
   ASSERT_NE(Svc.spanSink(), nullptr);
   EXPECT_EQ(Svc.spanSink()->size(), 0u);
 }
