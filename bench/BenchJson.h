@@ -82,7 +82,6 @@ inline void jsonEngineConfig(JsonWriter &J, const char *Key,
   J.kv("max_bytes", C.MaxBytes);
   J.kv("grace_deadline_micros", C.GraceDeadlineMicros);
   J.kv("epoch_slot_count", C.EpochSlotCount);
-  J.kv("tier", tierModeName(C.Tier));
   J.endObject();
 }
 

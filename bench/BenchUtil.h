@@ -32,10 +32,9 @@ struct RunResult {
   size_t Races = 0;
 };
 
-/// Runs \p Prog once with optional Goldilocks instrumentation, under the
-/// given engine configuration (the default is the production config).
-inline RunResult runOnce(const Program &Prog, bool Instrument,
-                         const EngineConfig &EC = EngineConfig()) {
+/// Runs \p Prog once with optional Goldilocks instrumentation under the
+/// production engine configuration.
+inline RunResult runOnce(const Program &Prog, bool Instrument) {
   RunResult R;
   if (!Instrument) {
     Timer T;
@@ -45,7 +44,7 @@ inline RunResult runOnce(const Program &Prog, bool Instrument,
     R.Vm = V.stats();
     return R;
   }
-  GoldilocksDetector D(EC);
+  GoldilocksDetector D;
   VmConfig Cfg;
   Cfg.Detector = &D;
   Timer T;
@@ -61,11 +60,10 @@ inline RunResult runOnce(const Program &Prog, bool Instrument,
 
 /// Runs \p Prog \p Reps times, keeping the fastest run (the paper reports
 /// steady-state runtimes; min-of-N suppresses scheduler noise).
-inline RunResult runBest(const Program &Prog, bool Instrument, int Reps = 3,
-                         const EngineConfig &EC = EngineConfig()) {
+inline RunResult runBest(const Program &Prog, bool Instrument, int Reps = 3) {
   RunResult Best;
   for (int I = 0; I != Reps; ++I) {
-    RunResult R = runOnce(Prog, Instrument, EC);
+    RunResult R = runOnce(Prog, Instrument);
     if (I == 0 || R.Seconds < Best.Seconds)
       Best = R;
   }

@@ -51,11 +51,7 @@ int main(int Argc, char **Argv) {
     RunResult Plain = runBest(Var.Plain, /*Instrument=*/true, Reps);
     RunResult Chord = runBest(Var.Chord, /*Instrument=*/true, Reps);
     RunResult Rcc = runBest(Var.RccJava, /*Instrument=*/true, Reps);
-    EngineConfig TieredCfg;
-    TieredCfg.Tier = TierMode::Tiered;
-    RunResult Tiered = runBest(Var.Plain, /*Instrument=*/true, Reps, TieredCfg);
-    std::printf(" done (nostatic %.3fs, tiered %.3fs)\n", Plain.Seconds,
-                Tiered.Seconds);
+    std::printf(" done (nostatic %.3fs)\n", Plain.Seconds);
     std::fflush(stdout);
 
     auto Slow = [&](const RunResult &R) {
@@ -68,13 +64,8 @@ int main(int Argc, char **Argv) {
               Table::num(Slow(Rcc), 1),
               Table::percent(Chord.Engine.shortCircuitFraction()),
               Table::percent(Rcc.Engine.shortCircuitFraction())});
-    if (Plain.Races || Chord.Races || Rcc.Races || Tiered.Races) {
+    if (Plain.Races || Chord.Races || Rcc.Races) {
       std::printf("!! unexpected races in %s\n", W.Name.c_str());
-      WrongVerdict = true;
-    }
-    if (Tiered.Races != Plain.Races) {
-      std::printf("!! tiered verdicts diverge in %s (%zu vs %zu)\n",
-                  W.Name.c_str(), Tiered.Races, Plain.Races);
       WrongVerdict = true;
     }
 
@@ -99,9 +90,6 @@ int main(int Argc, char **Argv) {
     EmitVariant("nostatic", Plain, true);
     EmitVariant("chord", Chord, true);
     EmitVariant("rccjava", Rcc, true);
-    // The tier-0 prefilter run: same verdicts as nostatic, with
-    // pair_checks/tier_filtered/escalations recording what it skipped.
-    EmitVariant("tiered", Tiered, true);
   }
   J.endArray();
   J.endObject();

@@ -8,31 +8,10 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstring>
 #include <new>
 #include <thread>
 
 using namespace gold;
-
-const char *gold::tierModeName(TierMode M) {
-  switch (M) {
-  case TierMode::Precise:
-    return "precise";
-  case TierMode::Tiered:
-    return "tiered";
-  }
-  return "precise";
-}
-
-bool gold::parseTierMode(const char *S, TierMode &Out) {
-  for (TierMode M : {TierMode::Precise, TierMode::Tiered}) {
-    if (S && !std::strcmp(S, tierModeName(M))) {
-      Out = M;
-      return true;
-    }
-  }
-  return false;
-}
 
 //===----------------------------------------------------------------------===//
 // Internal data structures (Figure 8's Cell and Info records)
@@ -62,10 +41,6 @@ struct GoldilocksEngine::Info {
   bool HasALock = false;
   bool Xact = false;     ///< Access was inside a transaction
   bool Valid = false;
-  /// Tiered mode: Owner's own clock component when the record was
-  /// installed (0 = unknown, never provable). A later access whose clock
-  /// covers (Owner, TierEpoch) is ordered after this record (proof E).
-  uint64_t TierEpoch = 0;
 
   Info() = default;
   Info(Info &&O) noexcept { *this = std::move(O); }
@@ -78,7 +53,6 @@ struct GoldilocksEngine::Info {
     HasALock = O.HasALock;
     Xact = O.Xact;
     Valid = O.Valid;
-    TierEpoch = O.TierEpoch;
     return *this;
   }
 };
@@ -105,33 +79,6 @@ struct GoldilocksEngine::VarState {
   bool Disabled = false;  ///< disabled after its first race (Section 6)
   bool Degraded = false;  ///< disabled by the resource governor (rung 3)
   VarId V;
-
-  // Tier state (DESIGN.md §15), guarded by the variable's KL stripe like
-  // the Info records. All of it is summary data over the *live* records:
-  // dropping the records (onAlloc, enableVar) resets it.
-  bool TierEscalated = false; ///< sticky: a tier-0 proof failed once
-  bool TierInit = false;      ///< summaries seeded by an access since reset
-  bool TierMixed = false;     ///< live records span two or more owners
-  ThreadId TierLastThread = NoThread; ///< thread of the last installed access
-  uint64_t TierLastEpoch = 0; ///< that thread's sync epoch at the access
-  /// Eraser-style candidate lockset C(v): the intersection of the accessor
-  /// lock stacks of every access since reset, capped (a first access
-  /// holding more locks keeps the innermost TierLockCap — a subset, so the
-  /// proof can only fail more often, never wrongly succeed).
-  static constexpr unsigned TierLockCap = 4;
-  ObjectId TierLocks[TierLockCap] = {};
-  uint8_t TierLockCount = 0;
-
-  /// Forgets the tier summaries (the records they summarize were dropped).
-  /// Escalation survives: a variable that needed the precise tier once
-  /// stays escalated. Requires the KL stripe, like any tier mutation.
-  void resetTier() {
-    TierInit = false;
-    TierMixed = false;
-    TierLastThread = NoThread;
-    TierLastEpoch = 0;
-    TierLockCount = 0;
-  }
 };
 
 /// Per-thread lock stack, consulted by the alock short circuit, plus the
@@ -145,20 +92,6 @@ struct GoldilocksEngine::ThreadState {
   /// Lifecycle registry flags (registerThread / deregisterThread).
   std::atomic<bool> Registered{false};
   std::atomic<bool> Exited{false};
-  /// FastTrack-style synchronization epoch: bumped by the owning thread on
-  /// each of its synchronization operations (Tiered mode only). Read only
-  /// by the owner — the tier-0 same-epoch proof always compares a thread's
-  /// epoch against a value that same thread recorded.
-  uint64_t SyncEpoch = 0;
-  /// Tier-0 epoch-order proof (proof E): the thread's vector clock over
-  /// the modeled synchronization edges, indexed by ThreadId. Written only
-  /// by the owning thread (fork/join/exit handoffs go through the engine's
-  /// TierMu-guarded maps, never through another thread's state); read
-  /// lock-free by the owner on the access path.
-  std::vector<uint64_t> TierVC;
-  /// Set by the parent's fork hook after it deposits a fork clock in
-  /// TierForkClocks: the owner folds it in at its next sync op or access.
-  std::atomic<bool> TierPendingFork{false};
   /// Volatile-read elision: for the thread's recently *recorded* volatile
   /// reads, the variable and the write generation its stripe showed just
   /// before the read's cell was appended. Direct-mapped by variable; a
@@ -977,148 +910,7 @@ size_t GoldilocksEngine::distinctVarsChecked() const {
 // Synchronization hooks
 //===----------------------------------------------------------------------===//
 
-void GoldilocksEngine::bumpSyncEpoch(ThreadId T) {
-  if (Cfg.Tier != TierMode::Tiered)
-    return;
-  try {
-    ++threadState(T).SyncEpoch;
-  } catch (const std::bad_alloc &) {
-    // A missed bump can only make the same-epoch proof *succeed* where a
-    // bump would have failed it — but the proof is sound regardless of the
-    // epoch (ordering is monotone in the window), so this stays advisory.
-  }
-}
-
-namespace {
-
-/// ThreadIds index the tier vector clocks directly; ids past this cap (and
-/// NoThread) simply opt out of proof E — their records keep TierEpoch 0 and
-/// are never epoch-skipped, which is the sound direction.
-constexpr ThreadId TierVcCap = 1u << 16;
-
-/// Element-wise max. A partial merge (bad_alloc mid-resize) leaves a clock
-/// that is a pointwise lower bound of the true join — each retained claim
-/// is individually justified by a real chain, so soundness is unaffected.
-void vcJoinInto(std::vector<uint64_t> &Dst, const std::vector<uint64_t> &Src) {
-  if (Dst.size() < Src.size())
-    Dst.resize(Src.size(), 0);
-  for (size_t I = 0; I != Src.size(); ++I)
-    if (Src[I] > Dst[I])
-      Dst[I] = Src[I];
-}
-
-/// Ensures \p VC has a nonzero self component for \p T and returns it
-/// (record epochs use 0 as "unknown", so components start at 1).
-uint64_t vcSelf(std::vector<uint64_t> &VC, ThreadId T) {
-  if (T >= TierVcCap)
-    return 0;
-  if (VC.size() <= T)
-    VC.resize(T + 1, 0);
-  if (VC[T] == 0)
-    VC[T] = 1;
-  return VC[T];
-}
-
-} // namespace
-
-void GoldilocksEngine::tierMergePendingLocked(ThreadState &TS, ThreadId T) {
-  if (!TS.TierPendingFork.load(std::memory_order_acquire))
-    return;
-  auto It = TierForkClocks.find(T);
-  if (It != TierForkClocks.end()) {
-    vcJoinInto(TS.TierVC, It->second);
-    TierForkClocks.erase(It);
-  }
-  TS.TierPendingFork.store(false, std::memory_order_release);
-}
-
-void GoldilocksEngine::tierSyncAcquire(ThreadId T, uint64_t Key) {
-  if (Cfg.Tier != TierMode::Tiered || T >= TierVcCap)
-    return;
-  try {
-    ThreadState &TS = threadState(T);
-    std::lock_guard<std::mutex> L(TierMu);
-    tierMergePendingLocked(TS, T);
-    auto It = TierChannels.find(Key);
-    if (It != TierChannels.end())
-      vcJoinInto(TS.TierVC, It->second);
-  } catch (const std::bad_alloc &) {
-    // A missed merge only loses coverage: proof E fails more often and the
-    // access takes the precise path. Sound either way.
-  }
-}
-
-void GoldilocksEngine::tierSyncRelease(ThreadId T, uint64_t Key) {
-  if (Cfg.Tier != TierMode::Tiered || T >= TierVcCap)
-    return;
-  // The clock must not be visible before the cell: a consumer that merges
-  // it may skip a check the precise walk could not yet prove (the cell
-  // would be missing from — or ordered after — the consumer's window).
-  // Callers run this after enqueue, which publishes the cell immediately.
-  try {
-    ThreadState &TS = threadState(T);
-    std::lock_guard<std::mutex> L(TierMu);
-    tierMergePendingLocked(TS, T);
-    (void)vcSelf(TS.TierVC, T);
-    vcJoinInto(TierChannels[Key], TS.TierVC);
-    ++TS.TierVC[T];
-  } catch (const std::bad_alloc &) {
-    // A missed publication only hides edges from later acquirers. Sound.
-  }
-}
-
-void GoldilocksEngine::tierFork(ThreadId Parent, ThreadId Child) {
-  if (Cfg.Tier != TierMode::Tiered || Parent >= TierVcCap)
-    return;
-  try {
-    ThreadState &PS = threadState(Parent);
-    ThreadState &CS = threadState(Child);
-    std::lock_guard<std::mutex> L(TierMu);
-    tierMergePendingLocked(PS, Parent);
-    (void)vcSelf(PS.TierVC, Parent);
-    vcJoinInto(TierForkClocks[Child], PS.TierVC);
-    ++PS.TierVC[Parent];
-    CS.TierPendingFork.store(true, std::memory_order_release);
-  } catch (const std::bad_alloc &) {
-    // The child simply never sees the fork edge and escalates instead.
-  }
-}
-
-void GoldilocksEngine::tierJoin(ThreadId T, ThreadId Child) {
-  if (Cfg.Tier != TierMode::Tiered || T >= TierVcCap)
-    return;
-  try {
-    ThreadState &TS = threadState(T);
-    std::lock_guard<std::mutex> L(TierMu);
-    tierMergePendingLocked(TS, T);
-    auto It = TierExitClocks.find(Child);
-    if (It != TierExitClocks.end())
-      vcJoinInto(TS.TierVC, It->second);
-  } catch (const std::bad_alloc &) {
-    // As in tierSyncAcquire: a missed merge is only lost coverage.
-  }
-}
-
-void GoldilocksEngine::tierTerminate(ThreadId T) {
-  if (Cfg.Tier != TierMode::Tiered || T >= TierVcCap)
-    return;
-  try {
-    ThreadState &TS = threadState(T);
-    std::lock_guard<std::mutex> L(TierMu);
-    tierMergePendingLocked(TS, T);
-    (void)vcSelf(TS.TierVC, T);
-    std::vector<uint64_t> &Exit = TierExitClocks[T];
-    Exit.clear();
-    vcJoinInto(Exit, TS.TierVC);
-    ++TS.TierVC[T];
-  } catch (const std::bad_alloc &) {
-    // A joiner simply finds no exit clock and escalates instead.
-  }
-}
-
 void GoldilocksEngine::onAcquire(ThreadId T, ObjectId O) {
-  bumpSyncEpoch(T);
-  tierSyncAcquire(T, lockVar(O).key()); // merge before our own cell
   try {
     threadState(T).HeldLocks.push_back(O);
   } catch (const std::bad_alloc &) {
@@ -1134,7 +926,6 @@ void GoldilocksEngine::onAcquire(ThreadId T, ObjectId O) {
 }
 
 void GoldilocksEngine::onRelease(ThreadId T, ObjectId O) {
-  bumpSyncEpoch(T);
   try {
     auto &Held = threadState(T).HeldLocks;
     auto It = std::find(Held.rbegin(), Held.rend(), O);
@@ -1148,13 +939,10 @@ void GoldilocksEngine::onRelease(ThreadId T, ObjectId O) {
   E.Thread = T;
   E.Var = lockVar(O);
   enqueue(E);
-  tierSyncRelease(T, lockVar(O).key()); // publish after our cell is live
   maybeCollect();
 }
 
 void GoldilocksEngine::onVolatileRead(ThreadId T, VarId V) {
-  bumpSyncEpoch(T);
-  tierSyncAcquire(T, V.key()); // merge before our own cell
   // Elision (DESIGN.md §6.2): if no write of V was published since this
   // thread's last recorded read of V, that read's cell already applied
   // rule 2 for every write this one can synchronize with, so this cell
@@ -1180,7 +968,6 @@ void GoldilocksEngine::onVolatileRead(ThreadId T, VarId V) {
 }
 
 void GoldilocksEngine::onVolatileWrite(ThreadId T, VarId V) {
-  bumpSyncEpoch(T);
   SyncEvent E;
   E.Kind = ActionKind::VolatileWrite;
   E.Thread = T;
@@ -1190,25 +977,20 @@ void GoldilocksEngine::onVolatileWrite(ThreadId T, VarId V) {
   // a reader that sees the value sees the bump, and a reader whose last
   // recorded read saw the bump was appended after our cell.
   volWriteGen(V).fetch_add(1, std::memory_order_seq_cst);
-  tierSyncRelease(T, V.key()); // publish after our cell is live
   maybeCollect();
 }
 
 void GoldilocksEngine::onFork(ThreadId T, ThreadId Child) {
-  bumpSyncEpoch(T);
   registerThread(Child);
   SyncEvent E;
   E.Kind = ActionKind::Fork;
   E.Thread = T;
   E.Target = Child;
   enqueue(E);
-  tierFork(T, Child); // deposit the fork clock after the fork cell is live
   maybeCollect();
 }
 
 void GoldilocksEngine::onJoin(ThreadId T, ThreadId Child) {
-  bumpSyncEpoch(T);
-  tierJoin(T, Child); // merge the exit clock before our own cell
   SyncEvent E;
   E.Kind = ActionKind::Join;
   E.Thread = T;
@@ -1218,12 +1000,10 @@ void GoldilocksEngine::onJoin(ThreadId T, ThreadId Child) {
 }
 
 void GoldilocksEngine::onTerminate(ThreadId T) {
-  bumpSyncEpoch(T);
   SyncEvent E;
   E.Kind = ActionKind::Terminate;
   E.Thread = T;
   enqueue(E);
-  tierTerminate(T); // publish the exit clock after the terminate cell
   maybeCollect();
   deregisterThread(T);
 }
@@ -1276,10 +1056,6 @@ void GoldilocksEngine::onAlloc(ThreadId T, ObjectId O, uint32_t FieldCount) {
     clearReads(*St);
     St->Disabled = false;
     St->Degraded = false;
-    // A reallocated variable is a new variable: it re-earns tier 0 along
-    // with its exactness.
-    St->resetTier();
-    St->TierEscalated = false;
   }
 }
 
@@ -1502,97 +1278,6 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState &TS, VarId V,
     return std::nullopt;
   }
 
-  // Tier-0 prefilter (TierMode::Tiered, DESIGN.md §15): skip the pair
-  // checks — never the record install — when one of five proofs shows the
-  // precise tier could not have reported a race for this access:
-  //
-  //  (A) sole owner: every live record belongs to this thread (each check
-  //      would resolve via same-owner);
-  //  (B) read of own/absent write: a read only checks the write record;
-  //  (C) Eraser candidate lockset: some lock has been held at every access
-  //      since the records were (re)built, so every checked pair sits in
-  //      two critical sections of that lock, which are totally ordered;
-  //  (D) FastTrack-style same-epoch memo (reads only): the last installed
-  //      access was by this thread at this sync epoch, so the write record
-  //      is unchanged since a check (or sound skip) already proved it
-  //      ordered, and window ordering is monotone. Gated on
-  //      DisableVarAfterRace so a skipped re-check can never swallow a
-  //      repeat report on a still-enabled racy variable.
-  //  (E) epoch order: every live record's install epoch is covered by this
-  //      thread's vector clock over the modeled sync edges (release→
-  //      acquire, volatile write→read, fork, join) — a subset of the event
-  //      list's real edges, so coverage implies the precise walk would
-  //      prove every pair ordered. This is the proof that covers the
-  //      cross-thread publication idioms (barriers, producer/consumer
-  //      volatiles, init-then-fork) the ownership summaries cannot.
-  //
-  // The first access whose proofs all fail escalates the variable to the
-  // precise tier, permanently (only the memo still applies). Because the
-  // install below runs identically either way, escalation hands the
-  // precise tier exactly the records it would have had from the start.
-  bool SkipChecks = false;
-  if (Cfg.Tier == TierMode::Tiered && !Xact && !PosOverride) {
-    uint64_t Epoch = TS.SyncEpoch;
-    bool Memo = Cfg.DisableVarAfterRace && !IsWrite && St.TierInit &&
-                St.TierLastThread == T && St.TierLastEpoch == Epoch;
-    // Proof E, evaluated lazily (it walks the live records). The pending
-    // fork clock is folded in first so a child's very first access — the
-    // init-then-fork handoff — can already prove its ordering.
-    auto EpochOrdered = [&] {
-      if (TS.TierPendingFork.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> TL(TierMu);
-        tierMergePendingLocked(TS, T);
-      }
-      auto Covered = [&](const Info &I) {
-        return !I.Valid || I.Owner == T ||
-               (I.TierEpoch && I.Owner < TS.TierVC.size() &&
-                TS.TierVC[I.Owner] >= I.TierEpoch);
-      };
-      if (!Covered(St.Write))
-        return false;
-      if (IsWrite)
-        for (ReadRec *R = St.ReadsHead; R; R = R->Next)
-          if (!Covered(R->RI))
-            return false;
-      return true;
-    };
-    if (!St.TierEscalated) {
-      // Fold this access into C(v) first: proof C's soundness requires the
-      // intersection to cover *every* access since the summaries were
-      // seeded, including accesses decided by another proof.
-      if (!St.TierInit) {
-        St.TierLockCount = 0;
-        for (size_t I = TS.HeldLocks.size();
-             I != 0 && St.TierLockCount != VarState::TierLockCap; --I)
-          St.TierLocks[St.TierLockCount++] = TS.HeldLocks[I - 1];
-      } else if (St.TierLockCount != 0) {
-        uint8_t Kept = 0;
-        for (uint8_t I = 0; I != St.TierLockCount; ++I) {
-          ObjectId L = St.TierLocks[I];
-          if (std::find(TS.HeldLocks.begin(), TS.HeldLocks.end(), L) !=
-              TS.HeldLocks.end())
-            St.TierLocks[Kept++] = L;
-        }
-        St.TierLockCount = Kept;
-      }
-      bool SoleOwner =
-          !St.TierInit || (!St.TierMixed && St.TierLastThread == T);
-      bool OwnWrite =
-          !IsWrite && (!St.Write.Valid || St.Write.Owner == T);
-      bool CommonLock = St.TierInit && St.TierLockCount != 0;
-      if (SoleOwner || OwnWrite || CommonLock || Memo || EpochOrdered()) {
-        SkipChecks = true;
-        S->TierFiltered.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        St.TierEscalated = true;
-        S->Escalations.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else if (Memo) {
-      SkipChecks = true;
-      S->TierFiltered.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
   // The access's position: the latest sync event it comes after. The
   // window checked against a previous access is (Prev.Pos, PosC]. seq_cst
   // so the epoch grace argument covers this load (see waitForReaders).
@@ -1653,12 +1338,10 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState &TS, VarId V,
     Race = R;
   };
 
-  if (!SkipChecks) {
-    Check(St.Write, /*PrevIsWrite=*/true);
-    if (IsWrite)
-      for (ReadRec *R = St.ReadsHead; R; R = R->Next)
-        Check(R->RI, /*PrevIsWrite=*/false);
-  }
+  Check(St.Write, /*PrevIsWrite=*/true);
+  if (IsWrite)
+    for (ReadRec *R = St.ReadsHead; R; R = R->Next)
+      Check(R->RI, /*PrevIsWrite=*/false);
 
   if (Race) {
     S->Races.fetch_add(1, std::memory_order_relaxed);
@@ -1685,12 +1368,6 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState &TS, VarId V,
     NI.ALock = TS.HeldLocks.back();
     NI.HasALock = true;
   }
-  // Proof E stamp: the owner's own clock component at install. For a
-  // commit replay (PosOverride) the install point is the commit, which is
-  // at or after the buffered access — a later epoch only makes the proof
-  // fail more often, never wrongly succeed.
-  if (Cfg.Tier == TierMode::Tiered)
-    NI.TierEpoch = vcSelf(TS.TierVC, T); // 0 past TierVcCap: unprovable
   Info *Slot = &St.Write;
   if (IsWrite) {
     clearReads(St);
@@ -1712,29 +1389,10 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState &TS, VarId V,
   NI.Pos.store(PosC, std::memory_order_relaxed);
   NI.Valid = true;
   installInfo(*Slot, std::move(NI));
-
-  // Tier bookkeeping, maintained on *every* install (including the
-  // transactional replays the prefilter itself bypasses) so the summaries
-  // always describe the live records. A write leaves exactly one record
-  // (this thread's); a read by a new thread makes the owner set mixed. A
-  // transactional install clears C(v): its access was not folded into the
-  // intersection, so the common-lock claim no longer covers all records.
-  if (Cfg.Tier == TierMode::Tiered) {
-    if (IsWrite)
-      St.TierMixed = false;
-    else if (St.TierInit && St.TierLastThread != T)
-      St.TierMixed = true;
-    if (Xact || PosOverride)
-      St.TierLockCount = 0;
-    St.TierInit = true;
-    St.TierLastThread = T;
-    St.TierLastEpoch = TS.SyncEpoch;
-  }
   return std::nullopt;
 }
 
 void GoldilocksEngine::commitPoint(ThreadId T, const CommitSets &CS) {
-  bumpSyncEpoch(T);
   S->Commits.fetch_add(1, std::memory_order_relaxed);
   if (recordingStopped())
     return; // finishCommit tolerates the missing anchor
@@ -1821,18 +1479,6 @@ void GoldilocksEngine::enableVar(VarId V) {
     std::lock_guard<std::mutex> KL(klFor(V));
     St.Disabled = false;
     St.Degraded = false;
-    // The disabling paths (race, governor rung 3) dropped the records, so
-    // the summaries can restart from nothing. Guard against a re-enable of
-    // a variable that still has live records (nothing forbids calling this
-    // on a healthy variable): stale-summary tier-0 proofs over real
-    // records could skip a needed check, so those escalate instead.
-    bool HasRecords = St.Write.Valid;
-    for (ReadRec *R = St.ReadsHead; R && !HasRecords; R = R->Next)
-      HasRecords = R->RI.Valid;
-    if (HasRecords)
-      St.TierEscalated = true;
-    else
-      St.resetTier();
   } catch (const std::bad_alloc &) {
     // Could not materialize the state; the variable stays as it was.
   }
@@ -2285,9 +1931,6 @@ EngineHealth GoldilocksEngine::health() const {
   H.QuarantinedCells = QuarantineCount.load(std::memory_order_relaxed);
   H.ReclaimedDeadSlots =
       S->ReclaimedDeadSlots.load(std::memory_order_relaxed);
-  H.Tier = static_cast<unsigned>(Cfg.Tier);
-  H.TierFiltered = S->TierFiltered.load(std::memory_order_relaxed);
-  H.Escalations = S->Escalations.load(std::memory_order_relaxed);
   return H;
 }
 

@@ -72,27 +72,6 @@
 
 namespace gold {
 
-/// Precision tier the engine runs an access through (DESIGN.md §15).
-///
-///  * Precise  — every access pays the full Goldilocks pair checks (the
-///    PR 1-6 behaviour; the default).
-///  * Tiered   — a cheap per-variable tier-0 prefilter (same-thread,
-///    Eraser-style candidate lockset, FastTrack-style same-epoch memo, and
-///    a FastTrack-style epoch-order proof over lightweight vector clocks)
-///    skips the pair checks when it can *prove* the access is ordered; any
-///    access the proofs cannot cover escalates the variable permanently to
-///    the precise tier. Info records are always installed, so escalation
-///    hands the precise tier exactly the state it would have had anyway —
-///    verdicts are identical to Precise by construction.
-enum class TierMode : uint8_t { Precise, Tiered };
-
-/// Canonical lowercase name of a tier ("precise", "tiered").
-const char *tierModeName(TierMode M);
-
-/// Parses a tier name as printed by tierModeName. Returns false (leaving
-/// Out untouched) on anything else.
-bool parseTierMode(const char *S, TierMode &Out);
-
 /// Tuning knobs for the engine; defaults mirror the paper's implementation.
 struct EngineConfig {
   /// Run garbage collection when the event list reaches this many cells
@@ -162,12 +141,6 @@ struct EngineConfig {
   /// Cap on the rule steps a single provenance records (0 = unlimited).
   /// The verdict never truncates — only the replay record does.
   size_t MaxProvenanceSteps = 4096;
-
-  /// Precision tier (see TierMode). Tiered keeps verdicts bit-identical to
-  /// Precise while skipping the pair checks on provably-ordered accesses.
-  /// The tier-0 state lives on the variable under its KL stripe, so both
-  /// modes keep the engine's thread-safety contract unchanged.
-  TierMode Tier = TierMode::Precise;
 };
 
 /// Per-stripe capacity of the flight recorder (Full level only).
@@ -205,8 +178,6 @@ inline constexpr size_t FlightRingCapacity = 256;
   X(ThreadsRegistered, "threads_registered")     /* new registerThread() */    \
   X(ThreadsDeregistered, "threads_deregistered") /* live deregisterThread() */ \
   X(SlotFallbacks, "slot_fallbacks")             /* fallback-mutex sections */ \
-  X(TierFiltered, "tier_filtered")               /* checks skipped: tier 0 */  \
-  X(Escalations, "escalations")                  /* vars escalated tier 0 */   \
   X(WalkMemoHits, "walk_memo_hits")              /* walks ended by memo */
 
 /// Monotonic event counters, readable while the engine runs.
@@ -421,31 +392,6 @@ private:
                     ThreadId T, bool Xact, VarId V,
                     const CommitSets *SelfCommit);
 
-  /// Tiered mode: advances \p T's synchronization epoch (the tier-0
-  /// same-epoch proof's clock). No-op in the other modes, so they pay no
-  /// extra thread-state lookup per sync event.
-  void bumpSyncEpoch(ThreadId T);
-
-  // Tier-0 epoch-order proof (proof E, DESIGN.md §15): lightweight vector
-  // clocks over the modeled synchronization edges — lock release→acquire,
-  // volatile write→read, fork→child, child exit→join. Commit edges are
-  // deliberately NOT modeled: the modeled edges are a subset of the event
-  // list's real edges, so a clock-proven ordering always implies the
-  // precise verdict, and a missing commit edge only costs an escalation.
-  // All helpers are no-ops outside TierMode::Tiered. The ordering
-  // discipline that keeps the proof aligned with event-list order: a
-  // release-type hook publishes its clock only AFTER enqueue has linked its
-  // own cell into the list; an acquire-type hook merges BEFORE appending
-  // its own cell (or loading an access anchor).
-  /// Merge channel \p Key (a packed lock/volatile VarId) into T's clock.
-  void tierSyncAcquire(ThreadId T, uint64_t Key);
-  /// Publish T's clock into channel \p Key, then bump T's component.
-  void tierSyncRelease(ThreadId T, uint64_t Key);
-  void tierFork(ThreadId Parent, ThreadId Child);
-  void tierJoin(ThreadId T, ThreadId Child);
-  void tierTerminate(ThreadId T);
-  /// Folds a pending fork clock into \p TS; requires TierMu.
-  void tierMergePendingLocked(ThreadState &TS, ThreadId T);
   /// Shared by enqueue (drop when stopped/degraded) and accessImpl.
   bool recordingStopped() const;
   /// Appends \p E's cell; false when it was dropped (recording stopped, or
@@ -670,18 +616,6 @@ private:
   static constexpr unsigned ThreadCacheBits = 4;
   static thread_local ThreadCacheEntry ThreadCache[1u << ThreadCacheBits];
   ThreadCacheEntry &threadCacheEntry(ThreadId T) const;
-
-  // Tier-0 epoch-order proof state (Tiered mode only, DESIGN.md §15):
-  // per-channel clocks (locks and volatiles share the map — their packed
-  // VarId keys cannot collide, locks use the reserved LockField), exit
-  // clocks consumed by join edges, and fork-clock handoffs the child
-  // merges lazily. Synchronization events are orders of magnitude rarer
-  // than accesses, so one mutex suffices; the access path reads only the
-  // accessing thread's own clock (owner-written, never shared).
-  std::mutex TierMu;
-  std::unordered_map<uint64_t, std::vector<uint64_t>> TierChannels;
-  std::unordered_map<ThreadId, std::vector<uint64_t>> TierExitClocks;
-  std::unordered_map<ThreadId, std::vector<uint64_t>> TierForkClocks;
 
   // Resource governor accounting (relaxed atomics; exact values are only
   // needed by single-threaded inspection, concurrent readers get estimates).

@@ -47,9 +47,6 @@ struct EngineHealth {
   uint64_t Stalls = 0;          ///< grace periods that hit their deadline
   size_t QuarantinedCells = 0;  ///< cells detached but deferred (stalled grace)
   uint64_t ReclaimedDeadSlots = 0; ///< epoch slots recycled from dead threads
-  unsigned Tier = 0;            ///< TierMode (0 precise, 1 tiered)
-  uint64_t TierFiltered = 0;    ///< accesses whose pair checks tier 0 skipped
-  uint64_t Escalations = 0;     ///< variables escalated to the precise tier
 
   /// One-line render for logs and the CLI. Built incrementally: the field
   /// set grows with the engine and a fixed buffer would silently truncate.
@@ -89,14 +86,6 @@ struct EngineHealth {
     Llu("stalls", Stalls);
     Zu("quarantined", QuarantinedCells);
     Llu("reclaimed-slots", ReclaimedDeadSlots);
-    if (Tier != 0) {
-      static const char *TierNames[] = {"precise", "tiered"};
-      std::snprintf(Buf, sizeof(Buf), " tier=%s",
-                    Tier < 2 ? TierNames[Tier] : "?");
-      Out += Buf;
-      Llu("tier-filtered", TierFiltered);
-      Llu("escalations", Escalations);
-    }
     return Out;
   }
 
@@ -120,9 +109,6 @@ struct EngineHealth {
     J.kv("stalls", Stalls);
     J.kv("quarantined_cells", (uint64_t)QuarantinedCells);
     J.kv("reclaimed_dead_slots", ReclaimedDeadSlots);
-    J.kv("tier", Tier);
-    J.kv("tier_filtered", TierFiltered);
-    J.kv("escalations", Escalations);
   }
 
   /// Complete JSON object, e.g. for embedding under a "health" key.

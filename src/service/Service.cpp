@@ -462,13 +462,6 @@ std::string ServiceHealth::str() const {
   Add("replayed", ReplayedActions);
   Add("races", RacesDelivered);
   Add("verdict-loss-events", VerdictLossEvents);
-  if (Tier != 0) { // tiered: show what the tier pipeline skipped
-    std::snprintf(Buf, sizeof(Buf), " tier=%s",
-                  tierModeName(static_cast<TierMode>(Tier)));
-    Out += Buf;
-    Add("tier-filtered", TierFiltered);
-    Add("escalations", Escalations);
-  }
   std::snprintf(Buf, sizeof(Buf), " max-shard-level=%u%s",
                 MaxShardDegradation,
                 AnyShardGloballyDegraded ? " SHARD-GLOBAL-DEGRADED" : "");
@@ -485,9 +478,6 @@ void ServiceHealth::jsonBody(JsonWriter &J) const {
   J.kv("queued_bytes_high_water", (uint64_t)QueuedBytesHighWater);
   jsonCounters(J, *this);
   J.kv("verdict_loss_events", VerdictLossEvents);
-  J.kv("tier", Tier);
-  J.kv("tier_filtered", TierFiltered);
-  J.kv("escalations", Escalations);
   J.kv("max_shard_degradation", MaxShardDegradation);
   J.kv("any_shard_globally_degraded", AnyShardGloballyDegraded);
   J.key("shard_health");
@@ -1073,7 +1063,6 @@ ServiceHealth DetectionService::health() const {
     if (Se && Se->state() != SessionState::Dead)
       ++H.ActiveSessions;
   }
-  H.Tier = static_cast<unsigned>(Cfg.Engine.Tier);
   for (unsigned S = 0; S != NumShards; ++S) {
     ShardState &Sh = *ShardsVec[S];
     H.QueuedItems += Sh.Ring.depth();
@@ -1082,8 +1071,6 @@ ServiceHealth DetectionService::health() const {
     if (EH.DegradationLevel > H.MaxShardDegradation)
       H.MaxShardDegradation = EH.DegradationLevel;
     H.AnyShardGloballyDegraded |= EH.GloballyDegraded;
-    H.TierFiltered += EH.TierFiltered;
-    H.Escalations += EH.Escalations;
     H.ShardHealth.push_back(std::move(EH));
   }
   return H;
@@ -1096,8 +1083,6 @@ TelemetrySnapshot DetectionService::telemetry() const {
   ServiceHealth H = health();
   addCounters(Snap, "service.", H);
   Snap.addCounter("service.verdict_loss_events", H.VerdictLossEvents);
-  Snap.addCounter("service.tier_filtered", H.TierFiltered);
-  Snap.addCounter("service.escalations", H.Escalations);
   Snap.addGauge("service.ladder_state", H.LadderState);
   Snap.addGauge("service.active_sessions",
                 static_cast<int64_t>(H.ActiveSessions));

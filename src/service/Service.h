@@ -349,9 +349,6 @@ struct ServiceHealth {
   /// drops and abandoned pendings. Zero means the service is provably
   /// exact.
   uint64_t VerdictLossEvents = 0;
-  unsigned Tier = 0;          ///< engine TierMode every shard runs (config)
-  uint64_t TierFiltered = 0;  ///< sum of shard tier-0 pair-check skips
-  uint64_t Escalations = 0;   ///< sum of shard variable escalations
   unsigned MaxShardDegradation = 0;
   bool AnyShardGloballyDegraded = false;
   std::vector<EngineHealth> ShardHealth;

@@ -340,16 +340,13 @@ constexpr ObjectId PubObj = 600;      // field p: pair p's published payload
 /// and cross-checks the engine's verdicts against the HB oracle and the
 /// reference algorithm. The workload is verdict-stable by construction:
 /// every variable is race-free under every legal interleaving or racy under
-/// every legal interleaving, so scheduling may vary freely.
-///
-/// Parameterized by EngineConfig so precision-preserving engine modes (short
-/// circuit ablations, GC pressure, the tiered prefilter) can be driven
-/// through real concurrency and still be held to the exact verdict. Returns
-/// the final stats so callers can additionally assert on mode counters.
-inline EngineStats runMixedWorkload(unsigned NumThreads, uint64_t Seed,
-                                    EngineConfig C) {
+/// every legal interleaving, so scheduling may vary freely. A small GC
+/// threshold keeps collection and epoch reclamation in play.
+inline void runMixedWorkload(unsigned NumThreads, uint64_t Seed) {
   SCOPED_TRACE(testing::Message()
                << "threads=" << NumThreads << " seed=" << Seed);
+  EngineConfig C;
+  C.GcThreshold = 256;
   Harness H(C);
   std::vector<Recorder> Recs(NumThreads + 1);
   Recorder &Main = Recs[0];
@@ -488,13 +485,6 @@ inline EngineStats runMixedWorkload(unsigned NumThreads, uint64_t Seed,
   EXPECT_PRED_FORMAT2(sameVerdicts, Oracle, Reference)
       << "reference disagrees with the HB oracle";
   checkEngineConsistency(H.Det.engine());
-  return H.Det.engine().stats();
-}
-
-inline EngineStats runMixedWorkload(unsigned NumThreads, uint64_t Seed) {
-  EngineConfig C;
-  C.GcThreshold = 256; // keep GC + epoch reclamation in play
-  return runMixedWorkload(NumThreads, Seed, C);
 }
 
 } // namespace difftest

@@ -67,7 +67,8 @@ TEST_P(DifferentialTest, EngineConfigurationsAgree) {
   Trace T = generateRandomTrace(P);
 
   GoldilocksDetector Baseline;
-  std::set<VarId> Expected = racyVarSet(Baseline.runTrace(T));
+  std::vector<RaceReport> BaselineRaces = Baseline.runTrace(T);
+  std::set<VarId> Expected = racyVarSet(BaselineRaces);
 
   // No short circuits at all.
   EngineConfig NoSc;
@@ -94,6 +95,24 @@ TEST_P(DifferentialTest, EngineConfigurationsAgree) {
   GoldilocksDetector C(Both);
   EXPECT_PRED_FORMAT2(sameVerdicts, Expected, racyVarSet(C.runTrace(T)))
       << "gc + no short circuits";
+
+  // Repeat reports: a racy variable stays checked and may report again,
+  // but each variable's first report is the one the baseline makes, in the
+  // baseline's order.
+  EngineConfig Repeat;
+  Repeat.DisableVarAfterRace = false;
+  GoldilocksDetector D(Repeat);
+  std::vector<RaceReport> First;
+  std::set<VarId> Seen;
+  for (const RaceReport &R : D.runTrace(T))
+    if (Seen.insert(R.Var).second)
+      First.push_back(R);
+  ASSERT_EQ(First.size(), BaselineRaces.size()) << "repeat reports";
+  for (size_t I = 0; I != First.size(); ++I) {
+    EXPECT_EQ(First[I].Var, BaselineRaces[I].Var) << "repeat reports";
+    EXPECT_EQ(First[I].Thread, BaselineRaces[I].Thread) << "repeat reports";
+    EXPECT_EQ(First[I].IsWrite, BaselineRaces[I].IsWrite) << "repeat reports";
+  }
 }
 
 TEST_P(DifferentialTest, EraserIsImpreciseButCatchesUnprotectedConflicts) {

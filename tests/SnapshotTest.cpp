@@ -236,7 +236,7 @@ const NameSet EngineCounters = {
     "forced_gcs",        "append_retries",     "grace_waits",
     "grace_timeouts",    "cells_quarantined",  "reclaimed_dead_slots",
     "threads_registered", "threads_deregistered", "slot_fallbacks",
-    "tier_filtered",     "escalations",        "walk_memo_hits",
+    "walk_memo_hits",
 };
 
 const NameSet ServiceCounters = {
@@ -273,8 +273,7 @@ const NameSet ShmCounters = {
 };
 
 /// Derived service values published next to the table counters.
-const NameSet ServiceDerivedCounters = {"verdict_loss_events",
-                                        "tier_filtered", "escalations"};
+const NameSet ServiceDerivedCounters = {"verdict_loss_events"};
 
 } // namespace
 
@@ -325,7 +324,7 @@ TEST(VocabularyTest, ServiceHealthJsonKeys) {
   NameSet Want = ServiceCounters;
   Want.insert(ServiceDerivedCounters.begin(), ServiceDerivedCounters.end());
   Want.insert({"shards", "ladder_state", "active_sessions", "queued_items",
-               "queued_bytes", "queued_bytes_high_water", "tier",
+               "queued_bytes", "queued_bytes_high_water",
                "max_shard_degradation", "any_shard_globally_degraded",
                "shard_health"});
   Want.insert({"verdicts_dropped_dead", "dropped_pending_actions",

@@ -116,7 +116,6 @@ enum class Opt {
   IdleTimeoutMs,
   JournalCap,
   Threads,
-  Tier,
   Telemetry,
   MetricsJson,
   HealthJson,
@@ -163,9 +162,6 @@ constexpr OptSpec Options[] = {
     {Opt::Threads, "--threads", nullptr,
      "run real per-shard consumer threads + watchdog (default: inline "
      "pumping, fully deterministic)"},
-    {Opt::Tier, "--tier", "precise|tiered",
-     "engine precision tier for every shard (default precise); tier "
-     "counters surface in health and metrics JSON"},
     {Opt::Telemetry, "--telemetry", "off|counters|full",
      "service telemetry level; 'full' adds the ingest-latency histogram"},
     {Opt::MetricsJson, "--metrics-json", "<path>",
@@ -578,13 +574,6 @@ int main(int Argc, char **Argv) {
       break;
     case Opt::Threads:
       Threaded = true;
-      break;
-    case Opt::Tier:
-      if (!parseTierMode(V, SC.Engine.Tier)) {
-        std::fprintf(stderr,
-                     "--tier wants precise|tiered, got '%s'\n", V);
-        return 126;
-      }
       break;
     case Opt::Telemetry:
       if (!parseTelemetryLevel(V, SC.Telemetry)) {

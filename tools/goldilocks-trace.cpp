@@ -63,7 +63,6 @@ enum class Opt {
   MaxCells,
   MaxInfos,
   MaxBytes,
-  Tier,
   Oracle,
   ResumeOnError,
   ErrorBudget,
@@ -97,9 +96,6 @@ constexpr OptSpec Options[] = {
     {Opt::MaxCells, "--max-cells", "<n>", "cap the synchronization event list"},
     {Opt::MaxInfos, "--max-infos", "<n>", "cap the live Info records"},
     {Opt::MaxBytes, "--max-bytes", "<n>", "coarse detector byte budget"},
-    {Opt::Tier, "--tier", "precise|tiered",
-     "precision tier: tiered adds the lossless prefilter (goldilocks only, "
-     "default: precise)"},
     {Opt::Oracle, "--oracle", nullptr,
      "also print the happens-before oracle verdict"},
     {Opt::ResumeOnError, "--resume-on-error", nullptr,
@@ -207,7 +203,6 @@ int main(int Argc, char **Argv) {
   unsigned WatchdogMs = 0;
   uint64_t Seed = 1;
   size_t MaxCells = 0, MaxInfos = 0, MaxBytes = 0;
-  TierMode Tier = TierMode::Precise;
   TelemetryLevel TelLevel = TelemetryLevel::Counters;
   std::string File, StatsJsonPath, MetricsJsonPath, RaceReportPath,
       TraceOutPath;
@@ -273,13 +268,6 @@ int main(int Argc, char **Argv) {
       break;
     case Opt::MaxBytes:
       MaxBytes = ParseUnsigned(/*AllowZero=*/false);
-      break;
-    case Opt::Tier:
-      if (!parseTierMode(V, Tier)) {
-        std::fprintf(stderr,
-                     "--tier wants precise|tiered, got '%s'\n", V);
-        return 126;
-      }
       break;
     case Opt::Oracle:
       WantOracle = true;
@@ -381,7 +369,6 @@ int main(int Argc, char **Argv) {
       C.MaxCells = MaxCells;
       C.MaxInfoRecords = MaxInfos;
       C.MaxBytes = MaxBytes;
-      C.Tier = Tier;
       C.Telemetry = TelLevel;
       GoldilocksDetector D(C);
       TraceEventSink Sink;
