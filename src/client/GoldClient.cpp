@@ -874,10 +874,13 @@ bool GoldClient::connectTcp(std::string &Err, bool Resuming) {
         sleepNanos(RetryNs ? RetryNs : PollNanos);
         continue;
       }
-      if (net::proto::hasPrefix(Reply, net::proto::Bye)) {
+      if (net::proto::hasPrefix(Reply, net::proto::Bye) ||
+          net::proto::isBusy(Reply)) {
         // `bye <reason>` is the server hanging up (its read deadline fired
-        // while the event loop was busy, or it is shedding) — the same
-        // weather as a dropped socket, so it gets the same retry.
+        // while the event loop was busy, or it is shedding); `busy` means
+        // our previous connection still owns the session because the
+        // server has not reaped it yet. Both are the same weather as a
+        // dropped socket, so they get the same retry on a fresh one.
         Retry = Transient("gold-client: open refused: " + Reply);
         break;
       }
@@ -992,8 +995,6 @@ bool GoldClient::tcpHandleReply(const std::string &L, std::string &Err) {
 
 bool GoldClient::pumpTcp(std::string &Err) {
   if (Tcp->NeedReconnect) {
-    ::close(Tcp->Fd);
-    Tcp->Fd = -1;
     Tcp.reset();
     ++St.Reconnects;
     if (!connectTcp(Err, /*Resuming=*/true)) {
@@ -1027,10 +1028,14 @@ bool GoldClient::pumpTcp(std::string &Err) {
       return true;
   }
 
-  // Ship the next batch.
+  // Ship the next batch. When net-client-drop fires, the batch shrinks to
+  // one frame and the client dies mid-frame instead (the TCP twin of
+  // shm-producer-stall): half the line goes out, the socket closes, and the
+  // next pump's reconnect-resume heals the stream from the server's expect.
+  bool Drop = SendSeq < NextSeq && failpoint(Failpoint::NetClientDrop);
   std::string Out;
   char Head[64];
-  size_t Budget = TcpBatch;
+  size_t Budget = Drop ? 1 : TcpBatch;
   while (SendSeq < NextSeq && Budget--) {
     const Rec &R = recAt(SendSeq);
     // `@origin` rides only on sampled frames — unsampled lines are byte
@@ -1049,6 +1054,13 @@ bool GoldClient::pumpTcp(std::string &Err) {
     ++SendSeq;
     ++St.FramesOut;
     ++Tcp->FramesSinceStat;
+  }
+  if (Drop) {
+    ::send(Tcp->Fd, Out.data(), Out.size() / 2, MSG_NOSIGNAL);
+    ::close(Tcp->Fd);
+    Tcp->Fd = -1;
+    Tcp->NeedReconnect = true;
+    return true;
   }
   if (!Out.empty()) {
     size_t Off = 0;

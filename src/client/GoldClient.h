@@ -22,7 +22,10 @@
 ///    server reaped a wedged incarnation) the server states the next
 ///    sequence it expects; the client rewinds its send cursor and
 ///    republishes from its buffer. Anything the server already consumed
-///    is dropped server-side as a dup, so crashes duplicate nothing.
+///    is dropped server-side as a dup, so crashes duplicate nothing. A TCP
+///    reconnect that beats the server's reap of the old connection is
+///    answered `busy` and retried until OpTimeoutNanos, like a dropped
+///    socket.
 ///
 ///  - **Backpressure obedience.** The shared jittered retry-after
 ///    schedule arrives as a Control word (shm) or a `retry-after-ns=`

@@ -9,14 +9,17 @@
 /// boundary: the client decides whether to emit its own span for frame N and
 /// the server decides whether to emit the pipeline spans for the same frame,
 /// with no coordination beyond sharing (seed, ppm). Both sides hash the
-/// (client-id, frame-ordinal) pair with traceSampled's one murmur-style
-/// finalizer, which makes the two decisions bit-identical, so a merged
-/// cross-process trace always carries both halves of a sampled frame.
+/// (client-id, frame-ordinal) pair through the system's one integer mix
+/// (mix64, support/Random.h), which makes the two decisions bit-identical,
+/// so a merged cross-process trace always carries both halves of a sampled
+/// frame.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GOLD_SERVICE_TRACING_H
 #define GOLD_SERVICE_TRACING_H
+
+#include "support/Random.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -33,11 +36,8 @@ inline bool traceSampled(uint64_t Seed, uint64_t ClientId, uint64_t FrameSeq,
     return false;
   if (Ppm >= 1000000u)
     return true;
-  uint64_t H = Seed ^ (ClientId * 0x9E3779B97F4A7C15ull) ^
-               (FrameSeq * 0xFF51AFD7ED558CCDull);
-  H ^= H >> 33;
-  H *= 0xC4CEB9FE1A85EC53ull;
-  H ^= H >> 29;
+  uint64_t H = mix64(Seed ^ (ClientId * 0x9E3779B97F4A7C15ull) ^
+                     (FrameSeq * 0xFF51AFD7ED558CCDull));
   return (H % 1000000u) < Ppm;
 }
 

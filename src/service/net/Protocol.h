@@ -2,11 +2,11 @@
 ///
 /// \file
 /// The single home of the line-protocol literals (DESIGN.md §16) that were
-/// previously copy-pasted between the server (NetServer.cpp) and every
-/// client (net_chaos_client, GoldClient). Both sides build and
-/// recognize replies through these helpers, so a wording change is a
-/// one-line edit instead of a cross-file grep — and a client library can
-/// never drift from what the server actually says.
+/// previously copy-pasted between the server (NetServer.cpp) and its
+/// clients. Both sides — the server and the one client library
+/// (GoldClient) — build and recognize replies through these helpers, so a
+/// wording change is a one-line edit instead of a cross-file grep, and the
+/// client can never drift from what the server actually says.
 ///
 /// Request grammar (client -> server), one frame per line:
 ///
@@ -84,9 +84,8 @@ inline constexpr const char *KeyRetryAfterNs = "retry-after-ns=";
 inline constexpr const char *KeyClock = "t=";
 inline constexpr const char *VerbBackpressure = " backpressure ";
 inline constexpr const char *VerbResync = " resync ";
+inline constexpr const char *VerbBusy = " busy ";
 inline constexpr const char *StateDead = "state=dead";
-inline constexpr const char *ClosedMark = "closed:";
-inline constexpr const char *UnknownClientMark = "unknown client";
 
 //===----------------------------------------------------------------------===//
 // Client-side recognizers
@@ -122,6 +121,11 @@ inline bool isBackpressure(const std::string &L) {
 }
 inline bool isResync(const std::string &L) {
   return L.find(VerbResync) != std::string::npos;
+}
+/// `err open <id> busy`: the session is still owned by the client's
+/// previous connection, which the server has not reaped yet.
+inline bool isBusy(const std::string &L) {
+  return L.find(VerbBusy) != std::string::npos;
 }
 
 /// Parses the clock-handshake token on an open ("t=<ns>"). Absent on
@@ -165,9 +169,6 @@ inline bool raceVar(const std::string &Report, std::string &Var) {
 // Request formatters (client side; no trailing newline unless noted)
 //===----------------------------------------------------------------------===//
 
-inline int fmtOpen(char *Buf, size_t N, uint64_t Id) {
-  return std::snprintf(Buf, N, "%s %llu\n", CmdOpen, (unsigned long long)Id);
-}
 inline int fmtOpenPrio(char *Buf, size_t N, uint64_t Id, unsigned Prio) {
   return std::snprintf(Buf, N, "%s %llu %u\n", CmdOpen,
                        (unsigned long long)Id, Prio);

@@ -5,6 +5,9 @@
 
 #include <cassert>
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
+#include <string>
 #include <thread>
 
 using namespace gold;
@@ -47,6 +50,8 @@ const char *gold::failpointName(Failpoint F) {
     return "net-write-stall";
   case Failpoint::NetConnHang:
     return "net-conn-hang";
+  case Failpoint::NetClientDrop:
+    return "net-client-drop";
   case Failpoint::ShmProducerStall:
     return "shm-producer-stall";
   case Failpoint::ShmSlotCorrupt:
@@ -55,6 +60,25 @@ const char *gold::failpointName(Failpoint F) {
     break;
   }
   return "?";
+}
+
+bool gold::parseFailpointArg(const char *Arg, FailpointConfig &FC) {
+  const char *Eq = std::strchr(Arg, '=');
+  if (!Eq || Eq == Arg)
+    return false;
+  std::string Name(Arg, static_cast<size_t>(Eq - Arg));
+  char *End = nullptr;
+  unsigned long Ppm = std::strtoul(Eq + 1, &End, 10);
+  if (End == Eq + 1 || *End || Ppm > 1000000)
+    return false;
+  for (unsigned I = 0; I != NumFailpoints; ++I) {
+    Failpoint F = static_cast<Failpoint>(I);
+    if (Name == failpointName(F)) {
+      FC.rate(F, static_cast<uint32_t>(Ppm));
+      return true;
+    }
+  }
+  return false;
 }
 
 Failpoints &Failpoints::instance() {

@@ -63,6 +63,8 @@ enum class Failpoint : unsigned {
                        ///< round (simulates a zero-window / slow reader)
   NetConnHang,         ///< a connection goes half-open: the server stops
                        ///< reading it until the read deadline closes it
+  NetClientDrop,       ///< a TCP client writes half a frame and drops its
+                       ///< connection (reconnect-resume path)
   ShmProducerStall,    ///< an shm producer skips its heartbeat bump and
                        ///< stalls mid-publish (wedged-producer reap path)
   ShmSlotCorrupt,      ///< an shm producer corrupts a slot's op byte before
@@ -88,6 +90,11 @@ struct FailpointConfig {
     return *this;
   }
 };
+
+/// Parses one `<site>=<ppm>` CLI argument (`--failpoint`) into \p FC.
+/// Returns false on an unknown site name, a missing `=`, or a rate above
+/// 1000000 ppm.
+bool parseFailpointArg(const char *Arg, FailpointConfig &FC);
 
 /// Process-wide failpoint registry. Disarmed by default; production code
 /// consults it only through the inline helpers below, whose fast path is a

@@ -20,7 +20,7 @@ namespace gold {
 /// The splitmix64 finalizer: every output bit depends on every input bit.
 /// The one integer mix of the system: variable hashing, the service's shard
 /// routing, the engine's variable index, failpoint decisions, backoff
-/// jitter and Random's seeding all use it.
+/// jitter, trace sampling and Random's seeding all use it.
 inline uint64_t mix64(uint64_t X) {
   X += 0x9e3779b97f4a7c15ULL;
   X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;

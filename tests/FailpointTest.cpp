@@ -2,7 +2,8 @@
 ///
 /// Unit tests for the deterministic failpoint framework: disarmed sites are
 /// inert, decisions are a pure function of (seed, site, evaluation index),
-/// rates behave like rates, and the RAII scope arms/disarms correctly.
+/// rates behave like rates, the RAII scope arms/disarms correctly, and the
+/// `<site>=<ppm>` CLI parser accepts every site name and nothing malformed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -146,4 +147,31 @@ TEST(FailpointTest, NamesAreStableAndUnique) {
     Names.insert(N);
   }
   EXPECT_EQ(Names.size(), NumFailpoints);
+}
+
+TEST(FailpointTest, EveryNameRoundTripsThroughTheArgParser) {
+  for (unsigned I = 0; I != NumFailpoints; ++I) {
+    Failpoint F = static_cast<Failpoint>(I);
+    FailpointConfig C;
+    std::string Arg = std::string(failpointName(F)) + "=" +
+                      std::to_string(1000 + I);
+    ASSERT_TRUE(parseFailpointArg(Arg.c_str(), C)) << Arg;
+    for (unsigned J = 0; J != NumFailpoints; ++J)
+      EXPECT_EQ(C.RatePpm[J], J == I ? 1000 + I : 0u) << Arg;
+  }
+  FailpointConfig C;
+  EXPECT_TRUE(parseFailpointArg("net-client-drop=1000000", C));
+  EXPECT_EQ(C.RatePpm[static_cast<unsigned>(Failpoint::NetClientDrop)],
+            1000000u);
+}
+
+TEST(FailpointTest, ArgParserRejectsMalformedArguments) {
+  for (const char *Bad :
+       {"no-such-site=5", "net-client-drop", "net-client-drop=1000001",
+        "=5", "net-client-drop=", "net-client-drop=5x"}) {
+    FailpointConfig C;
+    EXPECT_FALSE(parseFailpointArg(Bad, C)) << Bad;
+    for (uint32_t R : C.RatePpm)
+      EXPECT_EQ(R, 0u) << Bad;
+  }
 }

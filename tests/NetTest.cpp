@@ -8,13 +8,12 @@
 /// envelope), deadlines and heartbeats on a manual clock, bounded write
 /// queues with counted shed, accept-shed at the connection cap, crash-only
 /// drain that settles kernel-buffered frames with zero loss, live /healthz
-/// and /metrics scraping while ingestion is backpressured, and the
-/// eight-client loopback chaos soak (all four net failpoints + forced
-/// reconnect-with-resume) differentially validated against the
-/// happens-before oracle, eight GoldClient producers over TCP (steady:
-/// zero loss, resyncs and reconnects; chaos: every close matches the
-/// oracle), and the close rule over stalled consumer threads
-/// (CloseRuleHarness.h).
+/// and /metrics scraping while ingestion is backpressured, eight GoldClient
+/// producers over TCP (steady: zero loss, resyncs and reconnects; chaos:
+/// all four net failpoints plus client-side mid-frame drops, inline and
+/// over a threaded service, every close oracle-exact and resumes counted,
+/// with a live /metrics scrape), and the close rule over stalled consumer
+/// threads (CloseRuleHarness.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +27,7 @@
 #include "service/Tracing.h"
 #include "service/net/Framer.h"
 #include "service/net/NetServer.h"
+#include "service/net/Protocol.h"
 #include "support/Failpoints.h"
 
 #include <gtest/gtest.h>
@@ -87,20 +87,6 @@ std::set<std::string> oracleVarStrings(const Trace &T) {
   for (const VarId &V : O.racyVars())
     Want.insert(V.str());
   return Want;
-}
-
-/// Pulls the variable token out of "race on o3.f1: T1 write vs T0 write".
-bool raceVarOf(const std::string &Report, std::string &Var) {
-  const std::string Tag = "race on ";
-  size_t B = Report.find(Tag);
-  if (B == std::string::npos)
-    return false;
-  B += Tag.size();
-  size_t E = Report.find(':', B);
-  if (E == std::string::npos)
-    return false;
-  Var.assign(Report, B, E - B);
-  return true;
 }
 
 /// Minimal blocking test client. Deterministic single-threaded tests pass a
@@ -305,7 +291,7 @@ TEST(NetServerTest, OpenStreamCloseMatchesOracleOverSocket) {
     if (L.rfind("ok close 1", 0) == 0)
       break;
     std::string Var;
-    if (L.rfind("race 1 ", 0) == 0 && raceVarOf(L, Var))
+    if (L.rfind("race 1 ", 0) == 0 && proto::raceVar(L, Var))
       Got.insert(Var);
   }
   EXPECT_EQ(Got, oracleVarStrings(T));
@@ -817,312 +803,20 @@ TEST(NetServerTest, DrainSettlesKernelBufferedFramesWithCountedPartials) {
 }
 
 //===----------------------------------------------------------------------===//
-// The acceptance soak: 8 clients, all four net failpoints, forced
-// reconnect-with-resume, differential vs the happens-before oracle.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-struct SoakResult {
-  bool Compared = false;
-  bool Failed = false;
-  std::string Why;
-  size_t Reconnects = 0;
-  std::set<std::string> GotVars;
-};
-
-/// One adversarial soak client: pipelines sequenced lines, honors
-/// backpressure/resync replies, answers pings, reconnects (with replay from
-/// the server's resume point) on every disconnect, and forces an abrupt
-/// disconnect every \p ReconnectEvery lines.
-void soakClient(uint16_t Port, uint64_t Id, const std::vector<std::string> &Ls,
-                size_t ReconnectEvery, SoakResult &R) {
-  auto Deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(120);
-  auto Expired = [&] { return std::chrono::steady_clock::now() > Deadline; };
-  TClient W;
-  char Buf[64];
-  size_t Next = 0, SettledTo = 0, SinceConn = 0;
-  uint64_t Rng = Id * 0x9e3779b97f4a7c15ULL + 7;
-  auto Rand = [&Rng] {
-    Rng ^= Rng << 13;
-    Rng ^= Rng >> 7;
-    Rng ^= Rng << 17;
-    return Rng;
-  };
-
-  auto Open = [&]() -> bool {
-    while (!Expired()) {
-      if (!W.connectTo(Port)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        continue;
-      }
-      std::snprintf(Buf, sizeof(Buf), "open %llu\n", (unsigned long long)Id);
-      std::string L;
-      if (!W.sendRaw(Buf) || !W.readLine(L, nullptr, 600))
-        continue; // accept-fail chaos: retry
-      if (L.rfind("ok open", 0) == 0) {
-        size_t E = L.find("expect=");
-        if (E != std::string::npos)
-          Next = SettledTo = std::strtoull(L.c_str() + E + 7, nullptr, 10);
-        SinceConn = 0;
-        return true;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    R.Failed = true;
-    R.Why = "open: deadline";
-    return false;
-  };
-
-  auto Handle = [&](const std::string &L) -> bool {
-    if (L.rfind("ping", 0) == 0) {
-      W.sendRaw("pong" + L.substr(4) + "\n");
-      return true;
-    }
-    if (L.rfind("bye", 0) == 0)
-      return false;
-    if (L.rfind("err line", 0) == 0) {
-      size_t SeqAt = L.find(" seq=");
-      if (L.find(" backpressure ") != std::string::npos &&
-          SeqAt != std::string::npos) {
-        Next = std::min<size_t>(
-            Next, std::strtoull(L.c_str() + SeqAt + 5, nullptr, 10));
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        return true;
-      }
-      size_t EX = L.find("expect=");
-      if (L.find(" resync ") != std::string::npos && EX != std::string::npos)
-        Next = std::strtoull(L.c_str() + EX + 7, nullptr, 10);
-      return true;
-    }
-    if (L.rfind("ok stat", 0) == 0) {
-      size_t EX = L.find("expect=");
-      if (EX != std::string::npos)
-        SettledTo = std::strtoull(L.c_str() + EX + 7, nullptr, 10);
-    }
-    return true;
-  };
-
-  if (!Open())
-    return;
-  while (SettledTo < Ls.size()) {
-    if (Expired()) {
-      R.Failed = true;
-      R.Why = "stream: deadline";
-      return;
-    }
-    std::string L;
-    bool Alive = true;
-    while (Alive && !W.Rx.empty() && W.Rx.find('\n') != std::string::npos &&
-           W.readLine(L, nullptr, 1))
-      Alive = Handle(L);
-    if (Alive) { // also drain anything the kernel holds, nonblocking
-      pollfd PF{W.Fd, POLLIN, 0};
-      if (::poll(&PF, 1, 0) > 0) {
-        char B[2048];
-        ssize_t N = ::recv(W.Fd, B, sizeof(B), 0);
-        if (N > 0)
-          W.Rx.append(B, static_cast<size_t>(N));
-        else if (N == 0)
-          Alive = false;
-      }
-    }
-    if (!Alive) {
-      ++R.Reconnects;
-      if (!Open())
-        return;
-      continue;
-    }
-    if (ReconnectEvery && SinceConn >= ReconnectEvery) {
-      if (Rand() % 2) { // half the time leave a dangling partial frame
-        std::snprintf(Buf, sizeof(Buf), "line %llu %llu half",
-                      (unsigned long long)Id, (unsigned long long)Next);
-        W.sendRaw(Buf);
-      }
-      W.closeFd();
-      ++R.Reconnects;
-      if (!Open())
-        return;
-      continue;
-    }
-    if (Next < Ls.size()) {
-      size_t Batch = std::min<size_t>(Ls.size() - Next, 1 + Rand() % 8);
-      std::string Out;
-      for (size_t I = 0; I != Batch; ++I) {
-        std::snprintf(Buf, sizeof(Buf), "line %llu %llu ",
-                      (unsigned long long)Id,
-                      (unsigned long long)(Next + I));
-        Out += Buf;
-        Out += Ls[Next + I];
-        Out += '\n';
-      }
-      if (!W.sendRaw(Out)) { // hang/deadline chaos killed the conn mid-send
-        ++R.Reconnects;
-        if (!Open())
-          return;
-        continue;
-      }
-      Next += Batch;
-      SinceConn += Batch;
-    } else {
-      std::snprintf(Buf, sizeof(Buf), "stat %llu\n", (unsigned long long)Id);
-      std::string L2;
-      if (!W.sendRaw(Buf) || !W.readLine(L2, nullptr, 600)) {
-        ++R.Reconnects;
-        if (!Open())
-          return;
-        continue;
-      }
-      Handle(L2);
-      if (SettledTo < Next)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-
-  // Close and collect verdicts; shed/backpressured replies heal by re-send.
-  for (unsigned Try = 0; Try != 400; ++Try) {
-    if (Expired())
-      break;
-    if (W.Fd < 0 && !Open())
-      return;
-    std::snprintf(Buf, sizeof(Buf), "close %llu\n", (unsigned long long)Id);
-    if (!W.sendRaw(Buf)) {
-      W.closeFd();
-      ++R.Reconnects;
-      continue;
-    }
-    std::string L;
-    for (;;) {
-      if (!W.readLine(L, nullptr, 600)) {
-        W.closeFd();
-        ++R.Reconnects;
-        break;
-      }
-      if (L.rfind("ping", 0) == 0) {
-        W.sendRaw("pong" + L.substr(4) + "\n");
-        continue;
-      }
-      if (L.rfind("race ", 0) == 0) {
-        std::string Var;
-        if (raceVarOf(L, Var))
-          R.GotVars.insert(Var);
-        continue;
-      }
-      if (L.rfind("ok close", 0) == 0) {
-        R.Compared = true;
-        return;
-      }
-      if (L.find("backpressure") != std::string::npos) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        break; // re-send close
-      }
-      if (L.rfind("bye", 0) == 0) {
-        W.closeFd();
-        ++R.Reconnects;
-        break;
-      }
-    }
-  }
-  R.Failed = true;
-  R.Why = "close: no ack";
-}
-
-/// The eight-client chaos soak, over an inline-pumped service or one
-/// running its own consumer threads.
-void runNetSoak(bool Threaded) {
-  FailpointConfig FC;
-  FC.Seed = 31;
-  FC.rate(Failpoint::NetAcceptFail, 30000);    // 3% of accepts refused
-  FC.rate(Failpoint::NetPartialRead, 100000);  // 10% of reads: one byte
-  FC.rate(Failpoint::NetWriteStall, 50000);    // 5% of flushes skipped
-  FC.rate(Failpoint::NetConnHang, 300);        // rare half-open latches
-  FailpointScope Scope(FC);
-
-  ServiceConfig SC;
-  SC.RingCapacity = 64; // small rings: real wire backpressure under load
-  NetConfig NC;
-  NC.Scrape = true;
-  NC.ReadDeadlineNanos = 150ull * 1000000;  // hangs resolve quickly
-  NC.HeartbeatNanos = 60ull * 1000000;
-  NC.WriteDeadlineNanos = 2000ull * 1000000; // stalls are failpoint-driven
-  NetFixture FX;
-  FX.init(NC, SC);
-  if (Threaded)
-    FX.Svc->start();
-
-  constexpr size_t K = 8;
-  std::vector<Trace> Traces;
-  std::vector<std::vector<std::string>> AllLines;
-  for (size_t I = 0; I != K; ++I) {
-    Traces.push_back(smallRandomTrace(400 + I, 25));
-    AllLines.push_back(traceLines(Traces.back()));
-  }
-
-  std::atomic<bool> Stop{false};
-  std::thread Loop([&] { FX.Net->runLoop(Stop, 2); });
-
-  std::vector<SoakResult> Results(K);
-  std::vector<std::thread> Clients;
-  for (size_t I = 0; I != K; ++I)
-    Clients.emplace_back([&, I] {
-      soakClient(FX.Net->port(), I + 1, AllLines[I], 20, Results[I]);
-    });
-
-  // Mid-soak scrape: the health surface must answer while chaos runs.
-  TClient Scrape;
-  std::string Resp;
-  if (Scrape.connectTo(FX.Net->scrapePort()) &&
-      Scrape.sendRaw("GET /metrics HTTP/1.0\r\n\r\n"))
-    Resp = Scrape.readAll(nullptr, 600);
-  for (std::thread &T : Clients)
-    T.join();
-  Stop.store(true);
-  Loop.join();
-  FX.Net->drainAndStop();
-
-  EXPECT_NE(Resp.find("gold-metrics-v1"), std::string::npos);
-
-  size_t Reconnects = 0;
-  for (size_t I = 0; I != K; ++I) {
-    const SoakResult &R = Results[I];
-    ASSERT_FALSE(R.Failed) << "client " << I + 1 << ": " << R.Why;
-    ASSERT_TRUE(R.Compared) << "client " << I + 1;
-    // Zero un-counted verdict loss: every surviving client's verdicts match
-    // the oracle exactly, chaos or not.
-    EXPECT_EQ(R.GotVars, oracleVarStrings(Traces[I])) << "client " << I + 1;
-    Reconnects += R.Reconnects;
-  }
-
-  NetStats S = FX.Net->stats();
-  EXPECT_GT(Reconnects, 0u);
-  EXPECT_GT(S.Resumes, 0u); // reconnect-with-resume actually exercised
-  EXPECT_EQ(S.DrainDroppedFrames, 0u);
-  EXPECT_EQ(FX.Svc->health().VerdictLossEvents, 0u);
-  ASSERT_EQ(FX.Svc->health().ParseErrors, 0u);
-}
-
-} // namespace
-
-TEST(NetSoakTest, EightChaoticClientsSurviveAllNetFailpointsAndMatchOracle) {
-  runNetSoak(/*Threaded=*/false);
-}
-
-TEST(NetSoakTest, EightChaoticClientsMatchOracleOverThreadedService) {
-  runNetSoak(/*Threaded=*/true);
-}
-
-//===----------------------------------------------------------------------===//
-// Eight GoldClient producers over TCP: the library's reconnect-resume path
+// The acceptance soak: eight GoldClient producers over TCP
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 /// Eight concurrent GoldClient threads, one seeded random trace each,
-/// against an inline-pumped server. With \p Chaos all four net failpoints
-/// are armed; every client that closes must still match the oracle.
-/// Without it, nothing may be lost, resynced, dropped or reconnected.
-void runGoldClientFleet(bool Chaos) {
+/// against a service pumped inline by the server or (\p Threaded) running
+/// its own consumer threads; /metrics is scraped while they stream. With
+/// \p Chaos the four server-side net failpoints and the client-side
+/// net-client-drop are armed. That chaos only hurts the transport, so
+/// reconnect-resume must heal all of it: every client closes with
+/// oracle-exact verdicts and the server counts resumes. Without it,
+/// nothing may be lost, resynced, dropped or reconnected.
+void runGoldClientFleet(bool Chaos, bool Threaded) {
   FailpointConfig FC;
   FC.Seed = 1;
   if (Chaos) {
@@ -1130,13 +824,15 @@ void runGoldClientFleet(bool Chaos) {
     FC.rate(Failpoint::NetPartialRead, 100000);
     FC.rate(Failpoint::NetWriteStall, 50000);
     FC.rate(Failpoint::NetConnHang, 1000);
+    FC.rate(Failpoint::NetClientDrop, 50000);
   }
   FailpointScope Scope(FC);
 
   ServiceConfig SC;
-  SC.RingCapacity = 256;
+  SC.RingCapacity = 64; // small rings: real wire backpressure under load
   DetectionService Svc(SC);
   NetConfig NC;
+  NC.Scrape = true;
   // Deadlines sized for an oversubscribed host: a client thread descheduled
   // for a few quanta must not lose a healthy connection, while a hung one
   // (the conn-hang failpoint) still resolves within one read deadline.
@@ -1146,21 +842,20 @@ void runGoldClientFleet(bool Chaos) {
   NetServer Net(Svc, NC);
   std::string Err;
   ASSERT_TRUE(Net.start(Err)) << Err;
+  if (Threaded)
+    Svc.start();
 
   constexpr unsigned K = 8;
   std::vector<Trace> Traces;
-  for (unsigned I = 0; I != K; ++I) {
-    RandomTraceParams P;
-    P.Seed = 1000 + I;
-    P.StepsPerThread = 40;
-    Traces.push_back(generateRandomTrace(P));
-  }
+  for (unsigned I = 0; I != K; ++I)
+    Traces.push_back(smallRandomTrace(1000 + I, 40));
 
   std::atomic<bool> Stop{false};
   std::thread Loop([&] { Net.runLoop(Stop, 2); });
   std::vector<std::optional<std::set<std::string>>> Got(K);
   std::vector<std::string> Why(K);
-  std::atomic<uint64_t> Reconnects{0};
+  std::atomic<uint64_t> Reconnects{0}, Resumes{0};
+  std::string Scraped;
   {
     std::vector<std::thread> Clients;
     for (unsigned I = 0; I != K; ++I)
@@ -1182,7 +877,13 @@ void runGoldClientFleet(bool Chaos) {
         if (GC.closeAndCollect(Vars, Why[I]))
           Got[I].emplace(Vars.begin(), Vars.end());
         Reconnects += GC.stats().Reconnects;
+        Resumes += GC.stats().Resumes;
       });
+    // Mid-soak scrape: the health surface must answer while chaos runs.
+    TClient Scrape;
+    if (Scrape.connectTo(Net.scrapePort()) &&
+        Scrape.sendRaw("GET /metrics HTTP/1.0\r\n\r\n"))
+      Scraped = Scrape.readAll(nullptr, 600);
     for (std::thread &T : Clients)
       T.join();
   }
@@ -1191,35 +892,38 @@ void runGoldClientFleet(bool Chaos) {
   Net.drainAndStop();
   Svc.shutdown();
 
-  size_t Closed = 0;
+  EXPECT_NE(Scraped.find("gold-metrics-v1"), std::string::npos);
   for (unsigned I = 0; I != K; ++I) {
-    if (!Got[I]) {
-      EXPECT_TRUE(Chaos) << "client " << I + 1 << ": " << Why[I];
-      continue;
-    }
-    ++Closed;
+    ASSERT_TRUE(Got[I]) << "client " << I + 1 << ": " << Why[I];
     EXPECT_EQ(*Got[I], oracleVarStrings(Traces[I])) << "client " << I + 1;
   }
-  EXPECT_GT(Closed, 0u);
+  NetStats S = Net.stats();
+  EXPECT_EQ(S.DrainDroppedFrames, 0u);
   EXPECT_EQ(Svc.health().VerdictLossEvents, 0u);
+  EXPECT_EQ(Svc.health().ParseErrors, 0u);
   if (Chaos) {
     EXPECT_GT(Failpoints::instance().fires(Failpoint::NetPartialRead), 0u);
+    EXPECT_GT(Failpoints::instance().fires(Failpoint::NetClientDrop), 0u);
+    EXPECT_GT(Resumes.load(), 0u);
+    EXPECT_GT(S.Resumes, 0u); // reconnect-with-resume actually exercised
     return;
   }
-  NetStats S = Net.stats();
   EXPECT_EQ(S.ResyncReplies, 0u); // the steady-state resync storm stays fixed
-  EXPECT_EQ(S.DrainDroppedFrames, 0u);
   EXPECT_EQ(Reconnects.load(), 0u);
 }
 
 } // namespace
 
 TEST(NetGoldClientTest, EightProducersSteadyLoseNothing) {
-  runGoldClientFleet(/*Chaos=*/false);
+  runGoldClientFleet(/*Chaos=*/false, /*Threaded=*/false);
 }
 
 TEST(NetGoldClientTest, EightProducersUnderNetFailpointsMatchOracle) {
-  runGoldClientFleet(/*Chaos=*/true);
+  runGoldClientFleet(/*Chaos=*/true, /*Threaded=*/false);
+}
+
+TEST(NetGoldClientTest, EightProducersUnderNetFailpointsOverThreadedService) {
+  runGoldClientFleet(/*Chaos=*/true, /*Threaded=*/true);
 }
 
 TEST(NetServerTest, CloseAnswersWithTheCompleteVerdictSetOverThreadedService) {

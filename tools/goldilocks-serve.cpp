@@ -236,25 +236,6 @@ int usage(FILE *To = stderr) {
   return 126;
 }
 
-bool parseFailpointArg(const char *V, FailpointConfig &FC) {
-  const char *Eq = std::strchr(V, '=');
-  if (!Eq || Eq == V)
-    return false;
-  std::string Name(V, static_cast<size_t>(Eq - V));
-  char *End = nullptr;
-  unsigned long Ppm = std::strtoul(Eq + 1, &End, 10);
-  if (End == Eq + 1 || *End || Ppm > 1000000)
-    return false;
-  for (unsigned I = 0; I != NumFailpoints; ++I) {
-    Failpoint F = static_cast<Failpoint>(I);
-    if (Name == failpointName(F)) {
-      FC.rate(F, static_cast<uint32_t>(Ppm));
-      return true;
-    }
-  }
-  return false;
-}
-
 //===----------------------------------------------------------------------===//
 // Protocol mode
 //===----------------------------------------------------------------------===//
