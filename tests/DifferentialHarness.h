@@ -2,8 +2,9 @@
 ///
 /// \file
 /// The one reusable differential-test harness every cross-detector suite
-/// builds on (ConcurrencyTest, ChaosTest, DifferentialTest, TierTest,
-/// ServiceTest). Three layers:
+/// builds on (ChaosTest, ConcurrencyTest, DifferentialTest, EngineTest,
+/// RandomTraceTest, and the service suites ServiceTest, NetTest and
+/// ShmTest). Three layers:
 ///
 ///  * verdict-set helpers — project race reports / oracle output down to the
 ///    per-variable verdict sets the suites compare, plus a gtest
@@ -12,7 +13,8 @@
 ///
 ///  * seeded trace-shape builders — the canonical RandomTraceParams shapes
 ///    the sweeps share, so "the chaos shape at seed S" means the same trace
-///    in every suite that replays it;
+///    in every suite that replays it, plus the small client trace the
+///    service suites stream line by line;
 ///
 ///  * the ticketed concurrency harness — N real OS threads hammer one
 ///    detector through logged wrappers; every call takes a global ticket
@@ -30,6 +32,7 @@
 
 #include "detectors/GoldilocksDetectors.h"
 #include "event/RandomTrace.h"
+#include "event/TraceIO.h"
 #include "hb/HbOracle.h"
 #include "support/Random.h"
 
@@ -40,6 +43,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -87,6 +91,16 @@ oracleKeySet(const Trace &T,
   std::set<uint64_t> Out;
   for (const VarId &V : O.racyVars())
     Out.insert(V.key());
+  return Out;
+}
+
+/// Oracle verdicts rendered by VarId::str(), for suites that compare against
+/// verdicts decoded from the wire.
+inline std::set<std::string> oracleVarStrings(const Trace &T) {
+  RaceOracle O(T, TxnSyncSemantics::SharedVariable);
+  std::set<std::string> Out;
+  for (const VarId &V : O.racyVars())
+    Out.insert(V.str());
   return Out;
 }
 
@@ -172,6 +186,27 @@ inline RandomTraceParams chaosParams(uint64_t Seed) {
   P.StepsPerThread = 40 + static_cast<unsigned>(Seed % 80);
   P.WBeginTxn = Seed % 3 ? 1 : 0;
   return P;
+}
+
+/// A four-thread client trace of \p Steps steps per thread: the shape the
+/// service suites stream.
+inline Trace smallRandomTrace(uint64_t Seed, unsigned Steps) {
+  RandomTraceParams P;
+  P.Seed = Seed;
+  P.StepsPerThread = Steps;
+  P.NumThreads = 4;
+  return generateRandomTrace(P);
+}
+
+/// \p T serialized one TraceIO line per action, as a client streams it.
+inline std::vector<std::string> traceLines(const Trace &T) {
+  std::vector<std::string> Lines;
+  std::istringstream In(serializeTrace(T));
+  std::string L;
+  while (std::getline(In, L))
+    if (!L.empty())
+      Lines.push_back(L);
+  return Lines;
 }
 
 //===----------------------------------------------------------------------===//

@@ -18,9 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "CloseRuleHarness.h"
-#include "event/RandomTrace.h"
-#include "event/TraceIO.h"
-#include "hb/HbOracle.h"
+#include "DifferentialHarness.h"
 #include "service/Backoff.h"
 #include "service/Service.h"
 #include "service/Snapshots.h"
@@ -41,7 +39,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,32 +59,9 @@ using namespace gold::net;
 
 namespace {
 
-std::vector<std::string> traceLines(const Trace &T) {
-  std::vector<std::string> Lines;
-  std::istringstream In(serializeTrace(T));
-  std::string L;
-  while (std::getline(In, L))
-    if (!L.empty())
-      Lines.push_back(L);
-  return Lines;
-}
-
-Trace smallRandomTrace(uint64_t Seed, unsigned Steps = 30,
-                       unsigned Threads = 4) {
-  RandomTraceParams P;
-  P.Seed = Seed;
-  P.StepsPerThread = Steps;
-  P.NumThreads = Threads;
-  return generateRandomTrace(P);
-}
-
-std::set<std::string> oracleVarStrings(const Trace &T) {
-  std::set<std::string> Want;
-  RaceOracle O(T, TxnSyncSemantics::SharedVariable);
-  for (const VarId &V : O.racyVars())
-    Want.insert(V.str());
-  return Want;
-}
+using difftest::oracleVarStrings;
+using difftest::smallRandomTrace;
+using difftest::traceLines;
 
 /// Minimal blocking test client. Deterministic single-threaded tests pass a
 /// Pump callback that runs the server's poll loop between reads; threaded
@@ -267,7 +241,7 @@ TEST(FramerTest, OversizeReportedOnceInStreamOrderAndBounded) {
 TEST(NetServerTest, OpenStreamCloseMatchesOracleOverSocket) {
   NetFixture FX;
   FX.init(NetConfig());
-  Trace T = smallRandomTrace(77);
+  Trace T = smallRandomTrace(77, 30);
   std::vector<std::string> Lines = traceLines(T);
 
   TClient C;
@@ -302,7 +276,7 @@ TEST(NetServerTest, OpenStreamCloseMatchesOracleOverSocket) {
 TEST(NetServerTest, SeqGapResyncsAndDupsAreSuppressed) {
   NetFixture FX;
   FX.init(NetConfig());
-  std::vector<std::string> Lines = traceLines(smallRandomTrace(5));
+  std::vector<std::string> Lines = traceLines(smallRandomTrace(5, 30));
   ASSERT_GE(Lines.size(), 3u);
 
   TClient C;
@@ -347,7 +321,7 @@ TEST(NetServerTest, FramerRejectionsThroughSocketWithFragmentedReads) {
   NC.MaxFrameBytes = 64;
   NetFixture FX;
   FX.init(NC);
-  std::vector<std::string> Lines = traceLines(smallRandomTrace(5));
+  std::vector<std::string> Lines = traceLines(smallRandomTrace(5, 30));
   ASSERT_LT(Lines[0].size() + 10, 64u);
 
   TClient C;
@@ -402,7 +376,7 @@ TEST(NetServerTest, BackpressureReplyCarriesSharedJitteredSchedule) {
   NetFixture FX;
   FX.init(NC, SC);
   FX.Svc->start();
-  std::vector<std::string> Lines = traceLines(smallRandomTrace(5));
+  std::vector<std::string> Lines = traceLines(smallRandomTrace(5, 30));
 
   TClient C;
   ASSERT_TRUE(C.connectTo(FX.Net->port()));
@@ -520,18 +494,14 @@ TEST(NetServerTest, ScrapeStreamsBodiesLargerThanTheWriteQueue) {
   // Populate the histograms directly so the document carries real buckets.
   DetectionService::OpenResult O = FX.Svc->open(1);
   ASSERT_NE(O.S, nullptr) << O.Error;
-  std::vector<std::string> Lines = traceLines(smallRandomTrace(40));
+  std::vector<std::string> Lines = traceLines(smallRandomTrace(40, 30));
   for (size_t I = 0; I != Lines.size(); ++I) {
     FrameTrace FT;
     FT.OriginNanos = 1;
     FT.FrameSeq = I;
     FT.Span = true;
-    FeedResult R;
-    do {
-      R = O.S->feedLine(Lines[I], &FT);
-      if (R.St == FeedResult::Status::Backpressure)
-        FX.Svc->pumpAll();
-    } while (R.St == FeedResult::Status::Backpressure);
+    FeedResult R = feedFrame(*FX.Svc, FeedMode::Settle,
+                             [&] { return O.S->feedLine(Lines[I], &FT); });
     ASSERT_EQ(R.St, FeedResult::Status::Accepted) << R.Error;
   }
   FX.Svc->pumpAll();
@@ -762,7 +732,7 @@ TEST(NetServerTest, AcceptShedAtMaxConnectionsTellsTheClientWhy) {
 TEST(NetServerTest, DrainSettlesKernelBufferedFramesWithCountedPartials) {
   NetFixture FX;
   FX.init(NetConfig());
-  Trace T = smallRandomTrace(21);
+  Trace T = smallRandomTrace(21, 30);
   std::vector<std::string> Lines = traceLines(T);
 
   TClient C;

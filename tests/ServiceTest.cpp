@@ -7,24 +7,26 @@
 /// the overload ladder (admission pause, priority shedding), crash-only
 /// shard reincarnation with journal replay (zero lost, zero duplicated
 /// verdicts — or counted loss when a journal cannot replay), namespace
-/// recycling, and multi-client differential soaks — threaded and
-/// chaos-injected — against the happens-before oracle.
+/// recycling, and multi-client differential soaks — inline and threaded,
+/// chaos-injected, with every killed session matched to its loss counter —
+/// against the happens-before oracle.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "DifferentialHarness.h"
 
 #include "event/TraceIO.h"
+#include "service/ClientStream.h"
 #include "service/IngestRing.h"
 #include "service/Service.h"
+#include "service/Snapshots.h"
 #include "support/Failpoints.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <cstdlib>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,64 +35,24 @@ using namespace gold;
 
 namespace {
 
-std::vector<std::string> traceLines(const Trace &T) {
-  std::vector<std::string> Lines;
-  std::istringstream In(serializeTrace(T));
-  std::string L;
-  while (std::getline(In, L))
-    if (!L.empty())
-      Lines.push_back(L);
-  return Lines;
-}
+using difftest::oracleKeySet;
+using difftest::racyKeySet;
+using difftest::smallRandomTrace;
+using difftest::traceLines;
 
-Trace smallRandomTrace(uint64_t Seed, unsigned Steps = 40,
-                       unsigned Threads = 4) {
-  RandomTraceParams P;
-  P.Seed = Seed;
-  P.StepsPerThread = Steps;
-  P.NumThreads = Threads;
-  return generateRandomTrace(P);
-}
-
-// Key-set projections shared with every other differential suite.
-std::set<uint64_t> varKeys(const std::vector<RaceReport> &Reports) {
-  return difftest::racyKeySet(Reports);
-}
-
-std::set<uint64_t> oracleKeys(const Trace &T, TxnSyncSemantics Sem) {
-  return difftest::oracleKeySet(T, Sem);
-}
-
-/// Inline-mode feed honoring the backpressure contract: on Backpressure the
-/// caller IS the consumer, so pump (and poll, which un-wedges shards) and
-/// present the very same line again.
-FeedResult feedInline(DetectionService &Svc, Session &S,
+/// One line through the settle path (service/ClientStream.h): a refusal is
+/// retried while the service makes progress, pumping inline or waiting on
+/// the consumer threads.
+FeedResult settleLine(DetectionService &Svc, Session &S,
                       const std::string &Line) {
-  for (;;) {
-    FeedResult R = S.feedLine(Line);
-    if (R.St != FeedResult::Status::Backpressure)
-      return R;
-    Svc.pumpAll();
-    Svc.poll();
-  }
+  return feedFrame(Svc, FeedMode::Settle, [&] { return S.feedLine(Line); });
 }
 
 void feedAllInline(DetectionService &Svc, Session &S,
                    const std::vector<std::string> &Lines) {
   for (const std::string &L : Lines) {
-    FeedResult R = feedInline(Svc, S, L);
+    FeedResult R = settleLine(Svc, S, L);
     ASSERT_EQ(R.St, FeedResult::Status::Accepted) << R.Error;
-  }
-}
-
-/// Threaded-mode feed: sleep the jittered retry-after the service returned.
-FeedResult feedThreaded(Session &S, const std::string &Line) {
-  for (;;) {
-    FeedResult R = S.feedLine(Line);
-    if (R.St != FeedResult::Status::Backpressure)
-      return R;
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(R.RetryAfterNanos ? R.RetryAfterNanos : 500));
   }
 }
 
@@ -236,7 +198,7 @@ TEST(IngestRingTest, BackoffScheduleIsDeterministicBoundedJitter) {
 
 TEST(ServiceTest, SingleClientMatchesOracleAndSingleEngine) {
   for (uint64_t Seed : {3u, 17u, 99u}) {
-    Trace T = smallRandomTrace(Seed);
+    Trace T = smallRandomTrace(Seed, 40);
     ServiceConfig SC;
     SC.Shards = 4;
     DetectionService Svc(SC);
@@ -246,13 +208,13 @@ TEST(ServiceTest, SingleClientMatchesOracleAndSingleEngine) {
     R.S->close();
     Svc.drain();
     Svc.poll();
-    std::set<uint64_t> Got = varKeys(R.S->takeVerdicts());
-    EXPECT_EQ(Got, oracleKeys(T, SC.Engine.Semantics)) << "seed " << Seed;
+    std::set<uint64_t> Got = racyKeySet(R.S->takeVerdicts());
+    EXPECT_EQ(Got, oracleKeySet(T, SC.Engine.Semantics)) << "seed " << Seed;
     // Cross-check against one unsharded engine over the same trace.
     EngineConfig EC;
     EC.DisableVarAfterRace = true;
     GoldilocksDetector D(EC);
-    EXPECT_EQ(Got, varKeys(D.runTrace(T))) << "seed " << Seed;
+    EXPECT_EQ(Got, racyKeySet(D.runTrace(T))) << "seed " << Seed;
     EXPECT_EQ(R.S->state(), SessionState::Dead);
     EXPECT_EQ(R.S->closeReason(), CloseReason::ClientClose);
     // The whole session runs on one shard: each line is routed once.
@@ -355,7 +317,7 @@ TEST(ServiceTest, IdleTimeoutReapsWithManualClock) {
 //===----------------------------------------------------------------------===//
 
 TEST(ServiceTest, BackpressureBoundsQueuedBytesAndStaysExact) {
-  Trace T = smallRandomTrace(5);
+  Trace T = smallRandomTrace(5, 40);
   ServiceConfig SC;
   SC.Shards = 2;
   SC.RingCapacity = 8;
@@ -390,8 +352,8 @@ TEST(ServiceTest, BackpressureBoundsQueuedBytesAndStaysExact) {
   EXPECT_LE(H.QueuedBytesHighWater, SC.MaxQueuedBytes);
   // Retrying the same line after Backpressure neither lost nor duplicated
   // anything: the verdicts still match the oracle exactly.
-  EXPECT_EQ(varKeys(R.S->takeVerdicts()),
-            oracleKeys(T, SC.Engine.Semantics));
+  EXPECT_EQ(racyKeySet(R.S->takeVerdicts()),
+            oracleKeySet(T, SC.Engine.Semantics));
   EXPECT_EQ(H.VerdictLossEvents, 0u);
 }
 
@@ -434,7 +396,8 @@ TEST(ServiceTest, StalledShardBackpressuresOnlyItsOwnSessions) {
   while (Svc.pumpShard(1))
     ;
   EXPECT_EQ(B.S->state(), SessionState::Dead);
-  EXPECT_EQ(varKeys(B.S->takeVerdicts()), oracleKeys(T, SC.Engine.Semantics));
+  EXPECT_EQ(racyKeySet(B.S->takeVerdicts()),
+            oracleKeySet(T, SC.Engine.Semantics));
   EXPECT_EQ(A.S->state(), SessionState::Open);
 }
 
@@ -484,7 +447,7 @@ TEST(ServiceTest, LadderPausesAdmissionThenShedsLowestPriority) {
 //===----------------------------------------------------------------------===//
 
 TEST(ServiceTest, ReincarnationReplaysJournalsZeroLossZeroDup) {
-  Trace T = smallRandomTrace(21);
+  Trace T = smallRandomTrace(21, 40);
   std::vector<std::string> Lines = traceLines(T);
   ServiceConfig SC;
   SC.Shards = 2;
@@ -494,7 +457,7 @@ TEST(ServiceTest, ReincarnationReplaysJournalsZeroLossZeroDup) {
 
   size_t Half = Lines.size() / 2;
   for (size_t I = 0; I != Half; ++I)
-    ASSERT_EQ(feedInline(Svc, *R.S, Lines[I]).St,
+    ASSERT_EQ(settleLine(Svc, *R.S, Lines[I]).St,
               FeedResult::Status::Accepted);
   Svc.drain(); // some verdicts may already have been delivered
 
@@ -504,7 +467,7 @@ TEST(ServiceTest, ReincarnationReplaysJournalsZeroLossZeroDup) {
   Svc.reincarnateShard(1);
 
   for (size_t I = Half; I != Lines.size(); ++I)
-    ASSERT_EQ(feedInline(Svc, *R.S, Lines[I]).St,
+    ASSERT_EQ(settleLine(Svc, *R.S, Lines[I]).St,
               FeedResult::Status::Accepted);
   R.S->close();
   Svc.drain();
@@ -517,7 +480,7 @@ TEST(ServiceTest, ReincarnationReplaysJournalsZeroLossZeroDup) {
   // Zero lost (replay reconstructed everything) and zero duplicated (the
   // per-variable dedup swallowed the replay's regenerated verdicts).
   std::vector<RaceReport> V = R.S->takeVerdicts();
-  EXPECT_EQ(varKeys(V), oracleKeys(T, SC.Engine.Semantics));
+  EXPECT_EQ(racyKeySet(V), oracleKeySet(T, SC.Engine.Semantics));
   std::set<uint64_t> Seen;
   for (const RaceReport &Rep : V)
     EXPECT_TRUE(Seen.insert(Rep.Var.key()).second)
@@ -552,9 +515,9 @@ TEST(ServiceTest, ReincarnationMidBackpressureDoesNotReparseTheRetry) {
   // The contractual retry of the bounced line: must push, not re-parse.
   FeedResult Retry = R.S->feedLine("fork 0 2");
   EXPECT_EQ(Retry.St, FeedResult::Status::Accepted) << Retry.Error;
-  ASSERT_EQ(feedInline(Svc, *R.S, "write 2 5 0").St,
+  ASSERT_EQ(settleLine(Svc, *R.S, "write 2 5 0").St,
             FeedResult::Status::Accepted);
-  ASSERT_EQ(feedInline(Svc, *R.S, "write 0 5 0").St,
+  ASSERT_EQ(settleLine(Svc, *R.S, "write 0 5 0").St,
             FeedResult::Status::Accepted);
   R.S->close();
   Svc.drain();
@@ -571,7 +534,8 @@ TEST(ServiceTest, ReincarnationMidBackpressureDoesNotReparseTheRetry) {
                          "write 1 5 0\nfork 0 2\nwrite 2 5 0\nwrite 0 5 0\n",
                          T, Err))
       << Err;
-  EXPECT_EQ(varKeys(R.S->takeVerdicts()), oracleKeys(T, SC.Engine.Semantics));
+  EXPECT_EQ(racyKeySet(R.S->takeVerdicts()),
+            oracleKeySet(T, SC.Engine.Semantics));
 }
 
 TEST(ServiceTest, BackpressuredLineSurvivesReincarnationExactlyOnce) {
@@ -606,7 +570,8 @@ TEST(ServiceTest, BackpressuredLineSurvivesReincarnationExactlyOnce) {
   for (const std::string &L : Lines)
     Text += L + "\n";
   ASSERT_TRUE(parseTrace(Text, T, Err)) << Err;
-  EXPECT_EQ(varKeys(R.S->takeVerdicts()), oracleKeys(T, SC.Engine.Semantics));
+  EXPECT_EQ(racyKeySet(R.S->takeVerdicts()),
+            oracleKeySet(T, SC.Engine.Semantics));
 }
 
 TEST(ServiceTest, WedgeFailpointRecoversThroughReincarnation) {
@@ -615,7 +580,7 @@ TEST(ServiceTest, WedgeFailpointRecoversThroughReincarnation) {
   FC.rate(Failpoint::ServiceShardWedge, 200000); // 20% of pumped items
   FailpointScope Chaos(FC);
 
-  Trace T = smallRandomTrace(33);
+  Trace T = smallRandomTrace(33, 40);
   ServiceConfig SC;
   SC.Shards = 2;
   DetectionService Svc(SC);
@@ -635,8 +600,8 @@ TEST(ServiceTest, WedgeFailpointRecoversThroughReincarnation) {
   EXPECT_GT(H.Reincarnations, 0u) << "chaos never fired";
   EXPECT_GT(H.ItemsDiscarded, 0u) << "every wedge drops the in-flight item";
   EXPECT_EQ(H.VerdictLossEvents, 0u) << "replay must recover every drop";
-  EXPECT_EQ(varKeys(R.S->takeVerdicts()),
-            oracleKeys(T, SC.Engine.Semantics));
+  EXPECT_EQ(racyKeySet(R.S->takeVerdicts()),
+            oracleKeySet(T, SC.Engine.Semantics));
 }
 
 TEST(ServiceTest, TruncatedJournalKillsSessionWithCountedLoss) {
@@ -648,7 +613,7 @@ TEST(ServiceTest, TruncatedJournalKillsSessionWithCountedLoss) {
   ASSERT_NE(R.S, nullptr);
   for (int I = 0; I != 10; ++I)
     ASSERT_EQ(
-        feedInline(Svc, *R.S, "write 0 " + std::to_string(I) + " 0").St,
+        settleLine(Svc, *R.S, "write 0 " + std::to_string(I) + " 0").St,
         FeedResult::Status::Accepted);
   Svc.drain();
   EXPECT_TRUE(R.S->journalTruncated());
@@ -678,7 +643,7 @@ TEST(ServiceTest, RecycledSlotPublicationIsRaceFree) {
   for (int I = 0; I != 100; ++I) {
     auto R = Svc.open(I + 1);
     ASSERT_NE(R.S, nullptr) << R.Error;
-    ASSERT_EQ(feedThreaded(*R.S, "write 0 1 0").St,
+    ASSERT_EQ(settleLine(Svc, *R.S, "write 0 1 0").St,
               FeedResult::Status::Accepted);
     R.S->close();
     // The consumer that applies the item finalizes the Draining session.
@@ -781,7 +746,7 @@ TEST(ServiceTest, NamespaceRecyclingReclaimsDeadSlots) {
   EXPECT_EQ(Svc.recycleNamespaces(), 2u);
   auto C1 = Svc.open(4);
   ASSERT_NE(C1.S, nullptr) << C1.Error;
-  EXPECT_EQ(feedInline(Svc, *C1.S, "write 0 1 0").St,
+  EXPECT_EQ(settleLine(Svc, *C1.S, "write 0 1 0").St,
             FeedResult::Status::Accepted);
   // Stale handles to recycled sessions stay valid and answer Dead.
   EXPECT_EQ(A.S->state(), SessionState::Dead);
@@ -794,65 +759,141 @@ TEST(ServiceTest, NamespaceRecyclingReclaimsDeadSlots) {
 
 namespace {
 
-/// Runs K concurrent client threads against a started service, each
-/// streaming its own seeded random trace, then checks every surviving
-/// client against the happens-before oracle for its own trace.
-void threadedSoak(ServiceConfig SC, uint64_t BaseSeed, size_t K) {
+/// Top-level integer member \p Key of a composed JSON document: the
+/// service's own members precede every nested section.
+uint64_t jsonMember(const std::string &Doc, const std::string &Key) {
+  std::string Needle = "\"" + Key + "\":";
+  size_t At = Doc.find(Needle);
+  EXPECT_NE(At, std::string::npos) << Key;
+  return At == std::string::npos
+             ? 0
+             : std::strtoull(Doc.c_str() + At + Needle.size(), nullptr, 10);
+}
+
+struct SoakResult {
+  size_t Compared = 0; ///< clients checked against the oracle
+  size_t Killed = 0;   ///< clients killed for a counted reason
+};
+
+/// Streams K seeded client traces (\p Steps per thread) into one service,
+/// then checks every client against the happens-before oracle for its own
+/// trace. \p Threaded starts the consumer threads and gives each client a
+/// producer thread; otherwise one line per client per round goes through
+/// the settle path with no threads at all, a deterministic interleaved
+/// multi-client stream. A client that is not compared must have been killed
+/// for a reason the service counts: loss is accounted, never silent.
+SoakResult soak(ServiceConfig SC, uint64_t BaseSeed, size_t K, bool Threaded,
+                unsigned Steps = 30) {
+  SCOPED_TRACE(Threaded ? "threaded soak" : "inline soak");
   DetectionService Svc(SC);
-  Svc.start();
+  if (Threaded)
+    Svc.start();
   struct Client {
     Trace T;
+    std::vector<std::string> Lines;
     Session *S = nullptr;
-    bool Completed = false;
+    size_t Cursor = 0; ///< lines the session accepted
+    bool Done = false;
   };
   std::vector<Client> Clients(K);
   for (size_t I = 0; I != K; ++I) {
-    Clients[I].T = smallRandomTrace(BaseSeed + I, /*Steps=*/30);
+    Client &C = Clients[I];
+    C.T = smallRandomTrace(BaseSeed + I, Steps);
+    C.Lines = traceLines(C.T);
     auto R = Svc.open(I + 1);
-    ASSERT_NE(R.S, nullptr) << R.Error;
-    Clients[I].S = R.S;
+    EXPECT_NE(R.S, nullptr) << R.Error;
+    if (!R.S)
+      return {};
+    C.S = R.S;
   }
-  std::vector<std::thread> Producers;
-  for (size_t I = 0; I != K; ++I)
-    Producers.emplace_back([&Svc, &C = Clients[I]] {
-      (void)Svc;
-      bool Ok = true;
-      for (const std::string &L : traceLines(C.T)) {
-        FeedResult F = feedThreaded(*C.S, L);
-        if (F.St != FeedResult::Status::Accepted) {
-          Ok = false; // torn down by chaos; accounted, not comparable
-          break;
-        }
-      }
-      C.S->close();
-      C.Completed = Ok;
-    });
-  for (std::thread &T : Producers)
-    T.join();
+  // Feeds C's next line; false once C is done: fully fed, killed, or
+  // refused past the settle bound. Either way the client then closes.
+  auto FeedOne = [&Svc](Client &C) {
+    if (C.Done)
+      return false;
+    if (C.Cursor != C.Lines.size() &&
+        settleLine(Svc, *C.S, C.Lines[C.Cursor]).St ==
+            FeedResult::Status::Accepted) {
+      ++C.Cursor;
+      return true;
+    }
+    C.S->close();
+    C.Done = true;
+    return false;
+  };
+  if (Threaded) {
+    std::vector<std::thread> Producers;
+    for (Client &C : Clients)
+      Producers.emplace_back([&FeedOne, &C] {
+        while (FeedOne(C))
+          ;
+      });
+    for (std::thread &T : Producers)
+      T.join();
+  } else {
+    for (bool Progress = true; Progress;) {
+      Progress = false;
+      for (Client &C : Clients)
+        Progress |= FeedOne(C);
+      Svc.makeProgress();
+    }
+  }
   Svc.shutdown();
 
-  size_t Compared = 0;
+  SoakResult Out;
+  uint64_t ShardLost = 0, Shed = 0, IdleReaped = 0;
   for (Client &C : Clients) {
     CloseReason R = C.S->closeReason();
-    if (!C.Completed || (R != CloseReason::ClientClose &&
-                         R != CloseReason::ServiceShutdown))
+    if (R == CloseReason::ClientClose && C.Cursor == C.Lines.size()) {
+      ++Out.Compared;
+      EXPECT_EQ(racyKeySet(C.S->takeVerdicts()),
+                oracleKeySet(C.T, SC.Engine.Semantics))
+          << "client " << C.S->clientId();
       continue;
-    ++Compared;
-    EXPECT_EQ(varKeys(C.S->takeVerdicts()),
-              oracleKeys(C.T, SC.Engine.Semantics))
-        << "client " << C.S->clientId();
+    }
+    switch (R) {
+    case CloseReason::ShardLost:
+      ++ShardLost;
+      break;
+    case CloseReason::Shed:
+      ++Shed;
+      break;
+    case CloseReason::IdleTimeout:
+      ++IdleReaped;
+      break;
+    default:
+      ADD_FAILURE() << "client " << C.S->clientId() << " stopped at line "
+                    << C.Cursor << " of " << C.Lines.size()
+                    << " with no counted kill (close reason "
+                    << closeReasonName(R) << ")";
+    }
   }
-  EXPECT_GT(Compared, 0u) << "every client was torn down — no coverage";
+  Out.Killed = ShardLost + Shed + IdleReaped;
+  EXPECT_GT(Out.Compared, 0u) << "every client was torn down: no coverage";
   ServiceHealth H = Svc.health();
+  EXPECT_EQ(ShardLost, H.LostSessions);
+  EXPECT_EQ(Shed, H.SessionsShed);
+  EXPECT_EQ(IdleReaped, H.IdleReaped);
   EXPECT_EQ(H.ActiveSessions, 0u);
+  EXPECT_EQ(H.ParseErrors, 0u);
+  EXPECT_EQ(H.ActionsRouted, H.LinesAccepted);
   // Byte accounting is exact: bytes are reserved before publication and
   // every pop/discard subtracts what was added, so the gauge returns to
   // zero and the high-water mark can never wrap past the budget.
   EXPECT_EQ(H.QueuedBytes, 0u);
   EXPECT_LE(H.QueuedBytesHighWater, SC.MaxQueuedBytes);
-  if (Compared == K) {
+  EXPECT_EQ(H.VerdictLossEvents,
+            H.LostSessions + H.VerdictsDroppedDead + H.DroppedPendingActions);
+  if (Out.Killed == 0) {
     EXPECT_EQ(H.VerdictLossEvents, 0u);
   }
+  // The composed health document carries the same sum.
+  std::string Doc = composeHealthJson(Svc, "test_service", false, {});
+  EXPECT_EQ(jsonMember(Doc, "verdict_loss_events"),
+            jsonMember(Doc, "lost_sessions") +
+                jsonMember(Doc, "verdicts_dropped_dead") +
+                jsonMember(Doc, "dropped_pending_actions"));
+  return Out;
 }
 
 } // namespace
@@ -860,7 +901,8 @@ void threadedSoak(ServiceConfig SC, uint64_t BaseSeed, size_t K) {
 TEST(ServiceSoakTest, EightConcurrentClientsMatchTheOracle) {
   ServiceConfig SC;
   SC.Shards = 4;
-  threadedSoak(SC, /*BaseSeed=*/100, /*K=*/8);
+  for (bool Threaded : {false, true})
+    soak(SC, /*BaseSeed=*/100, /*K=*/8, Threaded);
 }
 
 TEST(ServiceSoakTest, SurvivesTinyRingsUnderConcurrency) {
@@ -870,41 +912,59 @@ TEST(ServiceSoakTest, SurvivesTinyRingsUnderConcurrency) {
   SC.Shards = 2;
   SC.RingCapacity = 8;
   SC.MaxQueuedBytes = 512;
-  threadedSoak(SC, /*BaseSeed=*/200, /*K=*/8);
+  for (bool Threaded : {false, true})
+    soak(SC, /*BaseSeed=*/200, /*K=*/8, Threaded);
 }
 
 TEST(ServiceSoakTest, ChaosFailpointSweepStaysExactForSurvivors) {
-  struct Sweep {
-    Failpoint F;
-    uint32_t Ppm;
-  };
-  const Sweep Sweeps[] = {
-      {Failpoint::ServiceIngestStall, 5000},
-      {Failpoint::ServiceClientHang, 5000},
-      {Failpoint::ServiceShardWedge, 3000},
-  };
-  uint64_t Seed = 300;
-  for (const Sweep &S : Sweeps) {
-    FailpointConfig FC;
-    FC.Seed = Seed;
-    FC.StallMicros = 5;
-    FC.rate(S.F, S.Ppm);
-    FailpointScope Chaos(FC);
+  struct Input {
+    const char *Name;
+    std::vector<Failpoint> Sites;
+    uint64_t Seed; ///< failpoint seed and base trace seed
     ServiceConfig SC;
-    SC.Shards = 4;
-    threadedSoak(SC, Seed, /*K=*/8);
-    Seed += 17;
-  }
-  // And everything at once.
-  FailpointConfig FC;
-  FC.Seed = Seed;
-  FC.StallMicros = 5;
-  for (const Sweep &S : Sweeps)
-    FC.rate(S.F, S.Ppm);
-  FailpointScope Chaos(FC);
-  ServiceConfig SC;
-  SC.Shards = 4;
-  threadedSoak(SC, Seed, /*K=*/8);
+    unsigned Steps = 30;
+    bool MustKill = false;
+  };
+  const std::vector<Failpoint> All = {Failpoint::ServiceIngestStall,
+                                      Failpoint::ServiceClientHang,
+                                      Failpoint::ServiceShardWedge};
+  ServiceConfig Base;
+  Base.Shards = 4;
+  // A wedge past a 16-action journal cap cannot replay: the shard's live
+  // sessions die ShardLost, and each must be counted.
+  ServiceConfig CappedJournal = Base;
+  CappedJournal.JournalCapActions = 16;
+  // Small rings and a small byte budget keep every producer on the retry
+  // path while all three sites fire.
+  ServiceConfig SmallRings = Base;
+  SmallRings.RingCapacity = 64;
+  SmallRings.MaxQueuedBytes = 65536;
+  const Input Inputs[] = {
+      {"ingest-stall", {Failpoint::ServiceIngestStall}, 300, Base},
+      {"client-hang", {Failpoint::ServiceClientHang}, 317, Base},
+      {"shard-wedge", {Failpoint::ServiceShardWedge}, 334, Base},
+      {"all", All, 351, Base},
+      {"capped-journal", {Failpoint::ServiceShardWedge}, 300, CappedJournal,
+       30, /*MustKill=*/true},
+      {"small-rings", All, 1307, SmallRings, /*Steps=*/60},
+  };
+  for (const Input &In : Inputs)
+    for (bool Threaded : {false, true}) {
+      SCOPED_TRACE(In.Name);
+      FailpointConfig FC;
+      FC.Seed = In.Seed;
+      FC.StallMicros = 5;
+      for (Failpoint F : In.Sites)
+        FC.rate(F, F == Failpoint::ServiceShardWedge ? 3000 : 5000);
+      FailpointScope Chaos(FC);
+      SoakResult R = soak(In.SC, In.Seed, /*K=*/8, Threaded, In.Steps);
+      for (Failpoint F : In.Sites)
+        EXPECT_GT(Failpoints::instance().fires(F), 0u)
+            << failpointName(F) << " never fired";
+      if (In.MustKill) {
+        EXPECT_GT(R.Killed, 0u) << "no session was killed";
+      }
+    }
 }
 
 //===----------------------------------------------------------------------===//

@@ -30,10 +30,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "CloseRuleHarness.h"
+#include "DifferentialHarness.h"
 #include "client/GoldClient.h"
-#include "event/RandomTrace.h"
-#include "event/TraceIO.h"
-#include "hb/HbOracle.h"
 #include "service/Backoff.h"
 #include "service/Service.h"
 #include "service/shm/ShmRing.h"
@@ -47,7 +45,6 @@
 #include <cstring>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,6 +58,10 @@
 
 using namespace gold;
 using namespace gold::shm;
+
+using difftest::oracleVarStrings;
+using difftest::smallRandomTrace;
+using difftest::traceLines;
 
 namespace {
 
@@ -91,23 +92,6 @@ struct JoinGuard {
   }
 };
 
-Trace smallRandomTrace(uint64_t Seed, unsigned Steps = 40,
-                       unsigned Threads = 4) {
-  RandomTraceParams P;
-  P.Seed = Seed;
-  P.StepsPerThread = Steps;
-  P.NumThreads = Threads;
-  return generateRandomTrace(P);
-}
-
-std::set<std::string> oracleVarStrings(const Trace &T) {
-  std::set<std::string> Want;
-  RaceOracle O(T, TxnSyncSemantics::SharedVariable);
-  for (const VarId &V : O.racyVars())
-    Want.insert(V.str());
-  return Want;
-}
-
 /// Publishes a whole trace through the library (commit sets attached the
 /// way a real producer attaches them). Returns false if the stream died.
 bool publishTrace(client::GoldClient &GC, const Trace &T) {
@@ -124,20 +108,10 @@ std::set<std::string> stdioVerdicts(const Trace &T) {
   DetectionService Svc;
   auto R = Svc.open(1);
   EXPECT_NE(R.S, nullptr);
-  std::istringstream In(serializeTrace(T));
-  std::string L;
-  while (std::getline(In, L)) {
-    if (L.empty())
-      continue;
-    for (;;) {
-      FeedResult F = R.S->feedLine(L);
-      if (F.St != FeedResult::Status::Backpressure) {
-        EXPECT_EQ(F.St, FeedResult::Status::Accepted) << F.Error;
-        break;
-      }
-      Svc.pumpAll();
-      Svc.poll();
-    }
+  for (const std::string &L : traceLines(T)) {
+    FeedResult F =
+        feedFrame(Svc, FeedMode::Settle, [&] { return R.S->feedLine(L); });
+    EXPECT_EQ(F.St, FeedResult::Status::Accepted) << F.Error;
   }
   Svc.drain();
   std::set<std::string> Got;
@@ -196,7 +170,7 @@ void forkedProducersDifferential(bool Threaded) {
 
   std::vector<Trace> Traces;
   for (unsigned I = 0; I != Clients; ++I)
-    Traces.push_back(smallRandomTrace(900 + I));
+    Traces.push_back(smallRandomTrace(900 + I, 40));
 
   // Children publish over the segment and diff their delivered verdicts
   // against the oracle themselves; the exit status is the verdict on the

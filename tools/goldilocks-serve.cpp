@@ -26,23 +26,16 @@
 /// "health <snapshot>". Accepted `line` commands are silent so a 10^6-line
 /// stream does not produce 10^6 acks.
 ///
-/// --soak K replaces the protocol loop with a deterministic multi-client
-/// soak: K clients each stream a seeded random trace, and every surviving
-/// client's verdicts are checked against the happens-before oracle for its
-/// own trace. Combined with --failpoint this is the chaos smoke CI runs.
-///
 /// SIGINT/SIGTERM trigger a crash-only quiesce: the loop stops where it is,
 /// the service drains and shuts down, and the final health line plus any
 /// --metrics-json/--health-json artifacts are still emitted.
 ///
-/// Exit code: 0 on clean (or interrupted-but-clean) shutdown, 1 when a soak
-/// verdict diverged from the oracle, 126 on usage errors.
+/// Exit code: 0 on clean (or interrupted-but-clean) shutdown, 126 on usage
+/// errors.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "event/RandomTrace.h"
 #include "event/TraceIO.h"
-#include "hb/HbOracle.h"
 #include "service/ClientStream.h"
 #include "service/Service.h"
 #include "service/Snapshots.h"
@@ -59,7 +52,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -129,11 +121,7 @@ enum class Opt {
   ShmPath,
   ShmRings,
   ShmWedgeMs,
-  Soak,
-  SoakSteps,
-  SoakThreads,
   Seed,
-  DurationMs,
   FailpointArg,
   Help,
 };
@@ -199,18 +187,7 @@ constexpr OptSpec Options[] = {
     {Opt::ShmWedgeMs, "--shm-wedge-ms", "<n>",
      "reap a live producer whose heartbeat is stale this long "
      "(default 5000; 0 disables wedge reaping, pid-death reaping stays)"},
-    {Opt::Soak, "--soak", "<k>",
-     "skip the protocol: run k concurrent seeded clients and check every "
-     "surviving client's verdicts against the happens-before oracle"},
-    {Opt::SoakSteps, "--soak-steps", "<n>",
-     "random-trace steps per thread per soak client (default 40)"},
-    {Opt::SoakThreads, "--soak-threads", "<n>",
-     "threads per soak client trace (default 4)"},
-    {Opt::Seed, "--seed", "<n>",
-     "base seed for soak traces and failpoint decisions (default 1)"},
-    {Opt::DurationMs, "--duration-ms", "<n>",
-     "stop feeding soak clients after this wall time (oracle comparison "
-     "is skipped for clients cut short)"},
+    {Opt::Seed, "--seed", "<n>", "failpoint decision seed (default 1)"},
     {Opt::FailpointArg, "--failpoint", "<site>=<ppm>",
      "arm a failpoint at the given parts-per-million rate (repeatable); "
      "sites: service-ingest-stall, service-client-hang, service-shard-wedge,"
@@ -353,140 +330,6 @@ void runProtocol(DetectionService &Svc) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Soak mode
-//===----------------------------------------------------------------------===//
-
-struct SoakClient {
-  uint64_t Id = 0;
-  Session *S = nullptr;
-  Trace T;                        ///< ground truth for the oracle
-  std::vector<std::string> Lines; ///< serialized trace, one action per line
-  size_t Cursor = 0;
-  bool Truncated = false; ///< cut short (deadline/interrupt): skip oracle
-  bool Closed = false;
-};
-
-/// Feeds every client to completion (round-robin inline, or one producer
-/// thread per client), closes them, and checks each surviving client's racy
-/// variables against the happens-before oracle over its own trace. Returns
-/// the number of diverging clients.
-int runSoak(DetectionService &Svc, size_t K, unsigned Steps, unsigned Threads,
-            uint64_t Seed, uint64_t DurationMs) {
-  std::vector<SoakClient> Clients(K);
-  for (size_t I = 0; I != K; ++I) {
-    SoakClient &C = Clients[I];
-    C.Id = I + 1;
-    RandomTraceParams P;
-    P.Seed = Seed + I;
-    P.StepsPerThread = Steps;
-    P.NumThreads = Threads;
-    C.T = generateRandomTrace(P);
-    std::istringstream In(serializeTrace(C.T));
-    std::string L;
-    while (std::getline(In, L))
-      if (!L.empty())
-        C.Lines.push_back(L);
-    DetectionService::OpenResult R = Svc.open(C.Id);
-    if (!R.S) {
-      std::fprintf(stderr, "soak: open %llu refused: %s\n",
-                   (unsigned long long)C.Id, R.Error.c_str());
-      return 1;
-    }
-    C.S = R.S;
-  }
-
-  auto Deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(DurationMs ? DurationMs : ~0ull >> 20);
-  auto PastDeadline = [&] {
-    return DurationMs && std::chrono::steady_clock::now() >= Deadline;
-  };
-
-  // One feed step; returns false once the client is done (or dead).
-  auto FeedOne = [&](SoakClient &C) -> bool {
-    if (C.Closed)
-      return false;
-    if (C.Cursor >= C.Lines.size() || interrupted() || PastDeadline()) {
-      C.Truncated = C.Cursor < C.Lines.size();
-      C.S->close();
-      C.Closed = true;
-      return false;
-    }
-    FeedResult R = feedFrame(Svc, FeedMode::Settle,
-                             [&] { return C.S->feedLine(C.Lines[C.Cursor]); });
-    if (R.St == FeedResult::Status::Accepted) {
-      ++C.Cursor;
-      return true;
-    }
-    if (R.St == FeedResult::Status::Backpressure) // never landed: cut short
-      C.Truncated = true;
-    else
-      std::fprintf(stderr, "soak: client %llu stopped at line %zu: %s\n",
-                   (unsigned long long)C.Id, C.Cursor, R.Error.c_str());
-    C.Closed = true; // session was torn down (or we are bailing out)
-    return false;
-  };
-
-  if (Svc.consumersRunning()) {
-    std::vector<std::thread> Producers;
-    Producers.reserve(K);
-    for (SoakClient &C : Clients)
-      Producers.emplace_back([&] {
-        while (FeedOne(C))
-          ;
-      });
-    for (std::thread &T : Producers)
-      T.join();
-  } else {
-    // Round-robin one line per client per round, so the shards always see a
-    // genuinely interleaved multi-client stream even without threads.
-    bool Progress = true;
-    while (Progress) {
-      Progress = false;
-      for (SoakClient &C : Clients)
-        Progress |= FeedOne(C);
-      Svc.makeProgress();
-    }
-  }
-
-  // Quiesce before comparing: every queued item applied, verdicts delivered.
-  Svc.shutdown();
-
-  int Diverged = 0;
-  size_t Compared = 0, Skipped = 0, TotalRaces = 0;
-  for (SoakClient &C : Clients) {
-    std::vector<RaceReport> Got = C.S->takeVerdicts();
-    TotalRaces += Got.size();
-    CloseReason R = C.S->closeReason();
-    bool Survived = !C.Truncated && (R == CloseReason::ClientClose ||
-                                     R == CloseReason::ServiceShutdown);
-    if (!Survived) {
-      // Killed by chaos (shed / shard-lost / error budget) or cut short:
-      // the loss is accounted in ServiceHealth, not comparable here.
-      ++Skipped;
-      continue;
-    }
-    ++Compared;
-    std::set<uint64_t> GotVars, WantVars;
-    for (const RaceReport &Rep : Got)
-      GotVars.insert(Rep.Var.key());
-    RaceOracle O(C.T, Svc.config().Engine.Semantics);
-    for (const VarId &V : O.racyVars())
-      WantVars.insert(V.key());
-    if (GotVars != WantVars) {
-      ++Diverged;
-      std::fprintf(stderr,
-                   "soak: client %llu DIVERGED: service=%zu oracle=%zu racy "
-                   "var(s)\n",
-                   (unsigned long long)C.Id, GotVars.size(), WantVars.size());
-    }
-  }
-  std::printf("soak clients=%zu compared=%zu skipped=%zu races=%zu "
-              "diverged=%d\n",
-              K, Compared, Skipped, TotalRaces, Diverged);
-  return Diverged ? 1 : 0;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -494,9 +337,7 @@ int main(int Argc, char **Argv) {
 
   ServiceConfig SC;
   bool Threaded = false;
-  size_t SoakClients = 0;
-  unsigned SoakSteps = 40, SoakThreads = 4;
-  uint64_t Seed = 1, DurationMs = 0, IdleTimeoutMs = 0;
+  uint64_t Seed = 1, IdleTimeoutMs = 0;
   uint64_t MetricsIntervalMs = 0;
   size_t HistoryCap = 512;
   bool TraceSet = false;
@@ -623,20 +464,8 @@ int main(int Argc, char **Argv) {
     case Opt::ShmWedgeMs:
       ShmWedgeMs = ParseUnsigned(true);
       break;
-    case Opt::Soak:
-      SoakClients = ParseUnsigned(false);
-      break;
-    case Opt::SoakSteps:
-      SoakSteps = static_cast<unsigned>(ParseUnsigned(false));
-      break;
-    case Opt::SoakThreads:
-      SoakThreads = static_cast<unsigned>(ParseUnsigned(false));
-      break;
     case Opt::Seed:
       Seed = ParseUnsigned(true);
-      break;
-    case Opt::DurationMs:
-      DurationMs = ParseUnsigned(false);
       break;
     case Opt::FailpointArg:
       if (!parseFailpointArg(V, FC)) {
@@ -787,7 +616,6 @@ int main(int Argc, char **Argv) {
     });
   }
 
-  int Rc = 0;
   if (Net || Shm) {
     // One serving thread drives both front ends. Whichever found work last
     // round sets the pace: any busy front end drops every timeout to zero
@@ -806,14 +634,12 @@ int main(int Argc, char **Argv) {
       Net->drainAndStop();
     if (Shm)
       Shm->drainAndStop();
-  } else if (SoakClients) {
-    Rc = runSoak(Svc, SoakClients, SoakSteps, SoakThreads, Seed, DurationMs);
   } else {
     runProtocol(Svc);
   }
 
-  // Crash-only quiesce (idempotent — soak already did it), then the final
-  // dump. This path runs identically for quit, EOF, SIGINT and SIGTERM.
+  // Crash-only quiesce, then the final dump. This path runs identically for
+  // quit, EOF, SIGINT and SIGTERM.
   Svc.shutdown();
   if (interrupted())
     std::fprintf(stderr, "goldilocks-serve: interrupted; quiesced cleanly\n");
@@ -836,5 +662,5 @@ int main(int Argc, char **Argv) {
   }
   if (!EmitSnapshots(/*Final=*/true))
     return 126;
-  return Rc;
+  return 0;
 }
