@@ -354,23 +354,30 @@ bool GoldClient::closeAndCollect(std::vector<std::string> &RaceVars,
       return false;
     }
   }
-  if (!Tcp || Tcp->NeedReconnect) {
-    // Heal the connection first; close must go down a live socket.
-    if (!pump(Err) || !Tcp) {
-      RaceVars = PendingRaces;
-      return false;
-    }
-  }
   char Req[64];
   int N = net::proto::fmtClose(Req, sizeof(Req), Cfg.ClientId);
   for (;;) {
+    // Close must go down a live socket. A connection lost before the reply
+    // (the server gave up on a half-open peer, or said bye) took the close
+    // with it; the session is still open, so reconnect-resume and resend.
+    if (!Tcp || Tcp->NeedReconnect) {
+      if (nowNanos() > Deadline) {
+        Err = "gold-client: connection closed before the close reply";
+        RaceVars = PendingRaces;
+        return false;
+      }
+      if (!pump(Err) || !Tcp) {
+        RaceVars = PendingRaces;
+        return false;
+      }
+      continue;
+    }
     Tcp->CloseReply.clear();
     if (::send(Tcp->Fd, Req, size_t(N), MSG_NOSIGNAL) != N) {
-      Err = "gold-client: close write failed: " +
-            std::string(std::strerror(errno));
-      return false;
+      Tcp->NeedReconnect = true;
+      continue;
     }
-    while (Tcp->CloseReply.empty()) {
+    while (Tcp->CloseReply.empty() && !Tcp->NeedReconnect) {
       pollfd P{Tcp->Fd, POLLIN, 0};
       ::poll(&P, 1, 5);
       std::string L;
@@ -378,11 +385,8 @@ bool GoldClient::closeAndCollect(std::vector<std::string> &RaceVars,
       ssize_t G = ::recv(Tcp->Fd, Tmp, sizeof(Tmp), MSG_DONTWAIT);
       if (G > 0)
         Tcp->In.append(Tmp, size_t(G));
-      else if (G == 0) {
-        Err = "gold-client: connection closed before the close reply";
-        RaceVars = PendingRaces;
-        return false;
-      }
+      else if (G == 0)
+        Tcp->NeedReconnect = true; // lines already read still count
       size_t Nl;
       while ((Nl = Tcp->In.find('\n')) != std::string::npos) {
         L.assign(Tcp->In, 0, Nl);
@@ -398,6 +402,8 @@ bool GoldClient::closeAndCollect(std::vector<std::string> &RaceVars,
         return false;
       }
     }
+    if (Tcp->CloseReply.empty())
+      continue; // the connection died first: heal it and resend
     const std::string &R = Tcp->CloseReply;
     if (net::proto::hasPrefix(R, net::proto::OkClose)) {
       RaceVars = PendingRaces;

@@ -29,14 +29,20 @@ struct GoldilocksEngine::Cell {
   std::atomic<uint32_t> RefCount{0};
 };
 
-/// Figure 8's Info record: one remembered access to a data variable. Pos is
-/// atomic so the record's position can be published/read without tearing;
-/// the variable's KL stripe remains the lock under which the record as a
-/// whole (lockset, owner, flags) is mutated.
+/// Figure 8's Info record (pos, owner, alock, xact): one remembered access
+/// to a data variable. The lockset just after the access is always the
+/// install lockset {Owner} (+TL when Xact), so the record stores none: a
+/// window walk rebuilds it from Owner and Xact. Only partially-eager
+/// evaluation (advanceInfosLocked) gives a record a different lockset, and
+/// only then is one allocated into Advanced. Pos is atomic so the record's
+/// position can be published/read without tearing; the variable's KL
+/// stripe remains the lock under which the record as a whole is mutated.
 struct GoldilocksEngine::Info {
   std::atomic<Cell *> Pos{nullptr}; ///< last sync event the access came after
+  /// The lockset at Pos once an eager advance changed it; null while it is
+  /// still the install lockset. Counted by AdvancedCount.
+  std::unique_ptr<Lockset> Advanced;
   ThreadId Owner = NoThread;
-  Lockset LS;            ///< Lockset just after the access (may be advanced)
   ObjectId ALock = 0;    ///< A lock held by Owner at the access
   bool HasALock = false;
   bool Xact = false;     ///< Access was inside a transaction
@@ -47,13 +53,25 @@ struct GoldilocksEngine::Info {
   Info &operator=(Info &&O) noexcept {
     Pos.store(O.Pos.load(std::memory_order_relaxed),
               std::memory_order_relaxed);
+    Advanced = std::move(O.Advanced);
     Owner = O.Owner;
-    LS = std::move(O.LS);
     ALock = O.ALock;
     HasALock = O.HasALock;
     Xact = O.Xact;
     Valid = O.Valid;
     return *this;
+  }
+
+  /// The lockset at Pos.
+  Lockset lockset() const {
+    if (Advanced)
+      return *Advanced;
+    Lockset LS;
+    LS.resetToOwner(Owner, Xact);
+    return LS;
+  }
+  size_t locksetSize() const {
+    return Advanced ? Advanced->size() : 1 + size_t(Xact);
   }
 };
 
@@ -62,23 +80,24 @@ struct GoldilocksEngine::Info {
 /// VarState, so the common one-or-two-readers case costs no vector
 /// header or reallocation. Guarded by the variable's KL stripe.
 struct GoldilocksEngine::ReadRec {
-  ThreadId Tid = NoThread;
   Info RI;
   ReadRec *Next = nullptr;
+  ThreadId Tid = NoThread;
 };
 
 /// Per-variable state: WriteInfo and per-thread ReadInfo. The serialization
 /// lock KL(o,d) lives in the engine's striped lock table (klFor), not here,
 /// so a VarState is just data. Slab-allocated (VarArena); never freed
 /// before engine teardown, which is what lets the shard tables and the
-/// per-object lists hold raw pointers with no tombstones.
+/// per-object lists hold raw pointers with no tombstones. V comes first, so
+/// an index probe that compares it loads the line the record lives on.
 struct GoldilocksEngine::VarState {
+  VarId V;
   Info Write;
   ReadRec *ReadsHead = nullptr; // reads since the last write (KL stripe)
   VarState *NextInObject = nullptr; // intrusive ByObject list (shard mutex)
   bool Disabled = false;  ///< disabled after its first race (Section 6)
   bool Degraded = false;  ///< disabled by the resource governor (rung 3)
-  VarId V;
 };
 
 /// Per-thread lock stack, consulted by the alock short circuit, plus the
@@ -137,19 +156,46 @@ struct GoldilocksEngine::QuarantineBatch {
 };
 
 /// One shard of the variable-state index. It holds every variable of the
-/// objects objectShard maps to it: an open-addressing flat table (linear
-/// probing, power-of-two size, null = empty, load factor at most 3/4) over
-/// slab-allocated VarStates, plus a per-object index realized as intrusive
-/// lists through VarState::NextInObject. VarStates are never deleted before
-/// engine teardown, so the table needs no tombstones and probe chains never
-/// break. The probe start is a full mix of the (object, field) key, so the
-/// fields of different objects scatter and a lookup costs an expected one
-/// or two slots.
+/// objects objectShard maps to it in two open-addressing flat tables
+/// (linear probing, power-of-two size, null = empty, load factor at most
+/// 3/4) over slab-allocated VarStates: Table by (object, field), and Heads
+/// by object, holding each object's newest variable, which heads the
+/// object's intrusive NextInObject list. VarStates are never deleted before
+/// engine teardown, so the tables need no tombstones and probe chains never
+/// break, and indexing a new variable allocates nothing per object.
 struct GoldilocksEngine::Shard {
   std::mutex Mu;
-  std::vector<VarState *> Table; // open addressing; size is a power of two
-  size_t Count = 0;              // occupied slots
-  std::unordered_map<ObjectId, VarState *> ByObjectHead; // intrusive heads
+  std::vector<VarState *> Table;
+  size_t Count = 0; // occupied slots of Table
+  std::vector<VarState *> Heads;
+  size_t Objects = 0; // occupied slots of Heads
+
+  static uint64_t varKey(const VarState *St) { return St->V.key(); }
+  static uint64_t objectKey(const VarState *St) { return St->V.Object; }
+
+  /// The slot of non-empty \p T holding the entry whose key is \p Key, or
+  /// the empty slot where it belongs. The probe starts at the low bits of
+  /// the key's full mix, so neither an object's fields nor a shard's
+  /// objects (which share the high bits objectShard uses) pile up.
+  template <uint64_t (*KeyOf)(const VarState *)>
+  static VarState *&slot(std::vector<VarState *> &T, uint64_t Key) {
+    size_t Mask = T.size() - 1;
+    for (size_t I = mix64(Key) & Mask;; I = (I + 1) & Mask)
+      if (!T[I] || KeyOf(T[I]) == Key)
+        return T[I];
+  }
+  /// Doubles \p T, which has \p Used entries, if one more would pass the
+  /// load factor.
+  template <uint64_t (*KeyOf)(const VarState *)>
+  static void reserveOne(std::vector<VarState *> &T, size_t Used) {
+    if ((Used + 1) * 4 < T.size() * 3)
+      return;
+    std::vector<VarState *> Grown(T.empty() ? 16 : T.size() * 2, nullptr);
+    for (VarState *St : T)
+      if (St)
+        slot<KeyOf>(Grown, KeyOf(St)) = St;
+    T.swap(Grown);
+  }
 };
 
 unsigned GoldilocksEngine::objectShard(ObjectId O) {
@@ -157,18 +203,6 @@ unsigned GoldilocksEngine::objectShard(ObjectId O) {
   // objects spread over all its index shards.
   return static_cast<unsigned>(mix64(O) >> (64 - ShardBits));
 }
-
-namespace {
-
-/// Probe start for a packed (object, field) key: the low bits of its full
-/// mix. Every key bit reaches them, so an object's fields do not pile up
-/// on another object's same-numbered fields. Unrelated to objectShard,
-/// which mixes the object id alone.
-size_t varProbeStart(uint64_t Key, size_t Mask) {
-  return static_cast<size_t>(mix64(Key)) & Mask;
-}
-
-} // namespace
 
 struct GoldilocksEngine::AtomicStats {
   GOLD_COUNTER_ATOMICS(GOLD_ENGINE_COUNTERS)
@@ -524,6 +558,9 @@ GoldilocksEngine::GoldilocksEngine(EngineConfig C)
       VarArena(new SlabArena(sizeof(VarState), C.EnableSlabPooling)),
       ReadArena(new SlabArena(sizeof(ReadRec), C.EnableSlabPooling)),
       S(new AtomicStats) {
+  // One cache line per variable and per read record (one 64-byte slot).
+  static_assert(sizeof(VarState) <= 64, "VarState must fit one cache line");
+  static_assert(sizeof(ReadRec) <= 64, "ReadRec must fit one cache line");
   // Sentinel origin cell so Info.Pos is never null.
   Cell *Origin = slabNew<Cell>(*CellArena);
   Origin->Event.Kind = ActionKind::Terminate;
@@ -606,44 +643,22 @@ GoldilocksEngine::VarState &GoldilocksEngine::varState(VarId V) {
   Shard &Sh = Shards[objectShard(V.Object)];
   uint64_t Key = V.key();
   std::lock_guard<std::mutex> L(Sh.Mu);
-  if (!Sh.Table.empty()) {
-    size_t Mask = Sh.Table.size() - 1;
-    for (size_t Idx = varProbeStart(Key, Mask);; Idx = (Idx + 1) & Mask) {
-      VarState *St = Sh.Table[Idx];
-      if (!St)
-        break;
-      if (St->V == V)
-        return *St;
-    }
-  }
+  if (!Sh.Table.empty())
+    if (VarState *St = Shard::slot<Shard::varKey>(Sh.Table, Key))
+      return *St;
   // Miss: insert. Ordered so every throwing step precedes the no-fail
-  // linking — grow the table, reserve the per-object head, allocate the
-  // state, then link; onAlloc (rule 8) can then never miss a variable that
-  // made it into the table.
-  if ((Sh.Count + 1) * 4 >= Sh.Table.size() * 3) { // load factor 3/4
-    size_t NewSize = Sh.Table.empty() ? 16 : Sh.Table.size() * 2;
-    std::vector<VarState *> NewTable(NewSize, nullptr);
-    size_t Mask = NewSize - 1;
-    for (VarState *St : Sh.Table) {
-      if (!St)
-        continue;
-      size_t Idx = varProbeStart(St->V.key(), Mask);
-      while (NewTable[Idx])
-        Idx = (Idx + 1) & Mask;
-      NewTable[Idx] = St;
-    }
-    Sh.Table.swap(NewTable);
-  }
-  auto HeadIt = Sh.ByObjectHead.emplace(V.Object, nullptr).first;
+  // linking — grow both tables, allocate the state, then link; onAlloc
+  // (rule 8) can then never miss a variable that made it into the table.
+  Shard::reserveOne<Shard::varKey>(Sh.Table, Sh.Count);
+  Shard::reserveOne<Shard::objectKey>(Sh.Heads, Sh.Objects);
   VarState *St = slabNew<VarState>(*VarArena);
   St->V = V;
-  St->NextInObject = HeadIt->second;
-  HeadIt->second = St;
-  size_t Mask = Sh.Table.size() - 1;
-  size_t Idx = varProbeStart(Key, Mask);
-  while (Sh.Table[Idx])
-    Idx = (Idx + 1) & Mask;
-  Sh.Table[Idx] = St;
+  VarState *&Head = Shard::slot<Shard::objectKey>(Sh.Heads, V.Object);
+  if (!Head)
+    ++Sh.Objects;
+  St->NextInObject = Head;
+  Head = St;
+  Shard::slot<Shard::varKey>(Sh.Table, Key) = St;
   ++Sh.Count;
   VarCount.fetch_add(1, std::memory_order_relaxed);
   return *St;
@@ -715,6 +730,8 @@ void GoldilocksEngine::dropInfo(Info &I) {
   if (!I.Valid)
     return;
   releaseCell(I.Pos.load(std::memory_order_relaxed));
+  if (I.Advanced)
+    AdvancedCount.fetch_sub(1, std::memory_order_relaxed);
   I = Info();
   InfoCount.fetch_sub(1, std::memory_order_relaxed);
 }
@@ -731,7 +748,7 @@ void GoldilocksEngine::clearReads(VarState &St) {
 }
 
 void GoldilocksEngine::installInfo(Info &Slot, Info &&NI) {
-  assert(NI.Valid && "installing an invalid Info");
+  assert(NI.Valid && !NI.Advanced && "installs are compact and valid");
   // Takes the new position's reference. Replacing a valid record keeps the
   // record count (and so the high water) where it is, and replacing one at
   // the same position keeps its reference as well.
@@ -742,6 +759,8 @@ void GoldilocksEngine::installInfo(Info &Slot, Info &&NI) {
       retainCell(NewPos);
       releaseCell(OldPos);
     }
+    if (Slot.Advanced)
+      AdvancedCount.fetch_sub(1, std::memory_order_relaxed);
     Slot = std::move(NI);
     return;
   }
@@ -1047,10 +1066,10 @@ void GoldilocksEngine::onAlloc(ThreadId T, ObjectId O, uint32_t FieldCount) {
   // dereferences unretained cells), so no epoch section is needed.
   Shard &Sh = Shards[objectShard(O)];
   std::lock_guard<std::mutex> L(Sh.Mu);
-  auto It = Sh.ByObjectHead.find(O);
-  if (It == Sh.ByObjectHead.end())
+  if (Sh.Heads.empty())
     return;
-  for (VarState *St = It->second; St; St = St->NextInObject) {
+  for (VarState *St = Shard::slot<Shard::objectKey>(Sh.Heads, O); St;
+       St = St->NextInObject) {
     std::lock_guard<std::mutex> KL(klFor(St->V));
     dropInfo(St->Write);
     clearReads(*St);
@@ -1296,23 +1315,24 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState &TS, VarId V,
       return;
     S->PairChecks.fetch_add(1, std::memory_order_relaxed);
     if (HLocksetSize)
-      HLocksetSize->record(Prev.LS.size());
+      HLocksetSize->record(Prev.locksetSize());
     if (orderedBefore(Prev, T, Xact, TS))
       return;
     // Prev's position is retained by the record and stable under KL.
     Cell *PrevPos = Prev.Pos.load(std::memory_order_acquire);
     // Thread-filtered fast walk, then the full lockset computation.
     if (Cfg.EnableFilteredWalk &&
-        walkWindow(Prev.LS, PrevPos, ToSeq, T, Xact, V, /*Filtered=*/true,
-                   Prev.Owner, SelfCommit, &TS)) {
+        walkWindow(Prev.lockset(), PrevPos, ToSeq, T, Xact, V,
+                   /*Filtered=*/true, Prev.Owner, SelfCommit, &TS)) {
       S->FilteredWalks.fetch_add(1, std::memory_order_relaxed);
       if (HCheckPath)
         HCheckPath->record(1u << unsigned(CheckPath::FilteredWalk));
       return;
     }
     S->FullWalks.fetch_add(1, std::memory_order_relaxed);
-    if (walkWindow(Prev.LS, PrevPos, ToSeq, T, Xact, V, /*Filtered=*/false,
-                   Prev.Owner, SelfCommit, /*Proofs=*/nullptr)) {
+    if (walkWindow(Prev.lockset(), PrevPos, ToSeq, T, Xact, V,
+                   /*Filtered=*/false, Prev.Owner, SelfCommit,
+                   /*Proofs=*/nullptr)) {
       if (HCheckPath)
         HCheckPath->record(1u << unsigned(CheckPath::FullWalk));
       return;
@@ -1334,7 +1354,8 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState &TS, VarId V,
     // variable), so the copy/string cost is invisible to the hot path.
     if (Cfg.EnableProvenance)
       R.Provenance =
-          captureProvenance(Prev.LS, PrevPos, ToSeq, T, Xact, V, SelfCommit);
+          captureProvenance(Prev.lockset(), PrevPos, ToSeq, T, Xact, V,
+                            SelfCommit);
     Race = R;
   };
 
@@ -1356,14 +1377,13 @@ GoldilocksEngine::accessLocked(ThreadId T, ThreadState &TS, VarId V,
   }
 
   // Install the new Info (Figure 8 lines 4-9 / 12-23): after the access the
-  // variable's lockset is {t} (plus TL inside a transaction). Everything
-  // that can throw — the lockset reset, the slot reservation — happens
-  // before installInfo takes the cell reference, so the handoff cannot
-  // leak one under memory pressure.
+  // variable's lockset is {t} (plus TL inside a transaction), which a
+  // compact record implies. Everything that can throw — the slot
+  // reservation — happens before installInfo takes the cell reference, so
+  // the handoff cannot leak one under memory pressure.
   Info NI;
   NI.Owner = T;
   NI.Xact = Xact;
-  NI.LS.resetToOwner(T, Xact);
   if (!TS.HeldLocks.empty()) {
     NI.ALock = TS.HeldLocks.back();
     NI.HasALock = true;
@@ -1621,13 +1641,29 @@ void GoldilocksEngine::advanceInfosLocked(Cell *Boundary) {
     Cell *Pos = I.Pos.load(std::memory_order_relaxed);
     if (Pos->Seq >= BSeq)
       return;
-    // Acquire loads: the walk can step one cell past the boundary into a
-    // cell a concurrent appender just linked, and only the link-CAS's
-    // release publishes that cell's Seq/Event.
-    const Cell *C = Pos->Next.load(std::memory_order_acquire);
-    while (C && C->Seq <= BSeq) {
-      applyLocksetRule(I.LS, C->Event, V, Cfg.Semantics);
-      C = C->Next.load(std::memory_order_acquire);
+    // Replay into a copy and commit only once nothing can throw: a record
+    // left unadvanced by bad_alloc is still exact (rung 3 handles records
+    // that keep pinning cells).
+    try {
+      Lockset LS = I.lockset();
+      // Acquire loads: the walk can step one cell past the boundary into a
+      // cell a concurrent appender just linked, and only the link-CAS's
+      // release publishes that cell's Seq/Event.
+      const Cell *C = Pos->Next.load(std::memory_order_acquire);
+      while (C && C->Seq <= BSeq) {
+        applyLocksetRule(LS, C->Event, V, Cfg.Semantics);
+        C = C->Next.load(std::memory_order_acquire);
+      }
+      // The rules only insert, so an unchanged size is an unchanged set: a
+      // compact record stays compact.
+      if (I.Advanced) {
+        *I.Advanced = std::move(LS);
+      } else if (LS.size() != I.locksetSize()) {
+        I.Advanced = std::make_unique<Lockset>(std::move(LS));
+        AdvancedCount.fetch_add(1, std::memory_order_relaxed);
+      }
+    } catch (const std::bad_alloc &) {
+      return;
     }
     releaseCell(Pos);
     retainCell(Boundary);
@@ -1726,12 +1762,12 @@ size_t GoldilocksEngine::approxBytes() const {
   // Slab-aware accounting: the arenas report the bytes they actually hold
   // from the system (whole pages when pooled, live slots when passthrough),
   // which automatically covers live cells, quarantined cells, variable
-  // records and read records. The remaining constants stand in for side
-  // structures the arenas do not own: lockset heap spill for Info records
-  // and the shard tables' pointer slots per variable.
+  // records and read records. Outside the arenas live the locksets of
+  // eagerly advanced records (charged at their inline size) and the shard
+  // tables' pointer slots per variable (a constant stand-in).
   return CellArena->bytesReserved() + VarArena->bytesReserved() +
          ReadArena->bytesReserved() +
-         InfoCount.load(std::memory_order_relaxed) * 32 +
+         AdvancedCount.load(std::memory_order_relaxed) * sizeof(Lockset) +
          VarCount.load(std::memory_order_relaxed) * 64;
 }
 
@@ -1751,7 +1787,7 @@ bool GoldilocksEngine::overInfoBudget() const {
   if (Cfg.MaxInfoRecords &&
       InfoCount.load(std::memory_order_relaxed) + 1 > Cfg.MaxInfoRecords)
     return true;
-  if (Cfg.MaxBytes && approxBytes() + sizeof(Info) + 32 > Cfg.MaxBytes)
+  if (Cfg.MaxBytes && approxBytes() + sizeof(Info) > Cfg.MaxBytes)
     return true;
   return false;
 }

@@ -621,6 +621,7 @@ private:
   // needed by single-threaded inspection, concurrent readers get estimates).
   std::atomic<size_t> InfoCount{0};
   std::atomic<size_t> InfoHighWater{0};
+  std::atomic<size_t> AdvancedCount{0}; // records with an Advanced lockset
   std::atomic<size_t> ListHighWater{1}; // sentinel cell counts
   std::atomic<size_t> VarCount{0};
   std::atomic<unsigned> DegLevel{0};    // highest ladder rung reached

@@ -110,8 +110,12 @@ bool Failpoints::evaluate(Failpoint F) {
   uint64_t N = S.Evals.fetch_add(1, std::memory_order_relaxed);
   if (Rate == 0)
     return false;
-  // mix64 decorrelates (seed, site, counter) triples.
-  uint64_t H = mix64(Cfg.Seed ^ (0x517cc1b727220a95ULL * (I + 1)) ^ N);
+  // The inner mix turns (seed, site) into a stream key; the outer one draws
+  // the counter's decision from that stream. A single mix64(Seed ^ Site ^
+  // N) would only XOR-permute the counter, so every seed fired at nearly
+  // the same evaluations.
+  uint64_t Stream = mix64(Cfg.Seed ^ (0x517cc1b727220a95ULL * (I + 1)));
+  uint64_t H = mix64(Stream ^ N);
   if (H % 1000000u >= Rate)
     return false;
   S.Fires.fetch_add(1, std::memory_order_relaxed);

@@ -11,7 +11,8 @@
 ///
 /// Decisions are deterministic: each site keeps an evaluation counter, and
 /// the n-th evaluation of site s fires iff
-///   mix64(Seed ^ hash(s) ^ n) mod 1e6 < RatePpm[s].
+///   mix64(mix64(Seed ^ hash(s)) ^ n) mod 1e6 < RatePpm[s],
+/// so each (seed, site) pair selects its own decision stream.
 /// Replaying the same single-threaded run with the same seed therefore
 /// injects exactly the same faults. Under concurrency the counter interleaves
 /// nondeterministically, which still yields a reproducible *distribution*.

@@ -3,6 +3,9 @@
 #include "vm/Heap.h"
 
 #include <cassert>
+#include <new>
+
+#include <sys/mman.h>
 
 using namespace gold;
 
@@ -74,27 +77,31 @@ uint32_t Monitor::depth(ThreadId T) const {
 // Heap
 //===----------------------------------------------------------------------===//
 
-Heap::Heap() : Chunks(new std::atomic<Chunk *>[MaxChunks]) {
-  for (size_t I = 0; I != MaxChunks; ++I)
-    Chunks[I].store(nullptr, std::memory_order_relaxed);
+Heap::Heap() {
+  void *Dir = mmap(nullptr, MaxChunks * sizeof(Chunk *), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (Dir == MAP_FAILED)
+    throw std::bad_alloc();
+  Chunks = static_cast<Chunk **>(Dir);
 }
 
 Heap::~Heap() {
   size_t N = Count.load(std::memory_order_relaxed);
   for (size_t I = 1; I < N; ++I) {
-    Chunk *C = Chunks[I >> ChunkBits].load(std::memory_order_relaxed);
+    Chunk *C = chunkAt(I >> ChunkBits).load(std::memory_order_relaxed);
     delete C[I & (ChunkSize - 1)].load(std::memory_order_relaxed);
   }
   size_t NumChunks = (N + ChunkSize - 1) >> ChunkBits;
   for (size_t I = 0; I != NumChunks; ++I)
-    delete[] Chunks[I].load(std::memory_order_relaxed);
+    delete[] chunkAt(I).load(std::memory_order_relaxed);
+  munmap(Chunks, MaxChunks * sizeof(Chunk *));
 }
 
 ObjectId Heap::alloc(ClassId Class, uint32_t FieldCount) {
   std::lock_guard<std::mutex> L(GrowMu);
   size_t Id = Count.load(std::memory_order_relaxed);
   assert(Id >> ChunkBits < MaxChunks && "heap exhausted");
-  auto &Slot = Chunks[Id >> ChunkBits];
+  std::atomic_ref<Chunk *> Slot = chunkAt(Id >> ChunkBits);
   Chunk *C = Slot.load(std::memory_order_relaxed);
   if (!C) {
     C = new Chunk[ChunkSize];
@@ -110,7 +117,7 @@ ObjectId Heap::alloc(ClassId Class, uint32_t FieldCount) {
 
 ObjectRec &Heap::get(ObjectId O) {
   assert(O != NullRef && "dereferencing null");
-  Chunk *C = Chunks[O >> ChunkBits].load(std::memory_order_acquire);
+  Chunk *C = chunkAt(O >> ChunkBits).load(std::memory_order_acquire);
   assert(C && "invalid object id (chunk)");
   ObjectRec *R = C[O & (ChunkSize - 1)].load(std::memory_order_acquire);
   assert(R && "invalid object id (slot)");

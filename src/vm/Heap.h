@@ -113,8 +113,16 @@ private:
 
   using Chunk = std::atomic<ObjectRec *>; // array of ChunkSize entries
 
+  /// Directory entry \p I, accessed atomically in place.
+  std::atomic_ref<Chunk *> chunkAt(size_t I) const {
+    return std::atomic_ref<Chunk *>(Chunks[I]);
+  }
+
   std::mutex GrowMu;
-  std::unique_ptr<std::atomic<Chunk *>[]> Chunks;
+  /// MaxChunks directory entries in an anonymous mapping that is never
+  /// written up front: its pages read as zero (no chunk) until alloc()
+  /// installs a chunk, so a VM does not pay to clear 512 KiB it never uses.
+  Chunk **Chunks;
   std::atomic<size_t> Count{1}; // slot 0 is the null reference
 };
 

@@ -665,3 +665,69 @@ TEST(EngineTest, SameCellRecordReplacementKeepsCountsExact) {
   EXPECT_EQ(E.eventListLength(), 1u);
   EXPECT_EQ(E.infoRecordCount(), 1u);
 }
+
+TEST(EngineTest, AdvancedRecordLifetimeKeepsAccountingExact) {
+  // A record advanced by the coarsening rung carries its own lockset until
+  // a compact install replaces it or rule 8 drops it; the governor's byte
+  // count must charge it exactly that long. Lock 9 chains T1 -> T2 -> T3;
+  // T1 never takes it again, so its late write of Z races T2's. X is
+  // (7, 0).
+  const VarId Z{8, 0};
+  auto PhaseA = [](TraceBuilder &B) {
+    B.write(1, 7, 0).acq(1, 9).rel(1, 9);
+    B.acq(2, 9).read(2, 7, 0).write(2, 8, 0).rel(2, 9);
+    B.acq(3, 9).rel(3, 9);
+  };
+  auto PhaseB1 = [](TraceBuilder &B) { B.acq(2, 9).read(2, 7, 0); };
+  auto PhaseB2 = [](TraceBuilder &B) {
+    B.rel(2, 9).acq(3, 9).write(3, 7, 0).rel(3, 9);
+  };
+  auto PhaseC = [](TraceBuilder &B) { B.write(1, 8, 0); };
+  auto PhaseD = [](TraceBuilder &B) { B.alloc(3, 7, 1).read(1, 7, 0); };
+
+  EngineConfig C;
+  C.GcThreshold = 0; // the ladder is the only collector
+  GoldilocksDetector D(C);
+  GoldilocksEngine &E = D.engine();
+  std::vector<RaceReport> Races;
+  auto Run = [&](auto Phase) {
+    TraceBuilder B;
+    Phase(B);
+    auto R = D.runTrace(B.take());
+    Races.insert(Races.end(), R.begin(), R.end());
+  };
+
+  Run(PhaseA);
+  // X: T1's write, T2's read; Z: T2's write. All compact.
+  ASSERT_EQ(E.infoRecordCount(), 3u);
+  const size_t Compact = E.health().ApproxBytes;
+
+  E.escalateLadder(2); // coarsen every record to the tail
+  EXPECT_EQ(E.stats().EagerAdvances, 3u);
+  EXPECT_EQ(E.infoRecordCount(), 3u);
+  EXPECT_EQ(E.health().ApproxBytes, Compact + 3 * sizeof(Lockset));
+
+  Run(PhaseB1); // T2's advanced read of X is replaced in place
+  EXPECT_EQ(E.infoRecordCount(), 3u);
+  EXPECT_EQ(E.health().ApproxBytes, Compact + 2 * sizeof(Lockset));
+  Run(PhaseB2); // T3's write replaces T1's and drops T2's read
+  EXPECT_EQ(E.infoRecordCount(), 2u);
+  EXPECT_EQ(E.health().ApproxBytes, Compact + sizeof(Lockset));
+
+  Run(PhaseC); // the race disables Z and drops its advanced record
+  EXPECT_EQ(E.infoRecordCount(), 1u);
+  EXPECT_EQ(E.health().ApproxBytes, Compact);
+
+  Run(PhaseD); // rule 8 drops X's record; T1's read is then fresh
+  EXPECT_EQ(E.infoRecordCount(), 1u);
+  EXPECT_EQ(E.health().ApproxBytes, Compact);
+
+  TraceBuilder All;
+  for (auto Phase : {+PhaseA, +PhaseB1, +PhaseB2, +PhaseC, +PhaseD})
+    Phase(All);
+  RaceOracle O(All.take());
+  std::set<VarId> Want(O.racyVars().begin(), O.racyVars().end());
+  EXPECT_EQ(sortedRacyVars(Races),
+            std::vector<VarId>(Want.begin(), Want.end()));
+  EXPECT_EQ(sortedRacyVars(Races), std::vector<VarId>{Z});
+}

@@ -787,13 +787,23 @@ namespace {
 /// oracle-exact verdicts and the server counts resumes. Without it,
 /// nothing may be lost, resynced, dropped or reconnected.
 void runGoldClientFleet(bool Chaos, bool Threaded) {
+  // The armed sites; each must fire at least once per chaos run.
+  constexpr Failpoint ChaosSites[] = {
+      Failpoint::NetAcceptFail, Failpoint::NetPartialRead,
+      Failpoint::NetWriteStall, Failpoint::NetConnHang,
+      Failpoint::NetClientDrop};
   FailpointConfig FC;
   FC.Seed = 1;
   if (Chaos) {
-    FC.rate(Failpoint::NetAcceptFail, 30000);
+    // Each site fires at an evaluation index its seed-1 stream fixes, so a
+    // site fires in every run whose evaluation count passes its first
+    // firing index. Runs evaluate accept-fail 17-100 times and conn-hang
+    // and write-stall 50-300 times; these rates first fire at evaluations
+    // 0, 3 and 16.
+    FC.rate(Failpoint::NetAcceptFail, 90000);
     FC.rate(Failpoint::NetPartialRead, 100000);
-    FC.rate(Failpoint::NetWriteStall, 50000);
-    FC.rate(Failpoint::NetConnHang, 1000);
+    FC.rate(Failpoint::NetWriteStall, 100000);
+    FC.rate(Failpoint::NetConnHang, 20000);
     FC.rate(Failpoint::NetClientDrop, 50000);
   }
   FailpointScope Scope(FC);
@@ -872,8 +882,11 @@ void runGoldClientFleet(bool Chaos, bool Threaded) {
   EXPECT_EQ(Svc.health().VerdictLossEvents, 0u);
   EXPECT_EQ(Svc.health().ParseErrors, 0u);
   if (Chaos) {
-    EXPECT_GT(Failpoints::instance().fires(Failpoint::NetPartialRead), 0u);
-    EXPECT_GT(Failpoints::instance().fires(Failpoint::NetClientDrop), 0u);
+    for (Failpoint F : ChaosSites) {
+      EXPECT_GT(Failpoints::instance().fires(F), 0u)
+          << failpointName(F) << " never fired in "
+          << Failpoints::instance().evaluations(F) << " evaluations";
+    }
     EXPECT_GT(Resumes.load(), 0u);
     EXPECT_GT(S.Resumes, 0u); // reconnect-with-resume actually exercised
     return;

@@ -135,8 +135,11 @@ TEST(TelemetryRegistryTest, SameNameYieldsSameInstrument) {
 TEST(TelemetryRegistryTest, ReferencesSurviveLaterRegistrations) {
   Telemetry Tel;
   Histogram &First = Tel.histogram("h0");
-  for (int I = 1; I != 200; ++I)
-    Tel.histogram("h" + std::to_string(I));
+  for (int I = 1; I != 200; ++I) {
+    std::string Name = std::to_string(I);
+    Name.insert(0, 1, 'h');
+    Tel.histogram(Name);
+  }
   First.record(7);
   EXPECT_EQ(Tel.histogram("h0").count(), 1u);
   EXPECT_EQ(Tel.histogram("h0").max(), 7u);

@@ -14,8 +14,10 @@ objects. Then, per workload, it runs --pairs pairs. The side that runs first
 flips on every pair: a fixed order can bias a metric that reads differently
 for whichever run comes second (svc-tcp setup_s has done so).
 
-Prints every pair, then per metric both medians, the base side's quartiles
-and the relative change of the medians. With --trace 1, pass per-layer
+Prints every pair, then per metric both medians, the base side's quartiles,
+the relative change of the medians, and in how many pairs the change side
+was better by the metric's "better" direction in the change checkout's
+BENCHMARK.json (a tie is not better). With --trace 1, pass per-layer
 metric names (BENCHMARK.json "per_layer") in --metrics. Exits 1 if any run
 fails, reports "correct": false or has failed operations, after printing
 what it has.
@@ -58,6 +60,14 @@ def fmt(value, unit):
     return "%.4g %s" % (value, unit)
 
 
+def better_directions(checkout):
+    """Maps every metric BENCHMARK.json declares to its "better" direction."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    return {m["name"]: m["better"]
+            for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
+
+
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0]
@@ -89,6 +99,11 @@ def main():
         "change": (os.path.abspath(args.change), os.path.join(root, "change")),
     }
     metrics = [m for m in args.metrics.split(",") if m]
+    better = better_directions(sides["change"][0])
+    unknown = [m for m in metrics if m not in better]
+    if unknown:
+        ap.error("no \"better\" direction in BENCHMARK.json for: " +
+                 ", ".join(unknown))
     ok = True
 
     # Build both sides up front (run.py --self-test builds, then checks the
@@ -106,6 +121,8 @@ def main():
     for workload in [w for w in args.workloads.split(",") if w]:
         runs = {"base": [], "change": []}
         units = {}
+        wins = {m: 0 for m in metrics}
+        complete = 0
         print("\n== %s: %d pairs, %g s, seed %d, trace %d" %
               (workload, args.pairs, args.seconds, args.seed, args.trace),
               flush=True)
@@ -139,10 +156,13 @@ def main():
                     units[m] = res["metrics"][m]["unit"]
             if len(got) != 2:
                 continue
+            complete += 1
             cells = []
             for m in metrics:
                 b = got["base"]["metrics"][m]["value"]
                 c = got["change"]["metrics"][m]["value"]
+                if (c < b) if better[m] == "lower" else (c > b):
+                    wins[m] += 1
                 cells.append("%s %s -> %s" % (m, fmt(b, units[m]),
                                               fmt(c, units[m])))
             print("  pair %d (%s first): %s" % (pair + 1, order[0],
@@ -155,9 +175,10 @@ def main():
             mb, mc = statistics.median(b), statistics.median(c)
             q1, q3 = quartiles(b)
             rel = (mc - mb) / mb * 100 if mb else float("nan")
-            print("  %s median: base %s (IQR %s-%s), change %s, %+.1f%%" %
+            print("  %s median: base %s (IQR %s-%s), change %s, %+.1f%%; "
+                  "change better in %d of %d pairs (%s is better)" %
                   (m, fmt(mb, units[m]), fmt(q1, units[m]), fmt(q3, units[m]),
-                   fmt(mc, units[m]), rel))
+                   fmt(mc, units[m]), rel, wins[m], complete, better[m]))
     return 0 if ok else 1
 
 
