@@ -145,11 +145,7 @@ void GoldClient::pruneAcked(uint64_t Upto) {
       if (!AckNanos)
         AckNanos = nowNanos();
       uint64_t Dur = AckNanos > R.OriginNanos ? AckNanos - R.OriginNanos : 0;
-      if (Cfg.E2eLatency)
-        Cfg.E2eLatency->record(Dur);
-      if (Cfg.TraceSink &&
-          traceSampled(Cfg.TraceSeed, Cfg.ClientId, BaseSeq,
-                       Cfg.TraceSampleRatePpm))
+      if (Cfg.TraceSink)
         Cfg.TraceSink->spanTagged("client_e2e", "pipe",
                                   static_cast<uint32_t>(Cfg.ClientId),
                                   R.OriginNanos, Dur, Cfg.ClientId, BaseSeq);
@@ -168,20 +164,12 @@ void GoldClient::pruneAcked(uint64_t Upto) {
 //===----------------------------------------------------------------------===//
 
 bool GoldClient::connect(std::string &Err) {
-  if (!Cfg.ShmPath.empty()) {
-    std::string ShmErr;
-    if (connectShm(ShmErr))
-      return true;
-    if (Cfg.Port == 0) {
-      Err = ShmErr;
-      return false;
-    }
-    // Fall through to TCP: the segment is missing, full, or draining.
-  }
-  if (Cfg.Port == 0) {
-    Err = "gold-client: no transport configured (need ShmPath or Port)";
+  if (Cfg.ShmPath.empty() == (Cfg.Port == 0)) {
+    Err = "gold-client: configure exactly one transport (ShmPath or Port)";
     return false;
   }
+  if (!Cfg.ShmPath.empty())
+    return connectShm(Err);
   return connectTcp(Err, /*Resuming=*/false);
 }
 
@@ -207,10 +195,8 @@ bool GoldClient::publish(const Action &A, const CommitSets *CS) {
   // hash the server uses: unsampled frames are never stamped, carry zero
   // extra wire bytes, and cost the whole pipeline nothing but this hash —
   // the O(1)-samples discipline that keeps tracing within noise when on.
-  // E2eLatency opts every frame in (the bench wants the full population).
-  if (Cfg.E2eLatency ||
-      (Cfg.TraceFrames && traceSampled(Cfg.TraceSeed, Cfg.ClientId, NextSeq,
-                                       Cfg.TraceSampleRatePpm)))
+  if (Cfg.TraceFrames && traceSampled(Cfg.TraceSeed, Cfg.ClientId, NextSeq,
+                                      Cfg.TraceSampleRatePpm))
     R.OriginNanos = nowNanos();
   Buf.push_back(std::move(R));
   ++NextSeq;
@@ -608,13 +594,8 @@ bool GoldClient::shmPushFrame(const Rec &R, uint64_t Seq, bool &Full) {
   const uint32_t Mask = Shm->Seg.mask();
 
   shm::FrameHead FH;
-  // The origin word goes on the wire only for sampled frames (E2eLatency
-  // stamps every Rec; the wire still carries only the sampled subset).
-  uint64_t Origin = 0;
-  if (Cfg.TraceFrames && R.OriginNanos &&
-      traceSampled(Cfg.TraceSeed, Cfg.ClientId, Seq, Cfg.TraceSampleRatePpm))
-    Origin = R.OriginNanos;
-  uint32_t NSlots = shm::encodeHead(FH, R.A, R.CS.get(), Seq, Origin);
+  // The origin word is nonzero only on sampled frames (see publish()).
+  uint32_t NSlots = shm::encodeHead(FH, R.A, R.CS.get(), Seq, R.OriginNanos);
 
   // Free-space check on the LAST slot only: slots recycle in order, so if
   // the last one is writable every earlier one is too.
@@ -749,7 +730,7 @@ bool GoldClient::pumpShm(std::string &Err) {
 }
 
 //===----------------------------------------------------------------------===//
-// TCP fallback
+// TCP
 //===----------------------------------------------------------------------===//
 
 bool GoldClient::connectTcp(std::string &Err, bool Resuming) {
@@ -1046,14 +1027,12 @@ bool GoldClient::pumpTcp(std::string &Err) {
     const Rec &R = recAt(SendSeq);
     // `@origin` rides only on sampled frames — unsampled lines are byte
     // identical to an untraced stream (see publish()).
-    bool Stamp = Cfg.TraceFrames && R.OriginNanos &&
-                 traceSampled(Cfg.TraceSeed, Cfg.ClientId, SendSeq,
-                              Cfg.TraceSampleRatePpm);
-    int N = Stamp ? net::proto::fmtLineHeadTraced(Head, sizeof(Head),
-                                                  Cfg.ClientId, SendSeq,
-                                                  R.OriginNanos)
-                  : net::proto::fmtLineHead(Head, sizeof(Head), Cfg.ClientId,
-                                            SendSeq);
+    int N = R.OriginNanos
+                ? net::proto::fmtLineHeadTraced(Head, sizeof(Head),
+                                                Cfg.ClientId, SendSeq,
+                                                R.OriginNanos)
+                : net::proto::fmtLineHead(Head, sizeof(Head), Cfg.ClientId,
+                                          SendSeq);
     Out.append(Head, size_t(N));
     Out += serializeAction(R.A, R.CS.get());
     Out += '\n';

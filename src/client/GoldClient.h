@@ -1,13 +1,12 @@
 //===- client/GoldClient.h - Detection-service client library ---*- C++ -*-===//
 ///
 /// \file
-/// The first real client library for the detection service: one API over
-/// both transports. A co-located producer publishes binary pre-parsed
-/// actions through the shared-memory ring (ShmRing.h) with zero syscalls
-/// and zero text on the hot path; everything else — or a producer whose
-/// segment claim fails — falls back to the TCP line protocol
-/// (net/Protocol.h), rendered through serializeAction so the wire bytes
-/// are identical to what the stdio path would carry.
+/// The client library for the detection service: one API over both
+/// transports, one transport per client. A co-located producer publishes
+/// binary pre-parsed actions through the shared-memory ring (ShmRing.h)
+/// with zero syscalls and zero text on the hot path; a remote one speaks
+/// the TCP line protocol (net/Protocol.h), rendered through
+/// serializeAction so the wire bytes are identical to a piped script's.
 ///
 /// The library owns the reliability loop both transports need:
 ///
@@ -56,7 +55,6 @@
 namespace gold {
 
 class TraceParser;
-class Histogram;
 class TraceEventSink;
 
 namespace client {
@@ -64,13 +62,13 @@ namespace client {
 struct GoldClientConfig {
   uint64_t ClientId = 1;
 
-  /// Shared-memory segment path; empty disables the shm fast path.
+  /// Shared-memory segment path; set exactly one of ShmPath and Port.
   std::string ShmPath;
   /// How long connect() waits for a ring claim to be answered (and for
-  /// the segment to appear) before failing over to TCP.
+  /// the segment to appear) before it fails.
   uint64_t ShmClaimTimeoutNanos = 2ull * 1000000000;
 
-  /// TCP fallback / alternative; Port 0 disables.
+  /// TCP server; Port 0 means no TCP.
   std::string Host = "127.0.0.1";
   uint16_t Port = 0;
 
@@ -96,9 +94,6 @@ struct GoldClientConfig {
   /// When set, sampled frames emit a "client_e2e" span (publish -> server
   /// ack) here. Not owned. Null disables span emission.
   TraceEventSink *TraceSink = nullptr;
-  /// When set, EVERY stamped frame records publish->ack nanos here (the
-  /// client-observed end-to-end latency). Not owned.
-  Histogram *E2eLatency = nullptr;
 };
 
 struct GoldClientStats {
@@ -126,8 +121,7 @@ public:
   GoldClient &operator=(const GoldClient &) = delete;
 
   /// Attaches to the service: claims an shm ring when ShmPath is set,
-  /// falling back to TCP (when Port is set) if the segment is missing,
-  /// full, or draining. Returns false with a diagnostic.
+  /// otherwise opens the TCP stream. Returns false with a diagnostic.
   bool connect(std::string &Err);
 
   /// True when the shm fast path carried the stream.
@@ -156,7 +150,7 @@ private:
   struct Rec {
     Action A;
     std::shared_ptr<CommitSets> CS;
-    /// Client-monotonic publish() stamp; 0 when tracing is off.
+    /// Client-monotonic publish() stamp on sampled frames; 0 otherwise.
     uint64_t OriginNanos = 0;
   };
   struct ShmState;

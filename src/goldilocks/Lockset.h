@@ -135,7 +135,6 @@ public:
   /// Iteration in insertion order.
   const LocksetElem *begin() const { return Elems.begin(); }
   const LocksetElem *end() const { return Elems.end(); }
-  const Lockset &elems() const { return *this; } // legacy range-for shim
 
   /// Renders e.g. "{T1, o2.lock, T2}" preserving insertion order, so unit
   /// tests can assert the exact evolutions shown in Figures 6 and 7.

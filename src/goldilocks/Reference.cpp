@@ -26,7 +26,7 @@ GoldilocksReference::access(ThreadId T, VarId V, bool IsWrite, bool Xact) {
     R.PriorXact = PriorXact;
     // resetToOwner puts the accessor first and inserts never reorder, so
     // the first thread element is the conflicting access's owner.
-    for (const LocksetElem &E : LS.elems())
+    for (const LocksetElem &E : LS)
       if (E.Kind == LocksetElem::Thread) {
         R.PriorThread = E.threadId();
         break;

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// The transport-independent half of a client stream — the contract of
-/// DESIGN.md §14 that net::NetServer, shm::ShmServer and goldilocks-serve's
-/// stdio loop share: resume where the server says (StreamTable), drop
+/// DESIGN.md §14 that net::NetServer (TCP and the stdio connection) and
+/// shm::ShmServer share: resume where the server says (StreamTable), drop
 /// duplicates and never feed past a gap (ClientStream::classify), settle
 /// frames through backpressure (feedFrame), close completely (settleClose).
 ///

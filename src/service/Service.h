@@ -30,8 +30,9 @@
 ///    journal was truncated (cap exceeded) the session is killed instead
 ///    and the loss is *counted* in ServiceHealth — never silent.
 ///
-/// The core is deliberately free of any socket/transport code: tools wrap
-/// it (tools/goldilocks-serve.cpp speaks a line protocol over stdio), tests
+/// The core is deliberately free of any socket/transport code: front ends
+/// wrap it (service/net/NetServer.h serves the line protocol over TCP and
+/// stdio, service/shm/ShmServer.h the shared-memory rings), tests
 /// drive it deterministically with pump()/poll(), and start() adds real
 /// consumer threads for soak and bench runs.
 ///

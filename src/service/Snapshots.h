@@ -30,6 +30,7 @@
 #define GOLD_SERVICE_SNAPSHOTS_H
 
 #include "service/Service.h"
+#include "support/Failpoints.h"
 #include "support/Json.h"
 #include "support/Telemetry.h"
 
@@ -57,12 +58,25 @@ protected:
 
 using FrontEnds = std::vector<const FrontEndSection *>;
 
-/// Service telemetry plus every front end's counter section.
+/// Service telemetry plus every front end's counter section, plus
+/// `failpoint.<site>.evals`/`.fires` for every armed failpoint, so an
+/// artifact or a scrape shows how much chaos a run actually got.
 inline TelemetrySnapshot composeMetrics(const DetectionService &Svc,
                                         const FrontEnds &Fronts) {
   TelemetrySnapshot Snap = Svc.telemetry();
   for (const FrontEndSection *F : Fronts)
     F->addMetrics(Snap);
+  if (Failpoints::armed()) {
+    const Failpoints &FP = Failpoints::instance();
+    for (unsigned I = 0; I != NumFailpoints; ++I) {
+      Failpoint F = static_cast<Failpoint>(I);
+      if (!FP.ratePpm(F))
+        continue;
+      std::string Site = std::string("failpoint.") + failpointName(F);
+      Snap.addCounter(Site + ".evals", FP.evaluations(F));
+      Snap.addCounter(Site + ".fires", FP.fires(F));
+    }
+  }
   return Snap;
 }
 

@@ -62,10 +62,12 @@ const char *gold::net::connCloseReasonName(ConnClose R) {
 
 struct NetServer::Conn {
   Conn(int F, bool Scrape, size_t MaxFrame)
-      : Fd(F), IsScrape(Scrape), Framer(MaxFrame) {}
+      : Fd(F), OutFd(F), IsScrape(Scrape), Framer(MaxFrame) {}
 
-  int Fd = -1;
+  int Fd = -1;    ///< read side; also the stream owner token
+  int OutFd = -1; ///< write side: Fd for a socket
   bool IsScrape = false;
+  bool IsStream = false; ///< adoptStream(): a local byte stream, not a peer
   bool Closed = false;
   bool Hung = false;            ///< net-conn-hang latched: reads stop
   bool PingOutstanding = false; ///< server ping sent, pong (or any bytes)
@@ -156,6 +158,23 @@ bool NetServer::start(std::string &Err) {
   return true;
 }
 
+void NetServer::adoptStream(int InFd, int OutFd) {
+  auto C = std::make_unique<Conn>(InFd, false, Cfg.MaxFrameBytes);
+  C->OutFd = OutFd;
+  C->IsStream = true;
+  Conns.push_back(std::move(C));
+  OpenConns.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Sockets use recv/send (MSG_NOSIGNAL); an adopted stream read/write.
+static ssize_t connRead(int Fd, bool Stream, char *Buf, size_t N) {
+  return Stream ? ::read(Fd, Buf, N) : ::recv(Fd, Buf, N, 0);
+}
+
+static ssize_t connWrite(int Fd, bool Stream, const char *Buf, size_t N) {
+  return Stream ? ::write(Fd, Buf, N) : ::send(Fd, Buf, N, MSG_NOSIGNAL);
+}
+
 //===----------------------------------------------------------------------===//
 // Event loop
 //===----------------------------------------------------------------------===//
@@ -194,7 +213,7 @@ size_t NetServer::pollOnce(int TimeoutMs) {
   size_t Frames = St.FramesIn.load(std::memory_order_relaxed);
   if (N > 0) {
     for (size_t I = 0; I != P.size(); ++I) {
-      if (!(P[I].revents & (POLLIN | POLLHUP | POLLERR)))
+      if (!(P[I].revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL)))
         continue;
       if (!Owner[I]) {
         acceptPending(P[I].fd, P[I].fd == ScrapeFd);
@@ -279,7 +298,8 @@ void NetServer::acceptPending(int LFd, bool IsScrape) {
 void NetServer::readConn(Conn &C) {
   if (C.Closed)
     return;
-  if (!C.IsScrape && !C.Hung && failpoint(Failpoint::NetConnHang)) {
+  if (!C.IsScrape && !C.IsStream && !C.Hung &&
+      failpoint(Failpoint::NetConnHang)) {
     // Half-open simulation: stop reading this peer entirely. The read
     // deadline will eventually close it, and a reconnecting client resumes
     // from the server's expected seq — the full half-open recovery path.
@@ -292,9 +312,9 @@ void NetServer::readConn(Conn &C) {
   char Buf[4096];
   for (;;) {
     size_t Want = sizeof(Buf);
-    if (failpoint(Failpoint::NetPartialRead))
+    if (!C.IsStream && failpoint(Failpoint::NetPartialRead))
       Want = 1; // deliver one byte: frames fragment across reads
-    ssize_t N = ::recv(C.Fd, Buf, Want, 0);
+    ssize_t N = connRead(C.Fd, C.IsStream, Buf, Want);
     if (N > 0) {
       St.BytesIn.fetch_add(static_cast<uint64_t>(N),
                            std::memory_order_relaxed);
@@ -309,11 +329,22 @@ void NetServer::readConn(Conn &C) {
       } else {
         C.Framer.feed(Buf, static_cast<size_t>(N));
       }
-      if (Want == 1 || static_cast<size_t>(N) < Want)
+      // A blocking stream is read once per POLLIN: a second read could
+      // wait on a writer that is still open.
+      if (C.IsStream || Want == 1 || static_cast<size_t>(N) < Want)
         break;
       continue;
     }
     if (N == 0) {
+      if (C.IsStream) {
+        // A script's unterminated last line is still a command, and
+        // stdout outlives stdin: answer everything before closing.
+        if (C.Framer.hasPartial()) {
+          C.Framer.feed("\n", 1);
+          dispatchFrames(C);
+        }
+        flushConn(C);
+      }
       closeConn(C, ConnClose::ClientEof);
       return;
     }
@@ -521,9 +552,10 @@ void NetServer::dispatchIngest(Conn &C, const std::string &Line,
       chargeError(C);
       return;
     }
-    FeedResult R =
-        feedFrame(Svc, Draining ? FeedMode::Settle : FeedMode::Live,
-                  [&] { return S.feedLine(Rest, FTp); });
+    // A stream's line already arrived and its script cannot retry.
+    FeedResult R = feedFrame(
+        Svc, Draining || C.IsStream ? FeedMode::Settle : FeedMode::Live,
+        [&] { return S.feedLine(Rest, FTp); });
     if (R.St == FeedResult::Status::Backpressure) {
       if (Draining) {
         St.DrainDroppedFrames.fetch_add(1, std::memory_order_relaxed);
@@ -604,6 +636,9 @@ size_t NetServer::deliverVerdicts(Conn &C, uint64_t Id, Session &S,
   // verdicts queued server-side, so a slow reader loses nothing — it is
   // told to come back, with the same backoff schedule as everything else.
   // An incomplete set (a close that did not settle) is refused the same way.
+  // A stream makes room by writing through instead.
+  if (C.IsStream)
+    flushConn(C);
   size_t Pending = C.Out.size() - C.OutPos;
   if (!Complete || Pending > Cfg.WriteQueueCapBytes / 2) {
     uint64_t Wait = backoffNanos(BackoffBaseNanos, C.VerdictAttempt++,
@@ -630,7 +665,7 @@ size_t NetServer::deliverVerdicts(Conn &C, uint64_t Id, Session &S,
 
 void NetServer::chargeError(Conn &C) {
   St.ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
-  if (++C.Errors > ConnErrorBudget) {
+  if (++C.Errors > ConnErrorBudget && !C.IsStream) {
     sendBye(C, ConnClose::ErrorBudget);
     closeConn(C, ConnClose::ErrorBudget);
   }
@@ -728,12 +763,19 @@ bool NetServer::enqueue(Conn &C, const std::string &Line, bool Critical) {
     return false;
   size_t Pending = C.Out.size() - C.OutPos;
   if (Pending + Line.size() + 1 > Cfg.WriteQueueCapBytes) {
-    if (!Critical) {
+    if (C.IsStream) {
+      // A stream's replies are never shed: write the queue through
+      // (blocking) and take the line whatever its size.
+      flushConn(C);
+      if (C.Closed)
+        return false;
+    } else if (!Critical) {
       St.RepliesShed.fetch_add(1, std::memory_order_relaxed);
       return false;
+    } else {
+      closeConn(C, ConnClose::WriteOverflow);
+      return false;
     }
-    closeConn(C, ConnClose::WriteOverflow);
-    return false;
   }
   if (Pending == 0)
     C.LastWriteProgressNanos = now(); // deadline clock starts now
@@ -750,14 +792,14 @@ void NetServer::flushConn(Conn &C) {
   if (C.Closed)
     return;
   size_t Pending = C.Out.size() - C.OutPos;
-  if (Pending && failpoint(Failpoint::NetWriteStall)) {
+  if (Pending && !C.IsStream && failpoint(Failpoint::NetWriteStall)) {
     St.WriteStalls.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   for (;;) {
     while (C.OutPos != C.Out.size()) {
-      ssize_t N = ::send(C.Fd, C.Out.data() + C.OutPos,
-                         C.Out.size() - C.OutPos, MSG_NOSIGNAL);
+      ssize_t N = connWrite(C.OutFd, C.IsStream, C.Out.data() + C.OutPos,
+                            C.Out.size() - C.OutPos);
       if (N > 0) {
         C.OutPos += static_cast<size_t>(N);
         St.BytesOut.fetch_add(static_cast<uint64_t>(N),
@@ -787,8 +829,8 @@ void NetServer::flushConn(Conn &C) {
 }
 
 void NetServer::checkDeadlines(Conn &C, uint64_t Now) {
-  if (C.Closed)
-    return;
+  if (C.Closed || C.IsStream)
+    return; // a local stream has no liveness to lose
   if (Cfg.WriteDeadlineNanos && C.Out.size() != C.OutPos &&
       Now - C.LastWriteProgressNanos > Cfg.WriteDeadlineNanos) {
     closeConn(C, ConnClose::WriteTimeout);
@@ -822,7 +864,7 @@ void NetServer::sendBye(Conn &C, ConnClose Reason) {
   char Bye[48];
   int N = std::snprintf(Bye, sizeof(Bye), "bye %s\n",
                         connCloseReasonName(Reason));
-  ssize_t W = ::send(C.Fd, Bye, static_cast<size_t>(N), MSG_NOSIGNAL);
+  ssize_t W = connWrite(C.OutFd, C.IsStream, Bye, static_cast<size_t>(N));
   if (W > 0)
     St.BytesOut.fetch_add(static_cast<uint64_t>(W), std::memory_order_relaxed);
 }
@@ -841,8 +883,9 @@ void NetServer::closeConn(Conn &C, ConnClose Reason) {
   for (uint64_t Id : C.Bound)
     Streams.unbind(Id, uint64_t(C.Fd));
   C.Bound.clear();
-  ::close(C.Fd);
-  C.Fd = -1;
+  if (!C.IsStream)
+    ::close(C.Fd);
+  C.Fd = C.OutFd = -1;
   OpenConns.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -883,9 +926,14 @@ void NetServer::drainAndStop() {
       // connection, then settle every COMPLETE frame into the service.
       // (Failpoints are bypassed — drain is the one path that must not be
       // chaos-fragmented, its loss accounting is the partial-frame count.)
+      // Read only while poll() reports data: a blocking stream's writer
+      // may still be open.
       char Buf[4096];
       for (;;) {
-        ssize_t N = ::recv(C.Fd, Buf, sizeof(Buf), 0);
+        pollfd PF{C.Fd, POLLIN, 0};
+        if (::poll(&PF, 1, 0) <= 0 || !(PF.revents & (POLLIN | POLLHUP)))
+          break;
+        ssize_t N = connRead(C.Fd, C.IsStream, Buf, sizeof(Buf));
         if (N > 0) {
           St.BytesIn.fetch_add(static_cast<uint64_t>(N),
                                std::memory_order_relaxed);

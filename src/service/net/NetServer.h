@@ -1,10 +1,11 @@
 //===- service/net/NetServer.h - poll()-based socket front end --*- C++ -*-===//
 ///
 /// \file
-/// The fault-tolerant TCP front end for the detection service: one
-/// poll()-driven nonblocking event loop multiplexing many remote
-/// line-protocol clients onto a DetectionService, with every network
-/// failure mode made explicit and bounded:
+/// The detection service's one line-protocol server: one poll()-driven
+/// event loop multiplexing many remote TCP clients — and, through
+/// adoptStream(), a local byte stream such as goldilocks-serve's
+/// stdin/stdout — onto a DetectionService, with every network failure
+/// mode made explicit and bounded:
 ///
 ///  - **Wire-level backpressure.** A `line` the service refuses with
 ///    Backpressure is NOT buffered; the client receives the service's
@@ -91,8 +92,8 @@ struct NetConfig {
   bool Scrape = false;     ///< serve GET /healthz + /metrics
   uint16_t ScrapePort = 0; ///< scrape port; 0 picks an ephemeral port
   unsigned MaxConnections = 128;
-  /// Frame cap; matches TraceParser::MaxLineBytes so the socket path
-  /// rejects exactly what the stdio path rejects.
+  /// Frame cap; matches TraceParser::MaxLineBytes so the server rejects
+  /// exactly what the trace parser would.
   size_t MaxFrameBytes = 1u << 16;
   /// Bounded per-connection write queue. Non-critical replies above this
   /// are shed (counted); critical replies close the connection instead.
@@ -147,6 +148,18 @@ public:
   /// Binds and listens (ingest port, plus the scrape port when enabled).
   /// Returns false with a diagnostic in \p Err on failure.
   bool start(std::string &Err);
+
+  /// Serves one already-open byte stream (goldilocks-serve's stdin and
+  /// stdout, a test's pipe pair) as a line-protocol connection: the same
+  /// framer, dispatch, write queue, counters and close rule as a socket.
+  /// It is a local script, not a network peer, so its lines settle
+  /// (FeedMode::Settle) instead of bouncing backpressure, and it gets no
+  /// heartbeat, deadline, error-budget close or net-* failpoint; it ends
+  /// on EOF, `quit` or drainAndStop(). The fds stay the caller's: they are
+  /// never closed nor switched to O_NONBLOCK (the flag lives on the file
+  /// description, which a parent shell shares), so reads happen only when
+  /// poll() reports data and writes block.
+  void adoptStream(int InFd, int OutFd);
 
   uint16_t port() const { return BoundPort; }
   uint16_t scrapePort() const { return BoundScrapePort; }

@@ -121,6 +121,12 @@ public:
   /// Returns true if it stalled.
   bool maybeStall(Failpoint F);
 
+  /// Site \p F's configured rate; nonzero means the site is armed while
+  /// the registry is.
+  uint32_t ratePpm(Failpoint F) const {
+    return Cfg.RatePpm[static_cast<unsigned>(F)];
+  }
+
   /// Times site \p F was consulted while armed.
   uint64_t evaluations(Failpoint F) const;
   /// Times site \p F fired.

@@ -12,8 +12,10 @@
 /// producers over TCP (steady: zero loss, resyncs and reconnects; chaos:
 /// all four net failpoints plus client-side mid-frame drops, inline and
 /// over a threaded service, every close oracle-exact and resumes counted,
-/// with a live /metrics scrape), and the close rule over stalled consumer
-/// threads (CloseRuleHarness.h).
+/// with a live /metrics scrape), the close rule over stalled consumer
+/// threads (CloseRuleHarness.h), and an adopted pipe pair standing in for
+/// goldilocks-serve's stdin/stdout (settled lines, no liveness or budget
+/// closes, write-through replies, EOF).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +46,7 @@
 #include <vector>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -191,6 +194,101 @@ struct NetFixture {
   }
 };
 
+/// A NetServer with no listener serving one adopted pipe pair, the way
+/// goldilocks-serve serves stdin/stdout. The test writes the server's
+/// input pipe and reads its output pipe; the loop runs inline.
+struct StreamFixture {
+  std::shared_ptr<std::atomic<uint64_t>> Clock;
+  std::unique_ptr<DetectionService> Svc;
+  std::unique_ptr<NetServer> Net;
+  int In[2] = {-1, -1};  ///< test writes In[1]; the server reads In[0]
+  int Out[2] = {-1, -1}; ///< the server writes Out[1]; the test reads Out[0]
+  std::string Rx;
+
+  void init(NetConfig NC = NetConfig(), ServiceConfig SC = ServiceConfig(),
+            bool ManualClock = false) {
+    if (ManualClock) {
+      Clock = std::make_shared<std::atomic<uint64_t>>(1000);
+      auto C = Clock;
+      SC.NowNanos = [C] { return C->load(std::memory_order_relaxed); };
+    }
+    ASSERT_EQ(::pipe(In), 0);
+    ASSERT_EQ(::pipe(Out), 0);
+    Svc = std::make_unique<DetectionService>(SC);
+    Net = std::make_unique<NetServer>(*Svc, NC);
+    Net->adoptStream(In[0], Out[1]);
+  }
+
+  ~StreamFixture() {
+    Net.reset(); // drains first: the fds must outlive the server
+    for (int Fd : {In[0], In[1], Out[0], Out[1]})
+      if (Fd >= 0)
+        ::close(Fd);
+  }
+
+  bool send(const std::string &Data) {
+    return ::write(In[1], Data.data(), Data.size()) ==
+           static_cast<ssize_t>(Data.size());
+  }
+
+  void closeInput() {
+    ::close(In[1]);
+    In[1] = -1;
+  }
+
+  /// Pending server output, without blocking.
+  bool outputPending() {
+    pollfd PF{Out[0], POLLIN, 0};
+    return !Rx.empty() || ::poll(&PF, 1, 0) > 0;
+  }
+
+  /// Reads one reply line, running the server loop between reads.
+  bool readLine(std::string &Line, int Rounds = 3000) {
+    for (int R = 0; R != Rounds; ++R) {
+      size_t P = Rx.find('\n');
+      if (P != std::string::npos) {
+        Line.assign(Rx, 0, P);
+        Rx.erase(0, P + 1);
+        return true;
+      }
+      Net->pollOnce(0);
+      pollfd PF{Out[0], POLLIN, 0};
+      if (::poll(&PF, 1, 1) > 0) {
+        char B[2048];
+        ssize_t Got = ::read(Out[0], B, sizeof(B));
+        if (Got > 0)
+          Rx.append(B, static_cast<size_t>(Got));
+      }
+    }
+    return false;
+  }
+
+  /// Streams \p Lines unsequenced into client 1, closes it, and returns
+  /// the race variables delivered with `ok close 1`; any other reply
+  /// (a refused line) fails the test.
+  std::set<std::string> runSession(const std::vector<std::string> &Lines) {
+    std::set<std::string> Vars;
+    std::string L;
+    EXPECT_TRUE(send("open 1\n"));
+    EXPECT_TRUE(readLine(L));
+    EXPECT_EQ(L, "ok open 1");
+    for (const std::string &TL : Lines) {
+      EXPECT_TRUE(send("line 1 " + TL + "\n"));
+      Net->pollOnce(0);
+    }
+    EXPECT_TRUE(send("close 1\n"));
+    while (readLine(L) && L.rfind("ok close 1", 0) != 0) {
+      std::string Var;
+      if (L.rfind("race 1 ", 0) == 0 && proto::raceVar(L, Var))
+        Vars.insert(Var);
+      else
+        ADD_FAILURE() << "unexpected reply: " << L;
+    }
+    EXPECT_EQ(L.rfind("ok close 1", 0), 0u) << L;
+    return Vars;
+  }
+};
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -232,6 +330,121 @@ TEST(FramerTest, OversizeReportedOnceInStreamOrderAndBounded) {
   F.feed(Tail.data(), Tail.size());
   EXPECT_LE(F.pendingBytes(), 8u);
   EXPECT_TRUE(F.hasPartial()); // discarding state counts as partial
+}
+
+//===----------------------------------------------------------------------===//
+// An adopted byte stream (goldilocks-serve's stdin/stdout)
+//===----------------------------------------------------------------------===//
+
+TEST(NetStreamTest, PipedSessionMatchesOracleAndEofEndsIt) {
+  // A write queue smaller than the verdict set: a stream writes through
+  // instead of shedding replies or closing on overflow.
+  NetConfig NC;
+  NC.WriteQueueCapBytes = 64;
+  StreamFixture FX;
+  FX.init(NC);
+  Trace T = smallRandomTrace(77, 30);
+  std::vector<std::string> Lines = traceLines(T);
+  std::set<std::string> Want = oracleVarStrings(T);
+  ASSERT_GE(Want.size(), 2u) << "the verdict set must overflow the queue";
+  EXPECT_EQ(FX.runSession(Lines), Want);
+
+  // EOF on the input ends the connection, after answering an unterminated
+  // last line; the output pipe stays open.
+  ASSERT_TRUE(FX.send("health"));
+  FX.closeInput();
+  std::string L;
+  ASSERT_TRUE(FX.readLine(L));
+  EXPECT_EQ(L.rfind("health ", 0), 0u) << L;
+  for (int R = 0; R != 100 && FX.Net->openConnections(); ++R)
+    FX.Net->pollOnce(0);
+  EXPECT_EQ(FX.Net->openConnections(), 0u);
+  NetStats S = FX.Net->stats();
+  EXPECT_EQ(S.FramesIn, Lines.size() + 3);
+  EXPECT_EQ(S.ClosedBy[static_cast<unsigned>(ConnClose::ClientEof)], 1u);
+  EXPECT_EQ(S.ClosedBy[static_cast<unsigned>(ConnClose::WriteOverflow)], 0u);
+  EXPECT_EQ(S.RepliesShed, 0u);
+  EXPECT_EQ(S.PartialFramesDropped, 0u);
+  EXPECT_EQ(::fcntl(FX.Out[1], F_GETFD), 0) << "the stream closed stdout";
+}
+
+TEST(NetStreamTest, MalformedCommandsNeverCloseTheStream) {
+  StreamFixture FX;
+  FX.init();
+  constexpr unsigned Bad = 20; // past ConnErrorBudget
+  static_assert(Bad > ConnErrorBudget, "must exceed the socket budget");
+  std::string L;
+  for (unsigned I = 0; I != Bad; ++I) {
+    ASSERT_TRUE(FX.send("nonsense\n"));
+    ASSERT_TRUE(FX.readLine(L));
+    EXPECT_EQ(L, "err proto missing client id: nonsense");
+  }
+  ASSERT_TRUE(FX.send("health\n"));
+  ASSERT_TRUE(FX.readLine(L));
+  EXPECT_EQ(L.rfind("health ", 0), 0u) << L;
+  NetStats S = FX.Net->stats();
+  EXPECT_EQ(S.ProtocolErrors, Bad);
+  EXPECT_EQ(S.ClosedBy[static_cast<unsigned>(ConnClose::ErrorBudget)], 0u);
+  EXPECT_EQ(FX.Net->openConnections(), 1u);
+}
+
+TEST(NetStreamTest, NoHeartbeatDeadlineOrNetFailpointOnTheStream) {
+  NetConfig NC;
+  NC.HeartbeatNanos = 100;
+  NC.ReadDeadlineNanos = 1000;
+  NC.WriteDeadlineNanos = 1000;
+  StreamFixture FX;
+  FX.init(NC, ServiceConfig(), /*ManualClock=*/true);
+  // Every per-connection network fault fires on every evaluation, yet the
+  // stream is not a network peer: none of them touches it.
+  FailpointConfig FC;
+  FC.rate(Failpoint::NetConnHang, 1000000)
+      .rate(Failpoint::NetPartialRead, 1000000)
+      .rate(Failpoint::NetWriteStall, 1000000);
+  FailpointScope Scope(FC);
+
+  std::string L;
+  ASSERT_TRUE(FX.send("open 1\n"));
+  ASSERT_TRUE(FX.readLine(L));
+  ASSERT_EQ(L, "ok open 1");
+
+  // Silence far past the heartbeat and both deadlines: no ping, no bye.
+  FX.Clock->store(1000000);
+  for (int R = 0; R != 10; ++R)
+    FX.Net->pollOnce(0);
+  EXPECT_FALSE(FX.outputPending());
+  ASSERT_TRUE(FX.send("health\n"));
+  ASSERT_TRUE(FX.readLine(L));
+  EXPECT_EQ(L.rfind("health ", 0), 0u) << L;
+
+  NetStats S = FX.Net->stats();
+  EXPECT_EQ(S.HeartbeatsSent, 0u);
+  EXPECT_EQ(S.ConnHangs, 0u);
+  EXPECT_EQ(S.WriteStalls, 0u);
+  EXPECT_EQ(FX.Net->openConnections(), 1u);
+}
+
+TEST(NetStreamTest, EveryLineSettlesThroughStalledConsumers) {
+  ServiceConfig SC;
+  SC.RingCapacity = 4;
+  FailpointConfig FC;
+  FC.rate(Failpoint::ServiceIngestStall, 1000000);
+  FailpointScope Stalls(FC);
+  StreamFixture FX;
+  FX.init(NetConfig(), SC);
+  FX.Svc->start();
+
+  Trace T = smallRandomTrace(5, 40);
+  std::vector<std::string> Lines = traceLines(T);
+  EXPECT_EQ(FX.runSession(Lines), oracleVarStrings(T));
+
+  ServiceHealth H = FX.Svc->health();
+  EXPECT_GT(H.BackpressureRejects, 0u) << "the rings never filled";
+  EXPECT_EQ(H.LinesAccepted, Lines.size()) << "a refused line was dropped";
+  EXPECT_EQ(FX.Net->stats().BackpressureReplies, 0u);
+  EXPECT_EQ(H.VerdictLossEvents, 0u);
+  FX.Net->drainAndStop();
+  FX.Svc->shutdown();
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,6 +8,9 @@
 /// dropped counter must fail here first. A new counter is added to the
 /// expected set below in the same change that exports it.
 ///
+/// Armed failpoints add `failpoint.<site>.evals`/`.fires` to the composed
+/// metrics, and only armed ones do.
+///
 /// Also runs one service behind both the TCP and the shm front end, with a
 /// live client on each, and checks that the composed documents — built
 /// directly and scraped from the TCP server's /healthz, /metrics and
@@ -21,6 +24,7 @@
 #include "service/Snapshots.h"
 #include "service/net/NetServer.h"
 #include "service/shm/ShmServer.h"
+#include "support/Failpoints.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
@@ -512,4 +516,30 @@ TEST(ComposedSnapshotTest, BothTransportSectionsInEveryDocument) {
   const JVal *Rates = Samples->A[0].get("rates");
   EXPECT_GT(num(Rates, "net.frames_in"), 0) << ScrapedHistory;
   EXPECT_GT(num(Rates, "shm.frames_in"), 0) << ScrapedHistory;
+}
+
+//===----------------------------------------------------------------------===//
+// Failpoints
+//===----------------------------------------------------------------------===//
+
+TEST(VocabularyTest, ArmedFailpointCountersInTheComposedMetrics) {
+  DetectionService Svc;
+  EXPECT_EQ(withPrefix(counterNames(composeMetrics(Svc, {})), "failpoint."),
+            NameSet())
+      << "disarmed: no failpoint counters";
+
+  FailpointConfig FC;
+  FC.rate(Failpoint::NetConnHang, 1000000)
+      .rate(Failpoint::ServiceIngestStall, 1);
+  FailpointScope Scope(FC);
+  EXPECT_TRUE(failpoint(Failpoint::NetConnHang));
+  TelemetrySnapshot Snap = composeMetrics(Svc, {});
+  EXPECT_EQ(withPrefix(counterNames(Snap), "failpoint."),
+            (NameSet{"net-conn-hang.evals", "net-conn-hang.fires",
+                     "service-ingest-stall.evals",
+                     "service-ingest-stall.fires"}))
+      << "only armed sites, each with its evaluations and fires";
+  EXPECT_EQ(counterValue(Snap, "failpoint.net-conn-hang.evals"), 1);
+  EXPECT_EQ(counterValue(Snap, "failpoint.net-conn-hang.fires"), 1);
+  EXPECT_EQ(counterValue(Snap, "failpoint.service-ingest-stall.fires"), 0);
 }

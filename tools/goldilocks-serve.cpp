@@ -1,32 +1,35 @@
 //===- tools/goldilocks-serve.cpp - Always-on ingestion front-end ---------===//
 ///
-/// Front-end for the sharded detection service (src/service/). By default
-/// it speaks a line protocol over stdin/stdout so CI and tests can drive a
-/// long-running multi-client service deterministically, without sockets.
-/// With --listen (and optionally --scrape-port) the same protocol is served
-/// over TCP by the poll()-based NetServer — sequence-numbered lines,
-/// wire-level backpressure replies, heartbeats, and a live HTTP
-/// /healthz + /metrics scrape endpoint; see DESIGN.md §16 for the wire
-/// protocol. With --shm <path> the same sessions are additionally served
-/// to co-located producers over the shared-memory ring transport
+/// Front-end for the sharded detection service (src/service/). Its line
+/// protocol has one server, the poll()-based NetServer (DESIGN.md §16).
+/// By default that server has no listener and serves stdin/stdout as its
+/// one connection, so CI and tests can drive a long-running multi-client
+/// service with a piped script, without sockets; the run ends when stdin
+/// does, on `quit`, or on a signal. With --listen (and optionally
+/// --scrape-port) it serves TCP clients instead — sequence-numbered lines,
+/// wire-level backpressure replies, heartbeats, and a live HTTP /healthz +
+/// /metrics scrape endpoint. With --shm <path> the same sessions are
+/// served to co-located producers over the shared-memory ring transport
 /// (DESIGN.md §17) — binary frames, crash-only producer reaping, drained
 /// on SIGTERM exactly like the socket path. GoldClient (src/client/) is
 /// the library counterpart for both transports.
 ///
-/// Protocol (one command per line):
+/// Protocol (one command per line; §16 has the sequenced `line` form and
+/// `stat`/`ping`):
 ///   open <client-id> [priority]   admit a session (ids are decimal)
 ///   line <client-id> <trace-line> stream one TraceIO line into the session
 ///   close <client-id>             orderly close; complete verdict set
 ///   verdicts <client-id>          print (and drain) verdicts delivered so far
 ///   health                        print a one-line service health snapshot
-///   pump                          drain every shard ring (inline mode)
-///   quit                          leave the loop and shut down
+///   quit                          end the connection (`bye client-quit`)
 ///
 /// Replies: "ok <cmd> ...", "err <cmd> ...", "race <client-id> <report>",
-/// "health <snapshot>". Accepted `line` commands are silent so a 10^6-line
-/// stream does not produce 10^6 acks.
+/// "health <snapshot>", "bye <reason>". Accepted `line` commands are silent
+/// so a 10^6-line stream does not produce 10^6 acks. On stdin a line the
+/// service refuses is settled, not bounced: it waits for the shards.
 ///
 /// SIGINT/SIGTERM trigger a crash-only quiesce: the loop stops where it is,
+/// every complete line already received is settled (`bye server-drain`),
 /// the service drains and shuts down, and the final health line plus any
 /// --metrics-json/--health-json artifacts are still emitted.
 ///
@@ -35,8 +38,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "event/TraceIO.h"
-#include "service/ClientStream.h"
 #include "service/Service.h"
 #include "service/Snapshots.h"
 #include "service/net/NetServer.h"
@@ -46,21 +47,16 @@
 
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#if !defined(_WIN32)
 #include <signal.h>
-#endif
+#include <unistd.h>
 
 using namespace gold;
 
@@ -74,12 +70,11 @@ std::atomic<bool> Interrupted{false};
 
 void onSignal(int) { Interrupted.store(true, std::memory_order_relaxed); }
 
-/// Install WITHOUT SA_RESTART so a blocking stdin read returns EINTR and
-/// the protocol loop observes the flag instead of sitting in read() forever
-/// — that is what lets `kill -TERM` of a backgrounded serve produce a clean
+/// Install WITHOUT SA_RESTART so a blocking poll() returns EINTR and the
+/// serving loop observes the flag instead of sleeping on a quiet stdin —
+/// that is what lets `kill -TERM` of a backgrounded serve produce a clean
 /// exit with the final health/metrics dump.
 void installSignalHandlers() {
-#if !defined(_WIN32)
   struct sigaction SA;
   std::memset(&SA, 0, sizeof(SA));
   SA.sa_handler = onSignal;
@@ -87,10 +82,6 @@ void installSignalHandlers() {
   SA.sa_flags = 0;
   sigaction(SIGINT, &SA, nullptr);
   sigaction(SIGTERM, &SA, nullptr);
-#else
-  std::signal(SIGINT, onSignal);
-  std::signal(SIGTERM, onSignal);
-#endif
 }
 
 bool interrupted() { return Interrupted.load(std::memory_order_relaxed); }
@@ -211,123 +202,6 @@ int usage(FILE *To = stderr) {
     std::fprintf(To, "  %-28s %s\n", Left, S.Help);
   }
   return 126;
-}
-
-//===----------------------------------------------------------------------===//
-// Protocol mode
-//===----------------------------------------------------------------------===//
-
-size_t printVerdicts(Session &S, uint64_t Client) {
-  std::vector<RaceReport> Races = S.takeVerdicts();
-  for (const RaceReport &R : Races)
-    std::printf("race %llu %s\n", (unsigned long long)Client, R.str().c_str());
-  return Races.size();
-}
-
-void runProtocol(DetectionService &Svc) {
-  std::unordered_map<uint64_t, Session *> Clients;
-  std::string L;
-  while (!interrupted() && std::getline(std::cin, L)) {
-    std::istringstream In(L);
-    std::string Cmd;
-    In >> Cmd;
-    if (Cmd.empty())
-      continue;
-    if (Cmd == "quit")
-      break;
-    if (Cmd == "health") {
-      std::printf("health %s\n", Svc.health().str().c_str());
-      std::fflush(stdout);
-      continue;
-    }
-    if (Cmd == "pump") {
-      if (!Svc.consumersRunning()) {
-        Svc.drain();
-        Svc.poll();
-      }
-      std::printf("ok pump\n");
-      std::fflush(stdout);
-      continue;
-    }
-    uint64_t Id = 0;
-    if (!(In >> Id)) {
-      std::printf("err proto missing client id: %s\n", Cmd.c_str());
-      std::fflush(stdout);
-      continue;
-    }
-    if (Cmd == "open") {
-      unsigned Priority = 1;
-      In >> Priority;
-      DetectionService::OpenResult R = Svc.open(Id, Priority);
-      if (!R.S) {
-        std::printf("err open %llu %s retry-after-ns=%llu\n",
-                    (unsigned long long)Id, R.Error.c_str(),
-                    (unsigned long long)R.RetryAfterNanos);
-      } else {
-        Clients[Id] = R.S;
-        std::printf("ok open %llu\n", (unsigned long long)Id);
-      }
-      std::fflush(stdout);
-      continue;
-    }
-    auto It = Clients.find(Id);
-    if (It == Clients.end()) {
-      std::printf("err %s %llu unknown client\n", Cmd.c_str(),
-                  (unsigned long long)Id);
-      std::fflush(stdout);
-      continue;
-    }
-    Session &S = *It->second;
-    if (Cmd == "line") {
-      std::string Rest;
-      std::getline(In, Rest);
-      if (!Rest.empty() && Rest[0] == ' ')
-        Rest.erase(0, 1);
-      // The line already arrived: settle it (service/ClientStream.h). One
-      // still refused after the settle bound was not consumed.
-      FeedResult R =
-          feedFrame(Svc, FeedMode::Settle, [&] { return S.feedLine(Rest); });
-      switch (R.St) {
-      case FeedResult::Status::Accepted:
-        break; // silent: streams are long
-      case FeedResult::Status::Rejected:
-        std::printf("err line %llu %s\n", (unsigned long long)Id,
-                    R.Error.c_str());
-        std::fflush(stdout);
-        break;
-      case FeedResult::Status::Backpressure:
-        std::printf("err line %llu backpressure retry-after-ns=%llu\n",
-                    (unsigned long long)Id,
-                    (unsigned long long)R.RetryAfterNanos);
-        std::fflush(stdout);
-        break;
-      case FeedResult::Status::Closed:
-        std::printf("err line %llu closed: %s\n", (unsigned long long)Id,
-                    R.Error.c_str());
-        std::fflush(stdout);
-        break;
-      }
-    } else if (Cmd == "close") {
-      if (settleClose(Svc, S)) { // the close rule (DESIGN.md §14)
-        size_t N = printVerdicts(S, Id);
-        std::printf("ok close %llu races=%zu\n", (unsigned long long)Id, N);
-      } else { // not settled within the bound: the client re-sends close
-        std::printf("err verdicts %llu backpressure retry-after-ns=%llu\n",
-                    (unsigned long long)Id,
-                    (unsigned long long)BackoffMaxNanos);
-      }
-      std::fflush(stdout);
-    } else if (Cmd == "verdicts") {
-      if (!Svc.consumersRunning())
-        Svc.drain();
-      size_t N = printVerdicts(S, Id);
-      std::printf("ok verdicts %llu races=%zu\n", (unsigned long long)Id, N);
-      std::fflush(stdout);
-    } else {
-      std::printf("err proto unknown command: %s\n", Cmd.c_str());
-      std::fflush(stdout);
-    }
-  }
 }
 
 } // namespace
@@ -498,17 +372,23 @@ int main(int Argc, char **Argv) {
   if (Threaded)
     Svc.start();
 
-  // Socket mode: either --listen or --scrape-port switches the front end
-  // from stdin to the poll()-based NetServer (stdio mode is untouched
-  // otherwise). optional<> because NetServer is neither copyable nor
-  // movable; emplace constructs it in place.
+  // The line protocol has one server, NetServer. --listen or
+  // --scrape-port binds its sockets; with no transport flag at all it has
+  // no listener and serves stdin/stdout as its one connection, which ends
+  // the run when it closes. optional<> because NetServer is neither
+  // copyable nor movable; emplace constructs it in place.
   std::optional<net::NetServer> Net;
-  if (ListenSet || ScrapeSet) {
+  const bool Stdio = !ListenSet && !ScrapeSet && ShmC.Path.empty();
+  if (ListenSet || ScrapeSet || Stdio) {
     net::NetConfig NC;
     NC.Port = ListenPort;
     NC.Scrape = ScrapeSet;
     NC.ScrapePort = ScrapePortNum;
     Net.emplace(Svc, NC);
+  }
+  if (Stdio) {
+    Net->adoptStream(STDIN_FILENO, STDOUT_FILENO);
+  } else if (Net) {
     std::string Err;
     if (!Net->start(Err)) {
       std::fprintf(stderr, "goldilocks-serve: %s\n", Err.c_str());
@@ -616,27 +496,23 @@ int main(int Argc, char **Argv) {
     });
   }
 
-  if (Net || Shm) {
-    // One serving thread drives both front ends. Whichever found work last
-    // round sets the pace: any busy front end drops every timeout to zero
-    // so a hot ring is never throttled by the other side's poll sleep.
-    size_t ShmBusy = 0;
-    while (!interrupted()) {
-      if (Net)
-        Net->pollOnce(Shm ? (ShmBusy ? 0 : 5) : 50);
-      if (Shm)
-        ShmBusy = Shm->pollOnce(Net || ShmBusy ? 0 : 50);
-    }
-    // Crash-only drain: settle every complete frame already on the wire
-    // (or published in a ring) into the service before quiescing, so
-    // SIGTERM loses nothing that reached us.
+  // One serving thread drives both front ends. Whichever found work last
+  // round sets the pace: any busy front end drops every timeout to zero so
+  // a hot ring is never throttled by the other side's poll sleep.
+  size_t ShmBusy = 0;
+  while (!interrupted() && !(Stdio && !Net->openConnections())) {
     if (Net)
-      Net->drainAndStop();
+      Net->pollOnce(Shm ? (ShmBusy ? 0 : 5) : 50);
     if (Shm)
-      Shm->drainAndStop();
-  } else {
-    runProtocol(Svc);
+      ShmBusy = Shm->pollOnce(Net || ShmBusy ? 0 : 50);
   }
+  // Crash-only drain: settle every complete frame already on the wire (or
+  // published in a ring) into the service before quiescing, so SIGTERM
+  // loses nothing that reached us.
+  if (Net)
+    Net->drainAndStop();
+  if (Shm)
+    Shm->drainAndStop();
 
   // Crash-only quiesce, then the final dump. This path runs identically for
   // quit, EOF, SIGINT and SIGTERM.

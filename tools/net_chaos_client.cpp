@@ -17,9 +17,10 @@
 /// decode-error kill). Clients whose session such chaos killed are
 /// skipped-but-counted, mirroring the service soak's accounting.
 ///
-/// Exit code: 0 when no surviving client diverged and at least one client
-/// was compared; 1 on divergence, a harness failure, or nothing compared;
-/// 126 on usage errors.
+/// Exit code: 0 when no surviving client diverged, at least one client was
+/// compared and every armed failpoint fired; 1 on divergence, a harness
+/// failure, nothing compared, or an armed site that never fired (a chaos
+/// run that injected nothing proves nothing); 126 on usage errors.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -270,12 +271,24 @@ int main(int Argc, char **Argv) {
               "rewinds=%zu\n",
               P.Clients, Compared, Killed, Failed, Diverged, Races,
               Reconnects, Resumes, Rewinds);
+  size_t SilentArms = 0;
+  for (unsigned I = 0; FP && I != NumFailpoints; ++I) {
+    Failpoint F = static_cast<Failpoint>(I);
+    if (P.Chaos.RatePpm[I] && !Failpoints::instance().fires(F)) {
+      std::fprintf(stderr,
+                   "net-chaos: armed failpoint %s never fired in %llu "
+                   "evaluations\n",
+                   failpointName(F),
+                   (unsigned long long)Failpoints::instance().evaluations(F));
+      ++SilentArms;
+    }
+  }
   if (Sink && !Sink->writeFile(P.TraceOut)) {
     std::fprintf(stderr, "net-chaos: failed to write %s\n",
                  P.TraceOut.c_str());
     return 1;
   }
-  if (Diverged || Failed || !Compared)
+  if (Diverged || Failed || !Compared || SilentArms)
     return 1;
   return 0;
 }
